@@ -427,12 +427,17 @@ func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) str
 
 // benchWarmGateway issues untimed queries until the gateway is warm: for
 // a pull gateway one round fills the per-peer and merged caches; a push
-// gateway is additionally polled until it reports staleness 0 — every
-// watcher connected and the seed ingest's pushes folded in — so the
-// timed loop measures the quiescent serve-stale fast path.
+// gateway is additionally polled until it has reported staleness 0 for
+// 200ms straight — every watcher connected and the seed ingest's pushes
+// folded in — so the timed loop measures the quiescent serve-stale fast
+// path. One clean sample is not enough: the header truncates to whole
+// milliseconds, and a peer's push can trail its ingest acknowledgement,
+// so a late push (and the background round it starts) could otherwise
+// land inside the timed loop.
 func benchWarmGateway(b *testing.B, url string, push bool) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
+	clean := 0
 	for {
 		resp, err := http.Get(url + "/query")
 		if err != nil {
@@ -443,7 +448,12 @@ func benchWarmGateway(b *testing.B, url string, push bool) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("warm query status %d", resp.StatusCode)
 		}
-		if !push || resp.Header.Get(cluster.StalenessHeader) == "0" {
+		if !push {
+			return
+		}
+		if resp.Header.Get(cluster.StalenessHeader) != "0" {
+			clean = 0
+		} else if clean++; clean >= 20 {
 			return
 		}
 		if time.Now().After(deadline) {

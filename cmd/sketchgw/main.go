@@ -9,9 +9,13 @@
 // By default the gateway runs push-based epoch propagation: a watcher
 // per peer long-polls the peer's GET /watch, queries answer from the
 // cached federated fold instantly (X-Sketch-Staleness reports the age
-// bound), and a background refresher re-folds off the request path.
-// -max-stale bounds how stale a served fold may get; -push=false
-// reverts to per-query conditional-GET fan-outs.
+// bound), and a background refresher re-folds off the request path,
+// one round per demand: when the fold first goes dirty, after a query
+// is served from a dirty fold, and as a backstop for a dirty fold no
+// query has asked about for half of -max-stale. -max-stale bounds how
+// stale a served fold may get, and within it a complete fold is never
+// replaced by a partial one; -push=false reverts to per-query
+// conditional-GET fan-outs.
 //
 //	sketchgw -dim 2 -alpha 0.5 -peers http://a:7070,http://b:7070,http://c:7070
 //	sketchgw -dim 2 -alpha 0.5 -peers ... -partial fail -timeout 2s

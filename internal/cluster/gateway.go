@@ -85,6 +85,12 @@ var errNoPeers = errors.New("cluster: no live peers")
 // errPartialRefused marks a partial fan-out refused under PartialFail.
 var errPartialRefused = errors.New("cluster: partial result refused")
 
+// errKeptComplete marks a push-mode round that came back partial and was
+// not installed, because the complete fold it would replace is still
+// within MaxStale (see keepCompleteLocked). The cached fold stays
+// servable, so callers holding one serve it.
+var errKeptComplete = errors.New("cluster: partial round not installed over a complete fold within max-stale")
+
 // federateStatus maps a federate error to its HTTP status: upstream
 // failures (unreachable peers) are 502, anything else — a non-mergeable
 // family, a merge rejected by mismatched peer options — is a gateway
@@ -178,19 +184,23 @@ type Config struct {
 
 	// Push inverts the cache protocol from pull to push: one watcher
 	// goroutine per peer long-polls the peer's GET /watch for epoch bumps
-	// and marks the federated cache dirty, a background refresher re-folds
-	// off the request path, and queries serve the last good fold
-	// immediately (serve-stale-while-revalidate) instead of paying a
-	// conditional-GET fan-out. Peers without /watch (404) are watched by
-	// conditional-GET polling at PollInterval instead. The owner must call
-	// Close when done with a push gateway.
+	// and marks the federated cache dirty, queries serve the last good
+	// fold immediately (serve-stale-while-revalidate) instead of paying a
+	// conditional-GET fan-out, and a background refresher re-folds off the
+	// request path when the fold first goes dirty, when a query is served
+	// from a dirty fold, or as a MaxStale/2 backstop. Peers without /watch
+	// (404) are watched by conditional-GET polling at PollInterval
+	// instead. The owner must call Close when done with a push gateway.
 	Push bool
 
 	// MaxStale bounds how stale a served fold may be under Push: when the
 	// cache is dirty (or the watchers are unhealthy) and the last good
 	// fold is older than MaxStale, the query pays a synchronous refresh
-	// instead of serving stale. 0 selects the 5s default; negative means
-	// no bound (always serve stale, revalidate in background).
+	// instead of serving stale. Within the bound a complete fold is never
+	// replaced by a partial one, and a dirty fold no query has asked
+	// about is re-folded in the background after MaxStale/2. 0 selects
+	// the 5s default; negative means no bound (always serve stale,
+	// revalidate in background when queries ask).
 	MaxStale time.Duration
 
 	// WatchTimeout is the long-poll timeout requested from peers'
@@ -353,7 +363,7 @@ type Gateway struct {
 	dirtyGen     atomic.Int64
 	lastRoundGen atomic.Int64
 	lastFresh    atomic.Int64
-	refreshKick  chan struct{}      // wakes the background refresher (capacity 1)
+	refreshKick  chan struct{}      // asks the background refresher for one round (capacity 1)
 	stop         chan struct{}      // closed by Close; stops watchers and refresher
 	stopCtx      context.Context    // canceled by Close; aborts in-flight watch polls
 	stopCancel   context.CancelFunc //
@@ -611,7 +621,9 @@ type StatsResponse struct {
 	// conditional-GET polling because the peer has no /watch endpoint.
 	WatchPollFallbacks int64 `json:"watch_poll_fallbacks"`
 	// BgRefreshes counts scatter rounds run by the background refresher,
-	// off the request path.
+	// off the request path: at most one per trigger (the first push after
+	// a clean fold, a stale serve, or the MaxStale/2 backstop) that found
+	// the fold dirty.
 	BgRefreshes int64 `json:"bg_refreshes"`
 	// StaleServes counts push-mode queries answered from the cached fold
 	// with zero peer round trips on the request path.
@@ -750,8 +762,10 @@ func (g *Gateway) refresh(ctx context.Context) error {
 // validators (ETags — i.e. ingest epochs — plus the down/degraded set)
 // differs from the cached one; on a match the fold, and therefore every
 // deserialization and merge, is skipped. The error is non-nil when no
-// peer contributed, or when the round is partial under PartialFail —
-// the cache is left untouched in both cases.
+// peer contributed, when the round is partial under PartialFail, or
+// when it is partial and a complete push-mode fold within MaxStale
+// stays (errKeptComplete) — the cache, dirtiness included, is left
+// untouched in every case.
 func (g *Gateway) scatter(ctx context.Context) error {
 	useCache := !g.cfg.NoCache
 	// The generation read MUST precede the network round: an invalidation
@@ -858,6 +872,9 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		g.fedCacheHits.Add(1)
 		g.markFresh(startGen)
 		return nil
+	}
+	if fo.partial() && g.keepCompleteLocked() {
+		return errKeptComplete
 	}
 	g.fedCacheMisses.Add(1)
 	var merged sketch.Mergeable
@@ -1016,6 +1033,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	g.cacheMu.Unlock()
 	telemetry.Observe(g.tel.answer, span, "answer", time.Since(ta))
 	server.WriteJSON(w, http.StatusOK, resp)
+	g.revalidateServed()
 	g.finishRequest(span, g.tel.reqQuery, slowE, t0)
 }
 
@@ -1077,6 +1095,7 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 		g.notModified.Add(1)
 		g.cacheMu.Unlock()
 		w.WriteHeader(http.StatusNotModified)
+		g.revalidateServed()
 		slowE.Status = http.StatusNotModified
 		g.finishRequest(span, g.tel.reqSketch, slowE, t0)
 		return
@@ -1102,6 +1121,7 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	g.cacheMu.Unlock()
 	telemetry.Observe(g.tel.export, span, "export", time.Since(te))
 	server.WriteSketch(w, blob)
+	g.revalidateServed()
 	g.finishRequest(span, g.tel.reqSketch, slowE, t0)
 }
 

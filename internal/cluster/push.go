@@ -2,20 +2,30 @@ package cluster
 
 // Push-based epoch propagation: the serve-stale-while-revalidate side of
 // the gateway (Config.Push). One watcher goroutine per peer long-polls
-// the peer's GET /watch; an epoch bump marks the federated cache dirty
-// and wakes the background refresher, which singleflights a scatter
-// round off the request path. Queries then serve the last good fold
-// immediately — the paper's mergeability is what makes that sound: a
-// slightly stale merged sketch is still a valid sketch over a slightly
-// earlier prefix of the stream, so freshness can be bounded by
-// propagation delay (MaxStale) instead of query-time fan-out.
+// the peer's GET /watch; an epoch bump marks the federated cache dirty.
+// Queries serve the last good fold immediately — the paper's
+// mergeability is what makes that sound: a slightly stale merged sketch
+// is still a valid sketch over a slightly earlier prefix of the stream,
+// so freshness can be bounded by propagation delay (MaxStale) instead of
+// query-time fan-out.
+//
+// Refresh pacing: the background refresher runs one singleflight scatter
+// round per demand, never back to back while ingest keeps the fold
+// dirty. A round starts on exactly three triggers: the leading edge (the
+// first invalidation after a clean fold, so an idle cluster's first
+// ingest is folding before the next query arrives), a stale serve (a
+// query or export answered from a dirty fold asks for a round after
+// answering), and the backstop (a fold left dirty with no query asking
+// for half of MaxStale, so steady ingest never pushes a query into a
+// synchronous refresh; none without a bound). Only queries read a fold,
+// so folds track query demand instead of ingest rate.
 //
 // Invalidation protocol (no lost pushes): dirtyGen counts invalidation
 // events; a scatter round reads startGen before its network phase and
 // stamps lastRoundGen = startGen only on a successful install. A push
 // landing during an in-flight round raises dirtyGen past the round's
-// startGen, so the cache stays dirty and the refresher immediately runs
-// another round — the final fold always reflects the latest epoch.
+// startGen, so the cache stays dirty until a stale serve or the backstop
+// runs the next round — every invalidation is folded by a later round.
 //
 // Peers without /watch (daemons predating the endpoint answer 404) are
 // covered by a conditional-GET polling fallback at PollInterval: the
@@ -54,14 +64,38 @@ const EpochVectorHeader = "X-Sketch-Epoch-Vector"
 const watcherRetryCeiling = 2 * time.Second
 
 // markDirty records one invalidation event — a peer's epoch moved (or
-// its watcher cannot rule that out) — and wakes the refresher.
+// its watcher cannot rule that out). Only the leading edge wakes the
+// refresher: the invalidation that turns a clean fold dirty. Later ones
+// coalesce into the dirty state until a stale serve or the backstop asks
+// for the next round.
 //
 //sketch:hotpath
 func (g *Gateway) markDirty() {
-	g.dirtyGen.Add(1)
+	if g.dirtyGen.Add(1)-1 == g.lastRoundGen.Load() {
+		g.kickRefresh()
+	}
+}
+
+// kickRefresh asks the background refresher for one scatter round; a
+// kick already pending absorbs it.
+//
+//sketch:hotpath
+func (g *Gateway) kickRefresh() {
 	select {
 	case g.refreshKick <- struct{}{}:
-	default: // a kick is already pending; the refresher drains by generation
+	default:
+	}
+}
+
+// revalidateServed is the stale-serve trigger, called after a /query or
+// /sketch has answered: a fold that is still dirty gets one background
+// round, so the next answer reflects the ingest this one missed. Only
+// push gateways ever see a dirty fold (pull mode has no watchers).
+//
+//sketch:hotpath
+func (g *Gateway) revalidateServed() {
+	if g.dirtyFold() {
+		g.kickRefresh()
 	}
 }
 
@@ -112,7 +146,8 @@ func (g *Gateway) foldStaleness(now time.Time) time.Duration {
 // cache is dirty or a watcher is down). It reports false after writing
 // an error response. Under PartialDegrade a failed synchronous refresh
 // over an existing fold falls back to serving stale — a stale merged
-// sketch is still a valid answer, which is the whole point.
+// sketch is still a valid answer, which is the whole point. Either way
+// the handler calls revalidateServed once it has answered.
 func (g *Gateway) ensureFreshPush(w http.ResponseWriter, ctx context.Context, span *telemetry.Span) bool {
 	age := g.foldStaleness(time.Now())
 	overBound := g.cfg.MaxStale >= 0 && age > g.cfg.MaxStale
@@ -133,6 +168,19 @@ func (g *Gateway) ensureFreshPush(w http.ResponseWriter, ctx context.Context, sp
 	g.staleServes.Add(1)
 	g.noteStaleness(age)
 	return true
+}
+
+// keepCompleteLocked is the serve-stale-complete policy: in push mode
+// with a staleness bound, a complete fold no older than MaxStale beats a
+// fresh partial one, so a round that came back partial must not replace
+// it. Past the bound the query's synchronous refresh installs the
+// partial fold (PartialDegrade), and without a bound partial rounds
+// always install. Callers hold cacheMu.
+func (g *Gateway) keepCompleteLocked() bool {
+	if !g.cfg.Push || g.cfg.MaxStale < 0 || !g.mergedValid || g.mergedFo.partial() {
+		return false
+	}
+	return time.Since(time.Unix(0, g.lastFresh.Load())) <= g.cfg.MaxStale
 }
 
 // haveFold reports whether a scatter round has ever installed a fold to
@@ -174,11 +222,15 @@ func (g *Gateway) setPushHeadersLocked(w http.ResponseWriter) {
 	w.Header().Set(EpochVectorHeader, strings.Join(parts, ","))
 }
 
-// refresher is the background revalidation loop: woken by markDirty, it
-// re-runs scatter rounds until the installed fold covers every observed
-// invalidation, keeping re-fetch and re-fold latency entirely off the
-// request path. Transient round failures retry with a bounded pause —
-// the per-peer breakers keep a dead fleet from being hammered.
+// refresher is the background revalidation loop, keeping re-fetch and
+// re-fold latency entirely off the request path. Each wake-up — a kick
+// (leading edge or stale serve) or the backstop timer — runs at most one
+// scatter round, and only while the fold is dirty. The backstop is armed
+// whenever the refresher parks on a dirty fold, for half of MaxStale.
+// A failed round, or one that kept a complete fold over a partial
+// result, pauses the loop with a bounded backoff before the next
+// trigger is honored — the per-peer breakers keep a dead fleet from
+// being hammered.
 func (g *Gateway) refresher() {
 	defer g.watcherWG.Done()
 	// Background rounds carry their own stable trace ID so a peer's slow
@@ -190,24 +242,30 @@ func (g *Gateway) refresher() {
 	}
 	pause := 50 * time.Millisecond
 	for {
+		var backstop <-chan time.Time
+		if g.cfg.MaxStale >= 0 && g.dirtyFold() {
+			backstop = time.After(g.cfg.MaxStale / 2)
+		}
 		select {
 		case <-g.stop:
 			return
 		case <-g.refreshKick:
+		case <-backstop:
 		}
-		for g.dirtyFold() {
-			g.bgRefreshes.Add(1)
-			if err := g.refresh(ctx); err != nil {
-				select {
-				case <-g.stop:
-					return
-				case <-time.After(pause):
-				}
-				pause = min(2*pause, watcherRetryCeiling)
-				continue
+		if !g.dirtyFold() {
+			continue
+		}
+		g.bgRefreshes.Add(1)
+		if err := g.refresh(ctx); err != nil {
+			select {
+			case <-g.stop:
+				return
+			case <-time.After(pause):
 			}
-			pause = 50 * time.Millisecond
+			pause = min(2*pause, watcherRetryCeiling)
+			continue
 		}
+		pause = 50 * time.Millisecond
 	}
 }
 
