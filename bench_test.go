@@ -43,6 +43,7 @@ import (
 	"repro/internal/pointio"
 	"repro/internal/server"
 	"repro/internal/window"
+	"repro/pkg/sketch"
 )
 
 func benchOptions(inst dataset.Instance, seed uint64) core.Options {
@@ -374,17 +375,23 @@ func BenchmarkWindowEngineProcess(b *testing.B) {
 	}
 }
 
-// benchGatewayCluster spins up an in-process cluster of the given peer
-// count behind a gateway, seeds it with 2^14 points, and returns the
-// gateway URL — the shared fixture of the BenchmarkGatewayQuery* family.
-// mut tweaks the gateway config (push mode, cache off, …) before start.
-func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) string {
+// benchGatewayData is the shared workload of the gateway benchmarks:
+// 2^14 uniform points over one option set.
+func benchGatewayData() (core.Options, []geom.Point) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 20, Kappa: 128, HighDim: true}
 	rng := rand.New(rand.NewPCG(7, 11))
 	pts := make([]geom.Point, 1<<14)
 	for i := range pts {
 		pts[i] = geom.Point{rng.Float64() * 1024, rng.Float64() * 1024}
 	}
+	return opts, pts
+}
+
+// benchGatewayCluster spins up an in-process cluster of the given peer
+// count behind a gateway, seeds it with the benchGatewayData points, and
+// returns the gateway URL.
+func benchGatewayCluster(b *testing.B, peers int) string {
+	opts, pts := benchGatewayData()
 	router, err := engine.NewRouterFromOptions(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -403,11 +410,7 @@ func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) str
 		urls[i] = ts.URL
 		b.Cleanup(func() { ts.Close(); eng.Close() })
 	}
-	cfg := cluster.Config{Peers: urls, Router: router, Dim: opts.Dim}
-	if mut != nil {
-		mut(&cfg)
-	}
-	gw, err := cluster.New(cfg)
+	gw, err := cluster.New(cluster.Config{Peers: urls, Router: router, Dim: opts.Dim})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,16 +428,14 @@ func benchGatewayCluster(b *testing.B, peers int, mut func(*cluster.Config)) str
 	return gwts.URL
 }
 
-// benchWarmGateway issues untimed queries until the gateway is warm: for
-// a pull gateway one round fills the per-peer and merged caches; a push
-// gateway is additionally polled until it has reported staleness 0 for
-// 200ms straight — every watcher connected and the seed ingest's pushes
-// folded in — so the timed loop measures the quiescent serve-stale fast
-// path. One clean sample is not enough: the header truncates to whole
-// milliseconds, and a peer's push can trail its ingest acknowledgement,
-// so a late push (and the background round it starts) could otherwise
-// land inside the timed loop.
-func benchWarmGateway(b *testing.B, url string, push bool) {
+// benchWarmGateway issues untimed queries until the gateway has reported
+// staleness 0 for 200ms straight — every watcher connected and the seed
+// ingest's pushes folded in — so the timed loop measures the quiescent
+// serve-stale fast path. One clean sample is not enough: the header
+// truncates to whole milliseconds, and a peer's push can trail its
+// ingest acknowledgement, so a late push (and the background round it
+// starts) could otherwise land inside the timed loop.
+func benchWarmGateway(b *testing.B, url string) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	clean := 0
@@ -448,16 +449,13 @@ func benchWarmGateway(b *testing.B, url string, push bool) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("warm query status %d", resp.StatusCode)
 		}
-		if !push {
-			return
-		}
 		if resp.Header.Get(cluster.StalenessHeader) != "0" {
 			clean = 0
 		} else if clean++; clean >= 20 {
 			return
 		}
 		if time.Now().After(deadline) {
-			b.Fatal("push gateway did not settle")
+			b.Fatal("gateway did not settle")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -488,52 +486,80 @@ func benchGatewayQueries(b *testing.B, url string) {
 	b.ReportMetric(float64(durs[(len(durs)-1)*99/100]), "p99-ns")
 }
 
-// BenchmarkGatewayQuery measures repeated federated queries over an
-// in-process 3-peer cluster. With the epoch-keyed federated cache the
-// first round pays the full scatter-gather (fetch + deserialize + fold);
-// every later round revalidates the quiescent peers with 304s and
-// answers from the cached union — this benchmark therefore tracks the
-// steady-state serving rate of a quiescent cluster, the common
-// read-heavy shape.
-func BenchmarkGatewayQuery(b *testing.B) {
-	url := benchGatewayCluster(b, 3, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	benchGatewayQueries(b, url)
-}
-
 // BenchmarkGatewayQueryWarm is the warm steady-state serving path across
-// propagation modes and fan-outs. pull revalidates every peer with a
-// conditional GET per query, so its latency grows with the peer count;
-// push serves the cached fold with zero peer round trips on a quiescent
-// cluster, so its latency should stay flat from 1 to 8 peers — the
-// headline property of push-based epoch propagation.
+// fan-outs: the gateway serves the cached fold with zero peer round
+// trips on a quiescent cluster, so its latency should stay flat from 1
+// to 8 peers. The push/ level of the sub-benchmark names keeps them
+// comparable with earlier baselines.
 func BenchmarkGatewayQueryWarm(b *testing.B) {
-	for _, mode := range []string{"pull", "push"} {
-		push := mode == "push"
-		for _, peers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/peers=%d", mode, peers), func(b *testing.B) {
-				url := benchGatewayCluster(b, peers, func(c *cluster.Config) {
-					c.Push = push
-				})
-				benchWarmGateway(b, url, push)
-				b.ReportAllocs()
-				b.ResetTimer()
-				benchGatewayQueries(b, url)
-			})
-		}
+	for _, peers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("push/peers=%d", peers), func(b *testing.B) {
+			url := benchGatewayCluster(b, peers)
+			benchWarmGateway(b, url)
+			b.ReportAllocs()
+			b.ResetTimer()
+			benchGatewayQueries(b, url)
+		})
 	}
 }
 
-// BenchmarkGatewayQueryCold forces the full fan-out every round by disabling
-// the federated cache: every query re-fetches, re-deserializes, and
-// re-folds all three peer snapshots — the pre-cache behavior, tracked so
-// the invalidation path cannot quietly regress.
-func BenchmarkGatewayQueryCold(b *testing.B) {
-	url := benchGatewayCluster(b, 3, func(c *cluster.Config) { c.NoCache = true })
+// BenchmarkFederatedFold is the background refresher's re-fold after
+// every peer's epoch moved, without HTTP: sketch.Deserialize of each of
+// three peers' /sketch blobs and of the fold receiver, then two Merges.
+// The peers hold the benchGatewayData points, routed as the gateway
+// routes them, so the blobs are the ones the warm benchmarks fold.
+func BenchmarkFederatedFold(b *testing.B) {
+	const peers = 3
+	opts, pts := benchGatewayData()
+	router, err := engine.NewRouterFromOptions(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := engine.NewPlacement(peers, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buckets := make([][]geom.Point, peers)
+	for _, p := range pts {
+		i := pl.Primary(router.Route(p))
+		buckets[i] = append(buckets[i], p)
+	}
+	blobs := make([][]byte, peers)
+	for i, bucket := range buckets {
+		eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng.ProcessBatch(bucket)
+		err = eng.WithSnapshot(func(s sketch.Sketch) (err error) {
+			blobs[i], err = s.Serialize()
+			return err
+		})
+		eng.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	benchGatewayQueries(b, url)
+	for n := 0; n < b.N; n++ {
+		var sks [peers]sketch.Sketch
+		for i, blob := range blobs {
+			if sks[i], err = sketch.Deserialize(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		recv, err := sketch.Deserialize(blobs[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		merged := recv.(sketch.Mergeable)
+		for _, sk := range sks[1:] {
+			if err := merged.Merge(sk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkSketchMarshal compares the retired gob wire format with the

@@ -6,16 +6,16 @@
 // live peers, gather their serialized sketches, and answer from the
 // merged union.
 //
-// By default the gateway runs push-based epoch propagation: a watcher
-// per peer long-polls the peer's GET /watch, queries answer from the
-// cached federated fold instantly (X-Sketch-Staleness reports the age
-// bound), and a background refresher re-folds off the request path,
-// one round per demand: when the fold first goes dirty, after a query
-// is served from a dirty fold, and as a backstop for a dirty fold no
-// query has asked about for half of -max-stale. -max-stale bounds how
-// stale a served fold may get, and within it a complete fold is never
-// replaced by a partial one; -push=false reverts to per-query
-// conditional-GET fan-outs.
+// Queries use push-based epoch propagation: a watcher per peer
+// long-polls the peer's GET /watch, queries answer from the cached
+// federated fold instantly (X-Sketch-Staleness reports the age bound),
+// and a background refresher re-folds off the request path, one round
+// per demand: when the fold first goes dirty, after a query is served
+// from a dirty fold, and as a backstop for a dirty fold no query has
+// asked about for half of -max-stale. -max-stale bounds how stale a
+// served fold may get, and within it a complete fold is never replaced
+// by a partial one. The gateway serves GET /watch itself, so a gateway
+// listed as another gateway's peer propagates by push too.
 //
 //	sketchgw -dim 2 -alpha 0.5 -peers http://a:7070,http://b:7070,http://c:7070
 //	sketchgw -dim 2 -alpha 0.5 -peers ... -partial fail -timeout 2s
@@ -34,6 +34,7 @@
 //	POST /ingest   point batches (NDJSON or packed binary) → routed to peers
 //	GET  /query    federated sample + estimate; "partial": true on degraded answers
 //	GET  /sketch   the federated merged sketch (so gateways stack into trees)
+//	GET  /watch    long-poll on the fold's export generation (the push hook for stacked gateways)
 //	GET  /stats    gateway counters + per-peer health
 //	GET  /healthz  ok / degraded (k/n peers up) / 503 with no live peers
 //	GET  /metrics  Prometheus text exposition (disable with -metrics=false)
@@ -84,11 +85,8 @@ func main() {
 		backoff  = flag.Duration("backoff", 50*time.Millisecond, "base delay between retry attempts (linear)")
 		downN    = flag.Int("down-after", 3, "consecutive failures before a peer's circuit breaker opens")
 		cooldown = flag.Duration("down-cooldown", 2*time.Second, "how long an open breaker skips a peer")
-		fedCache = flag.Bool("fed-cache", true, "cache peer snapshots and the federated fold keyed by the peers' ingest epochs (disable only for debugging)")
-		push     = flag.Bool("push", true, "push-based epoch propagation: watch peers for ingest pushes and serve queries from the cached fold, revalidating in the background (peers without /watch are polled)")
-		maxStale = flag.Duration("max-stale", 5*time.Second, "with -push, how stale a served fold may be before a query pays a synchronous refresh; negative = unbounded")
-		watchTO  = flag.Duration("watch-timeout", 25*time.Second, "with -push, the /watch long-poll timeout requested from peers")
-		pollIvl  = flag.Duration("poll-interval", 500*time.Millisecond, "with -push, the conditional-GET polling cadence for peers without /watch")
+		maxStale = flag.Duration("max-stale", 5*time.Second, "how stale a served fold may be before a query pays a synchronous refresh; negative = unbounded")
+		watchTO  = flag.Duration("watch-timeout", 25*time.Second, "the /watch long-poll timeout requested from peers, and the ceiling of the gateway's own /watch")
 		metrics  = flag.Bool("metrics", true, "expose Prometheus metrics on GET /metrics")
 		trace    = flag.Bool("trace", true, "mint X-Sketch-Trace IDs and propagate them to peers")
 		slowQ    = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
@@ -132,11 +130,8 @@ func main() {
 		RetryBackoff:   *backoff,
 		DownAfter:      *downN,
 		DownCooldown:   *cooldown,
-		NoCache:        !*fedCache,
-		Push:           *push && *fedCache,
 		MaxStale:       *maxStale,
 		WatchTimeout:   *watchTO,
-		PollInterval:   *pollIvl,
 		NoMetrics:      !*metrics,
 		Trace:          *trace,
 		SlowQuery:      *slowQ,
@@ -147,6 +142,9 @@ func main() {
 	defer gw.Close()
 
 	httpSrv := &http.Server{Addr: *addr, Handler: gw}
+	// Shutdown waits for in-flight requests; closing the gateway first
+	// ends the /watch long-polls a higher-tier gateway keeps parked here.
+	httpSrv.RegisterOnShutdown(gw.Close)
 
 	if *pprofA != "" {
 		go func() {
@@ -160,17 +158,9 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() {
-		cache := "on"
-		if !*fedCache {
-			cache = "off"
-		}
-		mode := "pull"
-		if *push && *fedCache {
-			mode = fmt.Sprintf("push (max-stale %s)", *maxStale)
-		}
 		ver, commit := telemetry.BuildInfo()
-		log.Printf("sketchgw: build %s (%s), %d peers, replicas %d, policy %s, federated cache %s, propagation %s, listening on %s",
-			ver, commit, len(urls), *replicas, policy, cache, mode, *addr)
+		log.Printf("sketchgw: build %s (%s), %d peers, replicas %d, policy %s, propagation push (max-stale %s), listening on %s",
+			ver, commit, len(urls), *replicas, policy, *maxStale, *addr)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

@@ -11,7 +11,7 @@
 //
 // -target drives an already-running endpoint; -spawn N builds a
 // self-contained in-process fleet — N sketchd peers on loopback ports
-// behind a push-mode sketchgw gateway — so CI can exercise the full
+// behind a sketchgw gateway — so CI can exercise the full
 // cluster serving path with one binary and no orchestration.
 //
 // -chaos inserts chaosproxies (internal/loadgen/chaosproxy) between the
@@ -448,7 +448,7 @@ type fleetConfig struct {
 
 // fleet is a self-contained serving topology on loopback ports: N
 // sketchd peers, optional chaosproxies in front of the first links, and
-// a push-mode gateway federating them.
+// a gateway federating them.
 type fleet struct {
 	engines   []*engine.Engine
 	servers   []*http.Server
@@ -532,10 +532,8 @@ func startFleet(fc fleetConfig) (*fleet, error) {
 		RetryBackoff:   20 * time.Millisecond,
 		DownAfter:      2,
 		DownCooldown:   200 * time.Millisecond,
-		Push:           true,
 		MaxStale:       fc.maxStale,
 		WatchTimeout:   5 * time.Second,
-		PollInterval:   100 * time.Millisecond,
 	})
 	if err != nil {
 		fl.stop()

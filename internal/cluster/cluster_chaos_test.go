@@ -18,16 +18,29 @@ import (
 // dirty the cache after the caller proceeds.
 func quiesce(t *testing.T, url string, estimate float64) {
 	t.Helper()
+	holdStill(t, url, "gateway to quiesce on the complete fold", func(q QueryResponse, _ http.Header) bool {
+		return q.Estimate == estimate
+	})
+}
+
+// holdStill waits until every /query answer across a settle window is
+// complete, served at staleness 0, and satisfies ok, and returns the
+// last one.
+func holdStill(t *testing.T, url, what string, ok func(QueryResponse, http.Header) bool) QueryResponse {
+	t.Helper()
+	var q QueryResponse
 	settled := 0
-	waitFor(t, 15*time.Second, "gateway to quiesce on the complete fold", func() bool {
-		q, hdr := getQuery(t, url)
-		if q.Partial || q.Estimate != estimate || hdr.Get(StalenessHeader) != "0" {
+	waitFor(t, 15*time.Second, what, func() bool {
+		var hdr http.Header
+		q, hdr = getQuery(t, url)
+		if q.Partial || hdr.Get(StalenessHeader) != "0" || !ok(q, hdr) {
 			settled = 0
 			return false
 		}
 		settled++
 		return settled >= 10 // ≥200ms of consecutive clean samples
 	})
+	return q
 }
 
 // TestChaosFlappingPeerGatewayStaysServing runs the failure scenario the
@@ -53,11 +66,9 @@ func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 
 	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Peers[0] = proxy.URL()
-		c.Push = true
 		// Wide enough that every flap-phase serve stays inside the
 		// bound — no query should ever pay a degraded sync refresh.
 		c.MaxStale = time.Minute
-		c.WatchTimeout = time.Second
 		c.RequestTimeout = time.Second
 		c.DownAfter = 2
 		c.DownCooldown = 100 * time.Millisecond // breaker re-probes quickly once a down phase ends

@@ -10,12 +10,17 @@ package cluster
 // an epoch push landing during an in-flight background refresh (no lost
 // invalidation: the final fold reflects the latest epoch). The pacing
 // tests pin when background rounds run at all: on the leading edge, per
-// stale serve, and as the MaxStale/2 backstop — never back to back.
+// stale serve, and as the MaxStale/2 backstop — never back to back. The
+// restart test pins that a peer restarting behind the same URL, its
+// epoch counting from 0 again, is re-folded at once.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -23,8 +28,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/server"
 )
 
 // waitFor polls cond every 20ms until it holds or the deadline expires.
@@ -99,8 +104,8 @@ func forwardProxy(t *testing.T, upstream string, hook func(path string) (handled
 	return proxy
 }
 
-// TestPushWarmPathServesWithoutFanout is the acceptance scenario: with
-// push enabled, a quiescent 4-peer cluster answers GET /query with zero
+// TestPushWarmPathServesWithoutFanout is the acceptance scenario: a
+// quiescent 4-peer cluster answers GET /query with zero
 // peer round trips on the request path (stale_serves grows while
 // peer_not_modified, deserializes, and merges stay flat), and an ingest
 // is reflected in the fold within one watch push plus one background
@@ -109,9 +114,7 @@ func TestPushWarmPathServesWithoutFanout(t *testing.T) {
 	pts := stream(100, 5, 61)
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 19, StreamBound: len(pts) + 16, Kappa: 128}
 	peers := newTestCluster(t, opts, 4, 2)
-	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
-		c.Push = true
-	})
+	_, ts := newTestGateway(t, opts, peers, nil)
 
 	// One batch straight into each peer's engine (gateway routing can be
 	// arbitrarily skewed for a hand-built stream; the union does not
@@ -160,9 +163,6 @@ func TestPushWarmPathServesWithoutFanout(t *testing.T) {
 	if s0.WatchPushes < 1 || s0.BgRefreshes < 1 {
 		t.Fatalf("settled stats show no push activity: pushes %d, bg refreshes %d",
 			s0.WatchPushes, s0.BgRefreshes)
-	}
-	if !s0.Push {
-		t.Fatal("stats do not report push mode")
 	}
 
 	// Quiescent warm path: every query is a stale serve off the cached
@@ -243,12 +243,10 @@ func TestPushPeerDeathServesStale(t *testing.T) {
 
 	gw, ts := newTestGateway(t, opts, peers[:1], func(c *Config) {
 		c.Peers = []string{peers[0].ts.URL, proxy.URL}
-		c.Push = true
 		// Wide enough that breaker-opening and the stale-complete check
 		// below land comfortably inside the bound, short enough that the
 		// bound is exceeded within the test.
-		c.MaxStale = 5 * time.Second
-		c.WatchTimeout = time.Second
+		c.MaxStale = 2 * time.Second
 		c.DownAfter = 2
 		c.DownCooldown = 24 * time.Hour // stays open: isolates the serve-stale window
 	})
@@ -259,6 +257,7 @@ func TestPushPeerDeathServesStale(t *testing.T) {
 	})
 
 	down.Store(true)
+	proxy.CloseClientConnections() // the parked long-poll meets the outage at once
 	// The watcher's reconnects fail and open the breaker without any
 	// query traffic driving it.
 	waitFor(t, 10*time.Second, "watch failures to open the breaker", func() bool {
@@ -326,8 +325,6 @@ func TestPushInvalidationDuringRefresh(t *testing.T) {
 
 	_, ts := newTestGateway(t, opts, []*testPeer{peers[0]}, func(c *Config) {
 		c.Peers = []string{proxy.URL}
-		c.Push = true
-		c.WatchTimeout = time.Second
 	})
 
 	delay.Store(500)
@@ -370,9 +367,7 @@ func TestPushKeepsCompleteFoldWithinMaxStale(t *testing.T) {
 	})
 	_, ts := newTestGateway(t, opts, peers[:1], func(c *Config) {
 		c.Peers = []string{peers[0].ts.URL, proxy.URL}
-		c.Push = true
 		c.MaxStale = time.Minute // the whole test runs inside the bound
-		c.WatchTimeout = time.Second
 	})
 	quiesce(t, ts.URL, 2)
 	s0 := gwStats(t, ts.URL)
@@ -434,9 +429,7 @@ func pacedGateway(t *testing.T, seed uint64, maxStale time.Duration) (*testPeer,
 	})
 	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Peers = []string{proxy.URL}
-		c.Push = true
 		c.MaxStale = maxStale
-		c.WatchTimeout = time.Second
 	})
 	quiesce(t, ts.URL, 1)
 	return peers[0], delay, ts.URL
@@ -537,59 +530,86 @@ func TestPushBackstopRefoldsUnqueriedFold(t *testing.T) {
 	}
 }
 
-// TestPushFallbackPolling covers peers predating /watch: the watcher
-// gets 404, downgrades to conditional-GET polling, and invalidations
-// still propagate — just at PollInterval latency instead of push.
-func TestPushFallbackPolling(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 31, StreamBound: 1 << 10, Kappa: 128}
+// TestPushPeerRestartRefolds pins the restart rule: a peer restarting
+// behind the same URL counts its epoch from 0 again, below the epoch the
+// watcher last saw. Asked for that old epoch, the new process answers at
+// once, and the watcher takes any epoch change as an invalidation, so
+// the new state is folded within one push — not once the new process
+// overtakes the old epoch, while the old fold is served at staleness 0.
+// The restart is a proxy switching to a fresh peer between long-polls,
+// so the watcher sees no failure that would mark the fold dirty either.
+func TestPushPeerRestartRefolds(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 53, StreamBound: 1 << 10, Kappa: 128}
+	peers := newTestCluster(t, opts, 2, 1)
+	// The old incarnation: one group over three ingests (epoch 3). The new
+	// one: three groups in one ingest (epoch 1).
+	for _, p := range []geom.Point{{1, 1}, {1.1, 1.1}, {1.2, 1.2}} {
+		peers[0].eng.Process(p)
+	}
+	peers[1].eng.ProcessBatch([]geom.Point{{1, 1}, {40, 40}, {80, 80}})
+
+	var upstream atomic.Pointer[url.URL]
+	upstream.Store(peerURL(t, peers[0]))
+	proxy := httptest.NewServer(&httputil.ReverseProxy{
+		Rewrite: func(r *httputil.ProxyRequest) { r.SetURL(upstream.Load()) },
+		// Closing the gateway cancels its parked long-poll mid-flight.
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, _ error) { w.WriteHeader(http.StatusBadGateway) },
+	})
+	t.Cleanup(proxy.Close)
+
+	_, ts := newTestGateway(t, opts, peers[:1], func(c *Config) { c.Peers = []string{proxy.URL} })
+	quiesce(t, ts.URL, 1)
+
+	upstream.Store(peerURL(t, peers[1])) // the peer restarts behind the same URL
+	waitFor(t, 5*time.Second, "the restarted peer's state to be folded", func() bool {
+		q, _ := getQuery(t, ts.URL)
+		return q.Estimate == 3
+	})
+}
+
+// TestGatewayWatchEndsOnClose pins that Close answers a parked GET
+// /watch at once — unchanged, at the current export generation — so a
+// watching higher tier cannot hold up the gateway's graceful shutdown.
+func TestGatewayWatchEndsOnClose(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 59, StreamBound: 1 << 10, Kappa: 128}
 	peers := newTestCluster(t, opts, 1, 1)
-	peers[0].eng.Process(geom.Point{1, 1})
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) { c.WatchTimeout = time.Minute })
 
-	proxy := forwardProxy(t, peers[0].ts.URL, func(path string) (bool, func(http.ResponseWriter)) {
-		if path == "/watch" {
-			return true, func(w http.ResponseWriter) { http.NotFound(w, nil) }
+	done := make(chan server.WatchResponse, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/watch?epoch=0")
+		if err != nil {
+			t.Error(err)
+			close(done)
+			return
 		}
-		return false, nil
-	})
-
-	_, ts := newTestGateway(t, opts, []*testPeer{peers[0]}, func(c *Config) {
-		c.Peers = []string{proxy.URL}
-		c.Push = true
-		c.PollInterval = 50 * time.Millisecond
-	})
-
-	waitFor(t, 10*time.Second, "watcher to fall back to polling and fold", func() bool {
-		s := gwStats(t, ts.URL)
-		q, _ := getQuery(t, ts.URL)
-		return s.WatchPollFallbacks >= 1 && q.Estimate == 1
-	})
-
-	peers[0].eng.Process(geom.Point{70, 70})
-	waitFor(t, 10*time.Second, "polled invalidation to reach the fold", func() bool {
-		q, _ := getQuery(t, ts.URL)
-		return q.Estimate == 2
-	})
-	if s := gwStats(t, ts.URL); s.WatchPushes != 0 {
-		t.Fatalf("watch_pushes %d on a poll-only fleet", s.WatchPushes)
+		defer resp.Body.Close()
+		var wr server.WatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+			t.Error(err)
+		}
+		done <- wr
+	}()
+	// Nothing is folded, so the poll parks; a Close that overtakes it
+	// answers it just the same.
+	time.Sleep(50 * time.Millisecond)
+	gw.Close()
+	select {
+	case wr := <-done:
+		if wr.Changed || wr.Epoch != 0 {
+			t.Fatalf("closed gateway's /watch answered %+v, want unchanged at generation 0", wr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left a /watch long-poll parked")
 	}
 }
 
-// TestPushRequiresCache pins the config guard: push over a disabled
-// federated cache has nothing to serve stale from.
-func TestPushRequiresCache(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 10, Kappa: 128}
-	router, err := engine.NewRouterFromOptions(opts)
+// peerURL parses a test peer's base URL.
+func peerURL(t *testing.T, p *testPeer) *url.URL {
+	t.Helper()
+	u, err := url.Parse(p.ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(Config{
-		Peers:   []string{"http://127.0.0.1:1"},
-		Router:  router,
-		Dim:     2,
-		Push:    true,
-		NoCache: true,
-	})
-	if err == nil || !strings.Contains(err.Error(), "Push") {
-		t.Fatalf("New(Push+NoCache) = %v, want a config error", err)
-	}
+	return u
 }

@@ -23,7 +23,9 @@ import (
 // availability or accuracy — the federated estimate stays bit-identical
 // to a sequential sampler on the same stream with partial: false,
 // because every routing cell still has a live owner. A second kill
-// breaks quorum and the answer degrades honestly.
+// breaks quorum and the answer degrades honestly. A short -max-stale
+// makes each kill show in the fold within ~100ms instead of the 5s
+// default, during which the complete pre-kill fold is served.
 func TestReplicatedSurvivesSingleKill(t *testing.T) {
 	const groups, dup = 300, 6
 	pts := stream(groups, dup, 29)
@@ -46,7 +48,8 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 	peers := newTestCluster(t, opts, 4, 2)
 	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Replicas = 2
-		c.DownAfter = 1 // one observed failure opens the breaker: healthz/quorum react to the first query
+		c.DownAfter = 1 // one observed failure opens the breaker: healthz/quorum react to the first failed watch or fetch
+		c.MaxStale = 100 * time.Millisecond
 	})
 
 	resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
@@ -78,7 +81,7 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 		t.Fatalf("replicated ingest stats %+v", st)
 	}
 
-	full := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
+	full := settle(t, ts.URL, peers)
 	if full.Partial || full.PeersOK != 4 || full.Replicas != 2 {
 		t.Fatalf("healthy query %+v", full)
 	}
@@ -88,9 +91,13 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 
 	// Kill one peer: quorum holds, so the answer must be complete and
 	// bit-identical — the dead peer's cells all have their second owner.
-	peers[2].ts.Close()
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if q.Partial || q.PeersOK != 3 || len(q.FailedPeers) != 1 {
+	peers[2].kill()
+	var q QueryResponse
+	waitFor(t, 10*time.Second, "a fold without the killed peer", func() bool {
+		q, _ = getQuery(t, ts.URL)
+		return q.PeersOK == 3
+	})
+	if q.Partial || len(q.FailedPeers) != 1 {
 		t.Fatalf("single-kill query %+v", q)
 	}
 	if q.Estimate != seqRes.Estimate {
@@ -118,9 +125,12 @@ func TestReplicatedSurvivesSingleKill(t *testing.T) {
 
 	// Kill a second peer: Replicas distinct owners are now down, some
 	// cells may have no live owner — the gateway must degrade honestly.
-	peers[0].ts.Close()
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if !q.Partial || q.PeersOK != 2 {
+	peers[0].kill()
+	waitFor(t, 10*time.Second, "a fold without both killed peers", func() bool {
+		q, _ = getQuery(t, ts.URL)
+		return q.PeersOK == 2
+	})
+	if !q.Partial {
 		t.Fatalf("double-kill query %+v", q)
 	}
 	body = healthzBody(t, ts.URL, http.StatusOK)

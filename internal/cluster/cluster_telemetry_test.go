@@ -20,17 +20,27 @@ import (
 )
 
 // traceRecorder wraps a peer handler and records the X-Sketch-Trace
-// header of every request it serves, keyed by path.
+// header of every request it serves, keyed by path. /watch long-polls
+// are held until watchGate is closed, so no push reaches the gateway
+// before the test lets it.
 type traceRecorder struct {
-	inner http.Handler
-	mu    sync.Mutex
-	byP   map[string][]string
+	inner     http.Handler
+	watchGate chan struct{}
+	mu        sync.Mutex
+	byP       map[string][]string
 }
 
 func (tr *traceRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tr.mu.Lock()
 	tr.byP[r.URL.Path] = append(tr.byP[r.URL.Path], r.Header.Get(telemetry.TraceHeader))
 	tr.mu.Unlock()
+	if r.URL.Path == "/watch" {
+		select {
+		case <-tr.watchGate:
+		case <-r.Context().Done():
+			return
+		}
+	}
 	tr.inner.ServeHTTP(w, r)
 }
 
@@ -90,12 +100,15 @@ func parseExposition(t *testing.T, body io.Reader) map[string]float64 {
 // one trace ID minted (or honored) at the gateway must be visible at
 // every peer the request touched, on the response header, and in the
 // slow-query log — one federated request reconstructible end to end
-// from its ID alone.
+// from its ID alone. The peers hold the gateway's /watch long-polls until
+// the end, so the traced query finds no fold and pays the scatter round
+// itself; released, the background round carries the refresher's own ID.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	opts := core.Options{Alpha: 1, Dim: 2, StreamBound: 1 << 16, K: 4, Seed: 11, HighDim: true}
 
 	// Three real daemons, each behind a middleware recording the trace
 	// header of every request the gateway sends it.
+	watchGate := make(chan struct{})
 	recorders := make([]*traceRecorder, 3)
 	urls := make([]string, 3)
 	for i := range recorders {
@@ -107,7 +120,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &traceRecorder{inner: srv, byP: make(map[string][]string)}
+		rec := &traceRecorder{inner: srv, watchGate: watchGate, byP: make(map[string][]string)}
 		ts := httptest.NewServer(rec)
 		t.Cleanup(func() { ts.Close(); eng.Close() })
 		recorders[i] = rec
@@ -270,6 +283,27 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		key := `sketch_gateway_peer_requests_total{peer="` + urls[i] + `"}`
 		if m[key] < 1 {
 			t.Errorf("per-peer series %s missing or zero", key)
+		}
+	}
+
+	// Released, the watchers push the ingest and the background round
+	// re-fetches every peer under the refresher's own trace ID, while
+	// each watcher tags its long-polls with its own.
+	close(watchGate)
+	waitFor(t, 10*time.Second, "a background round over every peer", func() bool {
+		for _, rec := range recorders {
+			got := rec.traces("/sketch")
+			if !strings.HasPrefix(got[len(got)-1], "bg-") {
+				return false
+			}
+		}
+		return true
+	})
+	for i, rec := range recorders {
+		for _, tr := range rec.traces("/watch") {
+			if !strings.HasPrefix(tr, "watch"+strconv.Itoa(i)+"-") {
+				t.Fatalf("peer %d saw watch trace %q, want the watcher's watch%d- ID", i, tr, i)
+			}
 		}
 	}
 }

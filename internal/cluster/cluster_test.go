@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,8 +93,18 @@ func newTestCluster(t *testing.T, opts core.Options, n, shards int) []*testPeer 
 	return peers
 }
 
+// kill takes the peer down the way a crashed process goes: no new
+// connections, and open ones — the gateway's parked /watch long-polls
+// included, which a plain Close would wait out — reset.
+func (p *testPeer) kill() {
+	p.ts.Listener.Close()
+	p.ts.CloseClientConnections()
+	p.ts.Close()
+}
+
 // newTestGateway builds a gateway over the peers with the same routing
-// options the peers shard by.
+// options the peers shard by. Its long-polls are short: closing a peer's
+// httptest.Server waits out every /watch parked on it.
 func newTestGateway(t *testing.T, opts core.Options, peers []*testPeer, mut func(*Config)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	router, err := engine.NewRouterFromOptions(opts)
@@ -111,6 +122,7 @@ func newTestGateway(t *testing.T, opts core.Options, peers []*testPeer, mut func
 		RequestTimeout: 5 * time.Second,
 		Retries:        NoRetries, // deterministic failures in tests
 		DownAfter:      1000,
+		WatchTimeout:   time.Second,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -123,6 +135,21 @@ func newTestGateway(t *testing.T, opts core.Options, peers []*testPeer, mut func
 	t.Cleanup(ts.Close)
 	t.Cleanup(gw.Close) // LIFO: watchers stop before their server goes away
 	return gw, ts
+}
+
+// settle waits until the gateway's answer holds still at staleness 0
+// over a fold built from every peer's current ingest epoch (peers in the
+// gateway's peer order) — everything ingested so far is folded — and
+// returns that answer.
+func settle(t *testing.T, url string, peers []*testPeer) QueryResponse {
+	t.Helper()
+	return holdStill(t, url, "gateway to settle on every peer's current epoch", func(_ QueryResponse, hdr http.Header) bool {
+		epochs := make([]string, len(peers))
+		for i, p := range peers {
+			epochs[i] = strconv.FormatInt(p.eng.Epoch(), 10)
+		}
+		return hdr.Get(EpochVectorHeader) == strings.Join(epochs, ",")
+	})
 }
 
 // TestClusterFederationEndToEnd is the acceptance scenario: 100k points
@@ -217,7 +244,9 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 		t.Fatalf("peers hold %d points in total, want exactly %d", routedTotal, len(pts))
 	}
 
-	// Federated query vs the sequential sampler.
+	// Federated query vs the sequential sampler, once the concurrent
+	// ingest's pushes are folded.
+	settle(t, ts.URL, peers)
 	resp, err := http.Get(ts.URL + "/query?k=3")
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +354,7 @@ func TestClusterFederationF0(t *testing.T) {
 		t.Fatalf("ingested %d of %d", ir.Ingested, len(pts))
 	}
 
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
+	q := settle(t, ts.URL, peers)
 	if q.Partial || q.PeersOK != 3 {
 		t.Fatalf("fanout metadata %+v", q)
 	}
@@ -337,14 +366,19 @@ func TestClusterFederationF0(t *testing.T) {
 
 // TestClusterPartialFailure kills one of 3 peers and requires the
 // degrade policy to answer with partial=true, the fail policy to refuse
-// with 502, and /healthz to report degradation.
+// with 502, and /healthz to report degradation — once the staleness
+// bound stops them serving the complete fold from before the kill.
 func TestClusterPartialFailure(t *testing.T) {
 	pts := stream(200, 20, 7)
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: len(pts) + 1, Kappa: 128}
 
 	peers := newTestCluster(t, opts, 3, 2)
-	gw, degradeTS := newTestGateway(t, opts, peers, nil)
-	_, failTS := newTestGateway(t, opts, peers, func(c *Config) { c.Partial = PartialFail })
+	shortStale := func(c *Config) { c.MaxStale = 100 * time.Millisecond }
+	gw, degradeTS := newTestGateway(t, opts, peers, shortStale)
+	_, failTS := newTestGateway(t, opts, peers, func(c *Config) {
+		shortStale(c)
+		c.Partial = PartialFail
+	})
 
 	// Seed every peer directly (via the gateway's own routing function) so
 	// the dead peer's points are genuinely missing from degraded answers.
@@ -352,29 +386,37 @@ func TestClusterPartialFailure(t *testing.T) {
 		peers[gw.peerIndex(p)].eng.Process(p)
 	}
 
-	full := mustJSON[QueryResponse](t, mustGet(t, degradeTS.URL+"/query"), http.StatusOK)
+	full := settle(t, degradeTS.URL, peers)
 	if full.Partial || full.PeersOK != 3 {
 		t.Fatalf("healthy query %+v", full)
 	}
+	settle(t, failTS.URL, peers)
 
-	peers[1].ts.Close() // peer 1 goes dark
+	peers[1].kill() // peer 1 goes dark
 
-	q := mustJSON[QueryResponse](t, mustGet(t, degradeTS.URL+"/query"), http.StatusOK)
-	if !q.Partial || q.PeersOK != 2 || len(q.FailedPeers) != 1 || q.FailedPeers[0] != peers[1].ts.URL {
+	var q QueryResponse
+	waitFor(t, 10*time.Second, "the degrade policy to answer partial", func() bool {
+		q, _ = getQuery(t, degradeTS.URL)
+		return q.Partial
+	})
+	if q.PeersOK != 2 || len(q.FailedPeers) != 1 || q.FailedPeers[0] != peers[1].ts.URL {
 		t.Fatalf("degraded query %+v", q)
 	}
 	if q.Estimate <= 0 || q.Estimate >= full.Estimate {
 		t.Fatalf("degraded estimate %g should be positive and below the full %g", q.Estimate, full.Estimate)
 	}
 
-	resp := mustGet(t, failTS.URL+"/query")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("fail-policy query status %d, want 502", resp.StatusCode)
-	}
+	waitFor(t, 10*time.Second, "the fail policy to refuse with 502", func() bool {
+		resp := mustGet(t, failTS.URL+"/query")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("fail-policy query status %d, want 502 (or 200 while the complete fold is within max-stale)", resp.StatusCode)
+		}
+		return resp.StatusCode == http.StatusBadGateway
+	})
 
 	// A partial /sketch export is flagged, not silent.
-	resp = mustGet(t, degradeTS.URL+"/sketch")
+	resp := mustGet(t, degradeTS.URL+"/sketch")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sketch-Partial") != "true" {
 		t.Fatalf("partial sketch status %d partial-header %q", resp.StatusCode, resp.Header.Get("X-Sketch-Partial"))
@@ -421,8 +463,9 @@ func TestClusterPartialFailure(t *testing.T) {
 }
 
 // TestCircuitBreaker verifies the health tracker: after DownAfter
-// consecutive failures the peer is skipped (no request issued) until the
-// cooldown elapses, after which the next request probes it again.
+// consecutive failures — the peer's watcher alone drives them — the peer
+// is skipped (no request issued) until the cooldown elapses, after which
+// the next request probes it again and its success closes the breaker.
 func TestCircuitBreaker(t *testing.T) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 3, StreamBound: 1 << 10, Kappa: 128}
 	peers := newTestCluster(t, opts, 2, 1)
@@ -431,53 +474,42 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// Peer 1 sits behind a toggleable proxy so it can fail and recover.
 	var down atomic.Bool
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
+	proxy := forwardProxy(t, peers[1].ts.URL, func(path string) (bool, func(http.ResponseWriter)) {
+		if down.Load() && !strings.HasPrefix(path, "post:") {
 			// 503: a transient, health-relevant outage (500 would mean the
 			// peer is alive and answering deterministically — not charged).
-			http.Error(w, `{"error":"injected outage"}`, http.StatusServiceUnavailable)
-			return
+			return true, func(w http.ResponseWriter) {
+				http.Error(w, `{"error":"injected outage"}`, http.StatusServiceUnavailable)
+			}
 		}
-		resp, err := http.Get(peers[1].ts.URL + r.URL.Path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		_, _ = w.Write(buf.Bytes())
-	}))
-	defer proxy.Close()
-
-	router, err := engine.NewRouterFromOptions(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, ts := newTestGateway(t, opts, peers[:1], func(c *Config) {
-		c.Peers = []string{peers[0].ts.URL, proxy.URL}
-		c.Router = router
-		c.DownAfter = 2
-		c.DownCooldown = 100 * time.Millisecond
+		return false, nil
 	})
 
-	q := mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if q.Partial {
-		t.Fatalf("healthy query partial: %+v", q)
-	}
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = []string{peers[0].ts.URL, proxy.URL}
+		c.DownAfter = 2
+		// Nothing probes the open breaker on its own; the test elapses the
+		// cooldown by hand.
+		c.DownCooldown = time.Hour
+		c.MaxStale = 100 * time.Millisecond
+	})
+	quiesce(t, ts.URL, 2)
 
 	down.Store(true)
-	for i := 0; i < 2; i++ { // two failures open the breaker
-		q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-		if !q.Partial {
-			t.Fatalf("query %d against downed peer not partial", i)
-		}
-	}
+	proxy.CloseClientConnections() // the parked long-poll meets the outage at once
+	waitFor(t, 10*time.Second, "watch failures to open the breaker", func() bool {
+		return !gwStats(t, ts.URL).Peers[1].Up
+	})
+	waitFor(t, 10*time.Second, "queries past max-stale to degrade", func() bool {
+		q, _ := getQuery(t, ts.URL)
+		return q.Partial
+	})
 	reqsWhenOpen := gw.peers[1].requests.Load()
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if !q.Partial {
-		t.Fatal("open-breaker query not partial")
+	for i := 0; i < 3; i++ {
+		time.Sleep(150 * time.Millisecond) // past max-stale: every query runs a scatter round
+		if q, _ := getQuery(t, ts.URL); !q.Partial {
+			t.Fatalf("open-breaker query %d not partial: %+v", i, q)
+		}
 	}
 	if got := gw.peers[1].requests.Load(); got != reqsWhenOpen {
 		t.Fatalf("open breaker still issued requests (%d → %d)", reqsWhenOpen, got)
@@ -490,11 +522,11 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// Recovery: cooldown elapses, peer answers again, breaker closes.
 	down.Store(false)
-	time.Sleep(150 * time.Millisecond)
-	q = mustJSON[QueryResponse](t, mustGet(t, ts.URL+"/query"), http.StatusOK)
-	if q.Partial || q.PeersOK != 2 {
-		t.Fatalf("post-recovery query %+v", q)
-	}
+	gw.peers[1].downUntil.Store(time.Now().UnixNano())
+	waitFor(t, 10*time.Second, "the probed peer to rejoin the fold", func() bool {
+		q, _ := getQuery(t, ts.URL)
+		return !q.Partial && q.PeersOK == 2 && q.Estimate == 2
+	})
 }
 
 // TestGatewayRejectsMalformedIngest pins that bad bodies are rejected at

@@ -105,12 +105,9 @@ func TestWindowedClusterFederation(t *testing.T) {
 		t.Fatalf("peers ingested %d points in total, want %d", routed, len(pts))
 	}
 
-	// Federated query answers with a sample over the live window.
-	resp, err := http.Get(gwts.URL + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	qr := mustJSON[QueryResponse](t, resp, http.StatusOK)
+	// Federated query answers with a sample over the live window, once
+	// every routed batch is folded.
+	qr := settle(t, gwts.URL, peers)
 	if qr.Partial || qr.PeersOK != 3 || qr.Sample == nil {
 		t.Fatalf("federated windowed query = %+v", qr)
 	}
@@ -118,7 +115,7 @@ func TestWindowedClusterFederation(t *testing.T) {
 	// The gateway's /sketch export is the full Deserialize+Merge round
 	// trip: fold it once more into a fresh sketch and compare live groups
 	// with the sequential sampler, exactly.
-	resp, err = http.Get(gwts.URL + "/sketch")
+	resp, err := http.Get(gwts.URL + "/sketch")
 	if err != nil {
 		t.Fatal(err)
 	}

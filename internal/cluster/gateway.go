@@ -8,26 +8,30 @@
 //     each point's routing-grid cell (engine.Router — the same grid the
 //     peers shard by), so every point lands on exactly one peer and a
 //     near-duplicate group lands together with high probability.
-//   - Scatter-gather query: GET /query (and GET /sketch) fetches the
-//     serialized merged snapshot of every live peer in parallel,
+//   - Scatter-gather fold: a scatter round fetches the serialized merged
+//     snapshot of every live peer (GET /sketch) in parallel,
 //     sketch.Deserializes them, and folds them with Mergeable.Merge;
 //     boundary groups are repaired by the merge's α-ball coalescing,
 //     exactly as between shards.
+//   - Push propagation (push.go): one watcher per peer long-polls the
+//     peer's GET /watch, GET /query and GET /sketch answer from the last
+//     installed fold, and a background refresher runs the scatter rounds
+//     off the request path.
 //   - Partial failure is policy: PartialFail turns any unreachable peer
 //     into a 502, PartialDegrade (the default) answers from the live
 //     subset with "partial": true in the response.
-//   - Federated query cache: every peer snapshot is cached alongside its
-//     strong ETag (derived from the peer's ingest epoch), re-fetched
-//     with conditional GETs (a 304 reuses the cached deserialized
-//     sketch), and the merged union plus per-k answers are cached keyed
-//     by the whole peer-epoch vector — a quiescent cluster answers
-//     repeated queries without deserializing or merging anything.
+//   - Federated cache: every peer snapshot is cached alongside its
+//     strong ETag (derived from the peer's ingest epoch) and re-fetched
+//     with conditional GETs inside the scatter round (a 304 reuses the
+//     cached deserialized sketch), and the merged union plus per-k
+//     answers are cached keyed by the whole peer-validator vector — a
+//     round over quiescent peers deserializes and merges nothing.
 //
 // The gateway exposes the same HTTP API as a single daemon (/ingest,
-// /query, /stats, /healthz — and /sketch, so gateways stack into trees),
-// so clients are oblivious to whether they talk to one node or a cluster.
-// Topology, failure semantics, routing, and the cache are documented in
-// docs/cluster.md.
+// /query, /stats, /healthz — and /sketch and /watch, so gateways stack
+// into trees), so clients are oblivious to whether they talk to one node
+// or a cluster. Topology, failure semantics, routing, and the cache are
+// documented in docs/cluster.md.
 package cluster
 
 import (
@@ -85,7 +89,7 @@ var errNoPeers = errors.New("cluster: no live peers")
 // errPartialRefused marks a partial fan-out refused under PartialFail.
 var errPartialRefused = errors.New("cluster: partial result refused")
 
-// errKeptComplete marks a push-mode round that came back partial and was
+// errKeptComplete marks a scatter round that came back partial and was
 // not installed, because the complete fold it would replace is still
 // within MaxStale (see keepCompleteLocked). The cached fold stays
 // servable, so callers holding one serve it.
@@ -175,28 +179,10 @@ type Config struct {
 	// MaxBodyBytes caps a single ingest body. Defaults to 64 MiB.
 	MaxBodyBytes int64
 
-	// NoCache disables the federated query cache: every query re-fetches,
-	// re-deserializes, and re-folds every peer snapshot as if the peers'
-	// epochs had moved (conditional GETs are not sent). The gateway still
-	// serves correct ETags to its own clients. Intended for debugging and
-	// A/B measurement, not production. Incompatible with Push.
-	NoCache bool
-
-	// Push inverts the cache protocol from pull to push: one watcher
-	// goroutine per peer long-polls the peer's GET /watch for epoch bumps
-	// and marks the federated cache dirty, queries serve the last good
-	// fold immediately (serve-stale-while-revalidate) instead of paying a
-	// conditional-GET fan-out, and a background refresher re-folds off the
-	// request path when the fold first goes dirty, when a query is served
-	// from a dirty fold, or as a MaxStale/2 backstop. Peers without /watch
-	// (404) are watched by conditional-GET polling at PollInterval
-	// instead. The owner must call Close when done with a push gateway.
-	Push bool
-
-	// MaxStale bounds how stale a served fold may be under Push: when the
-	// cache is dirty (or the watchers are unhealthy) and the last good
-	// fold is older than MaxStale, the query pays a synchronous refresh
-	// instead of serving stale. Within the bound a complete fold is never
+	// MaxStale bounds how stale a served fold may be: when the cache is
+	// dirty (or the watchers are unhealthy) and the last good fold is
+	// older than MaxStale, the query pays a synchronous refresh instead
+	// of serving stale. Within the bound a complete fold is never
 	// replaced by a partial one, and a dirty fold no query has asked
 	// about is re-folded in the background after MaxStale/2. 0 selects
 	// the 5s default; negative means no bound (always serve stale,
@@ -204,19 +190,15 @@ type Config struct {
 	MaxStale time.Duration
 
 	// WatchTimeout is the long-poll timeout requested from peers'
-	// GET /watch (the watcher reconnects on expiry). Defaults to 25s.
+	// GET /watch (the watcher reconnects on expiry), and the ceiling of
+	// the gateway's own GET /watch. Defaults to 25s.
 	WatchTimeout time.Duration
-
-	// PollInterval is the conditional-GET polling cadence for peers that
-	// answered 404 to /watch (daemons predating the endpoint). Defaults
-	// to 500ms.
-	PollInterval time.Duration
 
 	// Client is the HTTP client for peer requests. Defaults to a client
 	// with a transport tuned for the fan-out: keep-alives with at least
 	// one idle connection per peer for scatter rounds plus one for the
-	// push watcher, so warm rounds never re-dial (per-attempt timeouts
-	// come from RequestTimeout).
+	// watcher, so warm rounds never re-dial (per-attempt timeouts come
+	// from RequestTimeout).
 	Client *http.Client
 
 	// Trace makes the gateway mint an X-Sketch-Trace ID for requests
@@ -278,9 +260,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchTimeout <= 0 {
 		c.WatchTimeout = 25 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 500 * time.Millisecond
 	}
 	if c.Client == nil {
 		// One warm connection per peer for scatter rounds plus one parked
@@ -345,13 +324,13 @@ type Gateway struct {
 	inflight     *flight
 	peerSnaps    []peerSnap
 	mergedKey    string
-	merged       sketch.Mergeable
+	merged       sketch.Mergeable // nil until the first install
 	mergedFo     fanout
-	mergedBlob   []byte // lazily serialized union for GET /sketch
-	mergedValid  bool
+	mergedBlob   []byte                       // lazily serialized union for GET /sketch
 	mergedEpochs []int64                      // per-peer ingest epochs of the fold; -1 = down/unknown
 	answers      map[int]server.QueryResponse // per-k answers for mergedKey
 	nonce        atomic.Int64                 // validators for peers serving no ETag
+	exportGen    engine.EpochCounter          // bumped by every install (a new /sketch ETag); GET /watch waits on it
 
 	// Push-propagation state (see push.go). dirtyGen counts invalidation
 	// events observed by the watchers; lastRoundGen is the dirtyGen value
@@ -379,12 +358,11 @@ type Gateway struct {
 	sketchMerges     atomic.Int64 // Mergeable.Merge folds performed
 	notModified      atomic.Int64 // gateway's own 304s served to clients
 
-	watchPushes        atomic.Int64 // epoch bumps received over /watch long-polls
-	watchPollFallbacks atomic.Int64 // watchers downgraded to conditional-GET polling (peer has no /watch)
-	bgRefreshes        atomic.Int64 // scatter rounds run by the background refresher
-	staleServes        atomic.Int64 // queries answered from the cached fold with zero request-path peer round trips
-	syncRefreshes      atomic.Int64 // push-mode queries that paid a synchronous refresh (cold, or staleness bound exceeded)
-	maxStalenessNs     atomic.Int64 // maximum fold staleness observed at serve time
+	watchPushes    atomic.Int64 // epoch changes received over /watch long-polls
+	bgRefreshes    atomic.Int64 // scatter rounds run by the background refresher
+	staleServes    atomic.Int64 // queries answered from the cached fold with zero request-path peer round trips
+	syncRefreshes  atomic.Int64 // queries that paid a synchronous refresh (cold, or staleness bound exceeded)
+	maxStalenessNs atomic.Int64 // maximum fold staleness observed at serve time
 
 	reg  *telemetry.Registry // /metrics families; nil when NoMetrics
 	slow *telemetry.SlowLog
@@ -416,9 +394,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("cluster: Config.Dim must be ≥ 1, got %d", cfg.Dim)
 	}
-	if cfg.Push && cfg.NoCache {
-		return nil, fmt.Errorf("cluster: Push requires the federated cache (drop NoCache)")
-	}
 	pl, err := engine.NewPlacement(len(cfg.Peers), cfg.Replicas)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: Config.Replicas: %w", err)
@@ -439,6 +414,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("POST /ingest", g.handleIngest)
 	g.mux.HandleFunc("GET /query", g.handleQuery)
 	g.mux.HandleFunc("GET /sketch", g.handleSketch)
+	g.mux.HandleFunc("GET /watch", g.handleWatch)
 	g.mux.HandleFunc("GET /stats", g.handleStats)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	if g.reg != nil {
@@ -446,14 +422,12 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.stop = make(chan struct{})
 	g.stopCtx, g.stopCancel = context.WithCancel(context.Background())
-	if cfg.Push {
-		g.refreshKick = make(chan struct{}, 1)
+	g.refreshKick = make(chan struct{}, 1)
+	g.watcherWG.Add(1)
+	go g.refresher()
+	for i, p := range g.peers {
 		g.watcherWG.Add(1)
-		go g.refresher()
-		for i, p := range g.peers {
-			g.watcherWG.Add(1)
-			go g.watchPeer(i, p)
-		}
+		go g.watchPeer(i, p)
 	}
 	if cfg.Replicas > 1 {
 		g.handoff = make([]*handoffQueue, len(g.peers))
@@ -467,12 +441,12 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the background machinery: the per-peer push watchers
-// (aborting their in-flight long-polls), the background refresher, and
-// the hinted-handoff drainer. Idempotent; a no-op for pull gateways
-// without replication. In-flight HTTP requests served by the gateway are
-// unaffected. Hints still queued when Close returns are dropped with the
-// gateway.
+// Close stops the background machinery: the per-peer watchers (aborting
+// their in-flight long-polls), the background refresher, and the
+// hinted-handoff drainer. The owner must call it when done with the
+// gateway. Idempotent. In-flight HTTP requests served by the gateway are
+// unaffected, except that parked GET /watch long-polls answer at once.
+// Hints still queued when Close returns are dropped with the gateway.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		close(g.stop)
@@ -527,8 +501,7 @@ type PeerStatus struct {
 	ConsecutiveFailures int64 `json:"consecutive_failures"`
 	// LastError is the most recent failure, if any.
 	LastError string `json:"last_error,omitempty"`
-	// WatchOK reports whether the peer's push watcher (or its polling
-	// fallback) is healthy. Always true on pull gateways.
+	// WatchOK reports whether the peer's watcher is healthy.
 	WatchOK bool `json:"watch_ok"`
 }
 
@@ -582,9 +555,8 @@ type StatsResponse struct {
 	IngestRequests int64 `json:"ingest_requests"`
 	// PointsRouted counts points forwarded to peers.
 	PointsRouted int64 `json:"points_routed"`
-	// Queries counts GET /query and GET /sketch requests served (each is
-	// a fan-out on a pull gateway; on a push gateway most are answered
-	// from the cached fold with no fan-out at all).
+	// Queries counts GET /query and GET /sketch requests served (most are
+	// answered from the cached fold with no fan-out at all).
 	Queries int64 `json:"queries"`
 	// PartialQueries counts fan-outs answered from a strict peer subset.
 	PartialQueries int64 `json:"partial_queries"`
@@ -601,7 +573,7 @@ type StatsResponse struct {
 	// FedCacheMisses counts scatter rounds that re-folded the union.
 	FedCacheMisses int64 `json:"fed_cache_misses"`
 	// FedAnswerHits counts GET /query responses served verbatim from the
-	// per-k answer cache on top of a merged-union hit.
+	// per-k answer cache over an unchanged fold.
 	FedAnswerHits int64 `json:"fed_answer_hits"`
 	// PeerDeserializes counts sketch envelope deserializations performed
 	// (zero across a warm-cache query).
@@ -612,24 +584,19 @@ type StatsResponse struct {
 	// NotModified counts the gateway's own 304 responses to conditional
 	// GETs from its clients (e.g. a higher-tier gateway).
 	NotModified int64 `json:"not_modified"`
-	// Push reports whether push-based epoch propagation is enabled.
-	Push bool `json:"push"`
-	// WatchPushes counts epoch bumps received from peers over /watch
+	// WatchPushes counts epoch changes received from peers over /watch
 	// long-polls (each marks the federated cache dirty).
 	WatchPushes int64 `json:"watch_pushes"`
-	// WatchPollFallbacks counts watchers that downgraded to
-	// conditional-GET polling because the peer has no /watch endpoint.
-	WatchPollFallbacks int64 `json:"watch_poll_fallbacks"`
 	// BgRefreshes counts scatter rounds run by the background refresher,
 	// off the request path: at most one per trigger (the first push after
 	// a clean fold, a stale serve, or the MaxStale/2 backstop) that found
 	// the fold dirty.
 	BgRefreshes int64 `json:"bg_refreshes"`
-	// StaleServes counts push-mode queries answered from the cached fold
-	// with zero peer round trips on the request path.
+	// StaleServes counts queries answered from the cached fold with zero
+	// peer round trips on the request path.
 	StaleServes int64 `json:"stale_serves"`
-	// SyncRefreshes counts push-mode queries that paid a synchronous
-	// fan-out (cold cache, or the staleness bound was exceeded).
+	// SyncRefreshes counts queries that paid a synchronous fan-out (cold
+	// cache, or the staleness bound was exceeded).
 	SyncRefreshes int64 `json:"sync_refreshes"`
 	// MaxStalenessMS is the maximum fold staleness observed at serve
 	// time, in milliseconds (0 until a stale fold is ever served).
@@ -761,13 +728,13 @@ func (g *Gateway) refresh(ctx context.Context) error {
 // is then re-folded (under cacheMu) only when the vector of peer
 // validators (ETags — i.e. ingest epochs — plus the down/degraded set)
 // differs from the cached one; on a match the fold, and therefore every
-// deserialization and merge, is skipped. The error is non-nil when no
-// peer contributed, when the round is partial under PartialFail, or
-// when it is partial and a complete push-mode fold within MaxStale
-// stays (errKeptComplete) — the cache, dirtiness included, is left
-// untouched in every case.
+// deserialization and merge, is skipped. Every install bumps the export
+// generation behind the gateway's own GET /watch. The error is non-nil
+// when no peer contributed, when the round is partial under PartialFail,
+// or when it is partial and a complete fold within MaxStale stays
+// (errKeptComplete) — the cache, dirtiness included, is left untouched
+// in every case.
 func (g *Gateway) scatter(ctx context.Context) error {
-	useCache := !g.cfg.NoCache
 	// The generation read MUST precede the network round: an invalidation
 	// that lands while the round is in flight may or may not be reflected
 	// in the fetched snapshots, so stamping any later generation on
@@ -791,7 +758,7 @@ func (g *Gateway) scatter(ctx context.Context) error {
 			// per-peer slots cannot be written concurrently.
 			snap := &g.peerSnaps[i]
 			var extra http.Header
-			if useCache && snap.sk != nil && snap.etag != "" {
+			if snap.sk != nil && snap.etag != "" {
 				extra = http.Header{"If-None-Match": []string{snap.etag}}
 			}
 			tFetch := time.Now()
@@ -868,7 +835,7 @@ func (g *Gateway) scatter(ctx context.Context) error {
 	// work only; the network round above ran without it).
 	g.cacheMu.Lock()
 	defer g.cacheMu.Unlock()
-	if useCache && g.mergedValid && key == g.mergedKey {
+	if g.merged != nil && key == g.mergedKey {
 		g.fedCacheHits.Add(1)
 		g.markFresh(startGen)
 		return nil
@@ -910,11 +877,11 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		g.sketchMerges.Add(1)
 	}
 	g.merged, g.mergedFo, g.mergedKey = merged, fo, key
-	g.mergedValid = useCache
 	g.mergedBlob = nil
 	g.mergedEpochs = epochs
 	clear(g.answers)
 	g.markFresh(startGen)
+	g.exportGen.Bump()
 	return nil
 }
 
@@ -979,14 +946,8 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.queries.Add(1)
-	if g.cfg.Push {
-		if !g.ensureFreshPush(w, ctx, span) {
-			g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: http.StatusBadGateway}, t0)
-			return
-		}
-	} else if err := g.refreshTimed(ctx, span); err != nil {
-		server.WriteError(w, federateStatus(err), err)
-		g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: federateStatus(err)}, t0)
+	if status := g.ensureFresh(w, ctx, span); status != 0 {
+		g.finishRequest(span, g.tel.reqQuery, telemetry.SlowEntry{Path: "/query", Status: status}, t0)
 		return
 	}
 	ta := time.Now()
@@ -1022,12 +983,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 			g.finishRequest(span, g.tel.reqQuery, slowE, t0)
 			return
 		}
-		if !g.cfg.NoCache {
-			if len(g.answers) >= maxAnswerCache {
-				clear(g.answers)
-			}
-			g.answers[k] = resp.QueryResponse
+		if len(g.answers) >= maxAnswerCache {
+			clear(g.answers)
 		}
+		g.answers[k] = resp.QueryResponse
 	}
 	g.servedPartial(fo)
 	g.cacheMu.Unlock()
@@ -1035,16 +994,6 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 	g.revalidateServed()
 	g.finishRequest(span, g.tel.reqQuery, slowE, t0)
-}
-
-// refreshTimed wraps a request-path refresh in the "refresh" stage
-// observation (pull mode; push-mode refreshes are timed inside
-// ensureFreshPush, which only refreshes when it must).
-func (g *Gateway) refreshTimed(ctx context.Context, span *telemetry.Span) error {
-	t := time.Now()
-	err := g.refresh(ctx)
-	telemetry.Observe(g.tel.refresh, span, "refresh", time.Since(t))
-	return err
 }
 
 // exportETag is the strong validator of the gateway's own /sketch
@@ -1070,14 +1019,8 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
 	g.queries.Add(1)
-	if g.cfg.Push {
-		if !g.ensureFreshPush(w, ctx, span) {
-			g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: http.StatusBadGateway}, t0)
-			return
-		}
-	} else if err := g.refreshTimed(ctx, span); err != nil {
-		server.WriteError(w, federateStatus(err), err)
-		g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: federateStatus(err)}, t0)
+	if status := g.ensureFresh(w, ctx, span); status != 0 {
+		g.finishRequest(span, g.tel.reqSketch, telemetry.SlowEntry{Path: "/sketch", Status: status}, t0)
 		return
 	}
 	te := time.Now()
@@ -1123,6 +1066,26 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	server.WriteSketch(w, blob)
 	g.revalidateServed()
 	g.finishRequest(span, g.tel.reqSketch, slowE, t0)
+}
+
+// handleWatch serves GET /watch over the export generation, so a
+// higher-tier gateway watches this one exactly like a daemon: the
+// long-poll answers once an installed fold has moved the /sketch ETag,
+// and at once for a ?epoch= ahead of the generation (a restarted gateway
+// counts from 0 again).
+func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
+	// Close ends a parked long-poll, so a watching higher tier cannot hold
+	// up this gateway's graceful shutdown.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(g.stopCtx, cancel)()
+	wr, err := server.WaitWatch(r.WithContext(ctx), g.cfg.WatchTimeout, g.exportGen.Wait)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set(server.EpochHeader, strconv.FormatInt(wr.Epoch, 10))
+	server.WriteJSON(w, http.StatusOK, wr)
 }
 
 // handleIngest routes a batch across the fleet: each point is assigned to
@@ -1321,14 +1284,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PeerDeserializes: g.peerDeserializes.Load(),
 		SketchMerges:     g.sketchMerges.Load(),
 		NotModified:      g.notModified.Load(),
-
-		Push:               g.cfg.Push,
-		WatchPushes:        g.watchPushes.Load(),
-		WatchPollFallbacks: g.watchPollFallbacks.Load(),
-		BgRefreshes:        g.bgRefreshes.Load(),
-		StaleServes:        g.staleServes.Load(),
-		SyncRefreshes:      g.syncRefreshes.Load(),
-		MaxStalenessMS:     float64(g.maxStalenessNs.Load()) / 1e6,
+		WatchPushes:      g.watchPushes.Load(),
+		BgRefreshes:      g.bgRefreshes.Load(),
+		StaleServes:      g.staleServes.Load(),
+		SyncRefreshes:    g.syncRefreshes.Load(),
+		MaxStalenessMS:   float64(g.maxStalenessNs.Load()) / 1e6,
 	}
 	for i, p := range g.peers {
 		up := p.up()

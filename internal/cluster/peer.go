@@ -32,7 +32,7 @@ type peer struct {
 	consec    atomic.Int64 // consecutive failed requests (resets on success)
 	downUntil atomic.Int64 // unix nanos until which the breaker is open; 0 = closed
 	lastErr   atomic.Value // string: most recent failure, for /stats
-	watchOK   atomic.Bool  // push mode: the peer's watcher (or its poll fallback) is healthy
+	watchOK   atomic.Bool  // the peer's watcher is healthy
 }
 
 // up reports whether the peer's circuit breaker is closed — the

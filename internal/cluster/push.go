@@ -1,8 +1,8 @@
 package cluster
 
-// Push-based epoch propagation: the serve-stale-while-revalidate side of
-// the gateway (Config.Push). One watcher goroutine per peer long-polls
-// the peer's GET /watch; an epoch bump marks the federated cache dirty.
+// Push-based epoch propagation: the gateway's query protocol,
+// serve-stale-while-revalidate. One watcher goroutine per peer long-polls
+// the peer's GET /watch; an epoch change marks the federated cache dirty.
 // Queries serve the last good fold immediately — the paper's
 // mergeability is what makes that sound: a slightly stale merged sketch
 // is still a valid sketch over a slightly earlier prefix of the stream,
@@ -27,10 +27,9 @@ package cluster
 // startGen, so the cache stays dirty until a stale serve or the backstop
 // runs the next round — every invalidation is folded by a later round.
 //
-// Peers without /watch (daemons predating the endpoint answer 404) are
-// covered by a conditional-GET polling fallback at PollInterval: the
-// poller tracks the peer's ETag privately (peerSnaps stay owned by the
-// scatter flight leader) and marks dirty when it moves.
+// Trees: every install bumps the gateway's export generation, which its
+// own GET /watch serves, so a higher-tier gateway watches this one like
+// any daemon and a bottom ingest propagates to the top by push alone.
 
 import (
 	"context"
@@ -47,7 +46,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StalenessHeader is the response header on a push gateway's /query and
+// StalenessHeader is the response header on the gateway's /query and
 // /sketch answers: the served fold's staleness in milliseconds. 0 means
 // the fold is continuously validated — every watcher healthy and no
 // unapplied invalidation.
@@ -89,8 +88,7 @@ func (g *Gateway) kickRefresh() {
 
 // revalidateServed is the stale-serve trigger, called after a /query or
 // /sketch has answered: a fold that is still dirty gets one background
-// round, so the next answer reflects the ingest this one missed. Only
-// push gateways ever see a dirty fold (pull mode has no watchers).
+// round, so the next answer reflects the ingest this one missed.
 //
 //sketch:hotpath
 func (g *Gateway) revalidateServed() {
@@ -107,9 +105,9 @@ func (g *Gateway) dirtyFold() bool {
 	return g.dirtyGen.Load() > g.lastRoundGen.Load()
 }
 
-// watchersHealthy reports whether every peer's watcher (or polling
-// fallback) is currently delivering invalidations — the condition under
-// which a clean cache is known fresh up to push latency.
+// watchersHealthy reports whether every peer's watcher is currently
+// delivering invalidations — the condition under which a clean cache is
+// known fresh up to push latency.
 //
 //sketch:hotpath
 func (g *Gateway) watchersHealthy() bool {
@@ -139,45 +137,50 @@ func (g *Gateway) foldStaleness(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, lf))
 }
 
-// ensureFreshPush is the push-mode gate in front of the answer phase:
-// it decides whether the cached fold may be served as-is (the fast
-// path — zero peer round trips) or the request must pay a synchronous
-// scatter (no fold yet, or the staleness bound is exceeded while the
-// cache is dirty or a watcher is down). It reports false after writing
-// an error response. Under PartialDegrade a failed synchronous refresh
-// over an existing fold falls back to serving stale — a stale merged
-// sketch is still a valid answer, which is the whole point. Either way
-// the handler calls revalidateServed once it has answered.
-func (g *Gateway) ensureFreshPush(w http.ResponseWriter, ctx context.Context, span *telemetry.Span) bool {
+// ensureFresh is the gate in front of the answer phase of /query and
+// /sketch: it decides whether the cached fold may be served as-is (the
+// fast path — zero peer round trips) or the request must pay a
+// synchronous scatter (no fold yet, or the staleness bound is exceeded
+// while the cache is dirty or a watcher is down). It returns 0 to
+// proceed, or the status of the error response it wrote. Under
+// PartialDegrade a failed synchronous refresh over an existing fold
+// falls back to serving stale — a stale merged sketch is still a valid
+// answer, which is the whole point. Either way the handler calls
+// revalidateServed once it has answered.
+func (g *Gateway) ensureFresh(w http.ResponseWriter, ctx context.Context, span *telemetry.Span) int {
 	age := g.foldStaleness(time.Now())
 	overBound := g.cfg.MaxStale >= 0 && age > g.cfg.MaxStale
-	if !g.haveFold() || overBound {
-		g.syncRefreshes.Add(1)
-		// Only the sync-refresh path records a "refresh" stage: a stale
-		// serve pays zero request-path round trips, and recording its
-		// near-zero gate time would drown the histogram in noise.
-		if err := g.refreshTimed(ctx, span); err != nil {
-			if !g.haveFold() || g.cfg.Partial == PartialFail {
-				server.WriteError(w, federateStatus(err), err)
-				return false
-			}
-			g.noteStaleness(g.foldStaleness(time.Now()))
-		}
-		return true
+	if g.haveFold() && !overBound {
+		g.staleServes.Add(1)
+		g.noteStaleness(age)
+		return 0
 	}
-	g.staleServes.Add(1)
-	g.noteStaleness(age)
-	return true
+	g.syncRefreshes.Add(1)
+	// Only the sync-refresh path records a "refresh" stage: a stale serve
+	// pays zero request-path round trips, and recording its near-zero gate
+	// time would drown the histogram in noise.
+	t := time.Now()
+	err := g.refresh(ctx)
+	telemetry.Observe(g.tel.refresh, span, "refresh", time.Since(t))
+	if err == nil {
+		return 0
+	}
+	if !g.haveFold() || g.cfg.Partial == PartialFail {
+		server.WriteError(w, federateStatus(err), err)
+		return federateStatus(err)
+	}
+	g.noteStaleness(g.foldStaleness(time.Now()))
+	return 0
 }
 
-// keepCompleteLocked is the serve-stale-complete policy: in push mode
-// with a staleness bound, a complete fold no older than MaxStale beats a
-// fresh partial one, so a round that came back partial must not replace
-// it. Past the bound the query's synchronous refresh installs the
-// partial fold (PartialDegrade), and without a bound partial rounds
-// always install. Callers hold cacheMu.
+// keepCompleteLocked is the serve-stale-complete policy: with a
+// staleness bound, a complete fold no older than MaxStale beats a fresh
+// partial one, so a round that came back partial must not replace it.
+// Past the bound the query's synchronous refresh installs the partial
+// fold (PartialDegrade), and without a bound partial rounds always
+// install. Callers hold cacheMu.
 func (g *Gateway) keepCompleteLocked() bool {
-	if !g.cfg.Push || g.cfg.MaxStale < 0 || !g.mergedValid || g.mergedFo.partial() {
+	if g.cfg.MaxStale < 0 || g.merged == nil || g.mergedFo.partial() {
 		return false
 	}
 	return time.Since(time.Unix(0, g.lastFresh.Load())) <= g.cfg.MaxStale
@@ -190,7 +193,7 @@ func (g *Gateway) keepCompleteLocked() bool {
 func (g *Gateway) haveFold() bool {
 	g.cacheMu.Lock()
 	defer g.cacheMu.Unlock()
-	return g.mergedValid
+	return g.merged != nil
 }
 
 // noteStaleness tracks the maximum staleness ever served (the
@@ -207,12 +210,9 @@ func (g *Gateway) noteStaleness(age time.Duration) {
 	}
 }
 
-// setPushHeadersLocked stamps a push gateway's answer with the served
-// fold's staleness and per-peer epoch vector. Callers hold cacheMu.
+// setPushHeadersLocked stamps an answer with the served fold's
+// staleness and per-peer epoch vector. Callers hold cacheMu.
 func (g *Gateway) setPushHeadersLocked(w http.ResponseWriter) {
-	if !g.cfg.Push {
-		return
-	}
 	age := g.foldStaleness(time.Now())
 	w.Header().Set(StalenessHeader, strconv.FormatInt(age.Milliseconds(), 10))
 	parts := make([]string, len(g.mergedEpochs))
@@ -270,28 +270,24 @@ func (g *Gateway) refresher() {
 }
 
 // watchPeer is one peer's watcher goroutine: it long-polls GET /watch
-// and marks the cache dirty on every epoch bump. Failures reconnect
-// with jittered exponential backoff, honor the peer's circuit breaker,
-// and charge it (a dead peer's breaker opens from watch failures alone);
-// a 404 downgrades the watcher to conditional-GET polling for daemons
-// predating /watch. After any unhealthy stretch the first successful
-// round marks the cache dirty — the peer may have ingested unobserved.
+// and marks the cache dirty on every epoch change. Failures — any
+// non-200 answer, 404 included — reconnect with jittered exponential
+// backoff, honor the peer's circuit breaker, and charge it (a dead
+// peer's breaker opens from watch failures alone). After any unhealthy
+// stretch the first successful round marks the cache dirty — the peer
+// may have ingested unobserved.
 func (g *Gateway) watchPeer(i int, p *peer) {
 	defer g.watcherWG.Done()
 	rng := rand.New(rand.NewPCG(uint64(i)+1, rand.Uint64()))
 	// Each watcher session carries a stable trace ID on its polls so a
-	// peer's /watch and fallback /sketch traffic is attributable to the
-	// specific gateway watcher driving it.
-	wctx := g.stopCtx
+	// peer's /watch traffic is attributable to the specific gateway
+	// watcher driving it.
 	wid := ""
 	if g.cfg.Trace {
 		wid = "watch" + strconv.Itoa(i) + "-" + telemetry.NewTraceID()[:16]
-		wctx = telemetry.WithTrace(wctx, wid)
 	}
 	var (
 		lastEpoch int64
-		pollETag  string
-		polling   bool
 		backoff   time.Duration
 	)
 	for {
@@ -310,43 +306,20 @@ func (g *Gateway) watchPeer(i int, p *peer) {
 			case <-time.After(d):
 			}
 		}
-		if polling {
-			select {
-			case <-g.stop:
-				return
-			case <-time.After(g.cfg.PollInterval):
-			}
-		}
 		if !p.admit(time.Now(), g.cfg.DownCooldown) {
 			p.watchOK.Store(false)
 			backoff = g.cfg.DownCooldown
 			continue
 		}
 		wasHealthy := p.watchOK.Load()
-		var err error
-		if polling {
-			err = g.pollOnce(wctx, p, &pollETag)
-		} else {
-			var fallback bool
-			fallback, err = g.watchOnce(p, &lastEpoch, wid)
-			if fallback {
-				polling = true
-				g.watchPollFallbacks.Add(1)
-				backoff = 0
-				continue
-			}
-		}
-		if err != nil {
+		if err := g.watchOnce(p, &lastEpoch, wid); err != nil {
 			if g.stopCtx.Err() != nil {
 				return
 			}
 			p.watchOK.Store(false)
-			if !polling {
-				// pollOnce goes through do(), which already charged the
-				// breaker; watch requests are raw and charge it here.
-				p.recordFailure(fmt.Errorf("cluster: watch %s: %w", p.url, err),
-					g.cfg.DownAfter, g.cfg.DownCooldown)
-			}
+			// Watch requests bypass do(), so the breaker is charged here.
+			p.recordFailure(fmt.Errorf("cluster: watch %s: %w", p.url, err),
+				g.cfg.DownAfter, g.cfg.DownCooldown)
 			if backoff == 0 {
 				backoff = 50 * time.Millisecond
 			} else {
@@ -365,10 +338,13 @@ func (g *Gateway) watchPeer(i int, p *peer) {
 }
 
 // watchOnce runs one /watch long-poll against the peer, updating
-// *lastEpoch and marking the cache dirty when the peer's epoch moved.
-// fallback reports a 404 — the peer predates /watch. wid, when
-// non-empty, is the watcher's trace ID, propagated on the poll.
-func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback bool, err error) {
+// *lastEpoch and marking the cache dirty when the peer's epoch changed.
+// Any change counts, not only a larger epoch: a smaller one means the
+// peer restarted behind the same URL (its epoch counts from 0 again),
+// and its new state must be folded now — the peer answers at once when
+// asked for an epoch it has not reached. wid, when non-empty, is the
+// watcher's trace ID, propagated on the poll.
+func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) error {
 	p.requests.Add(1)
 	// The request deadline leaves the peer's long-poll room to expire on
 	// its own (RequestTimeout of grace past WatchTimeout) and is bound to
@@ -378,55 +354,28 @@ func (g *Gateway) watchOnce(p *peer, lastEpoch *int64, wid string) (fallback boo
 	u := fmt.Sprintf("%s/watch?epoch=%d&timeout=%s", p.url, *lastEpoch, g.cfg.WatchTimeout)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if wid != "" {
 		req.Header.Set(telemetry.TraceHeader, wid)
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return true, nil
-	}
 	if resp.StatusCode != http.StatusOK {
-		return false, decodePeerError(resp)
+		return decodePeerError(resp)
 	}
 	var wr server.WatchResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&wr); err != nil {
-		return false, fmt.Errorf("decoding watch response: %w", err)
+		return fmt.Errorf("decoding watch response: %w", err)
 	}
 	p.recordSuccess()
-	if wr.Epoch > *lastEpoch {
+	if wr.Epoch != *lastEpoch {
 		*lastEpoch = wr.Epoch
 		g.watchPushes.Add(1)
 		g.markDirty()
 	}
-	return false, nil
-}
-
-// pollOnce is the fallback invalidation probe for peers without /watch:
-// one conditional GET /sketch whose validator is tracked privately by
-// the poller (peerSnaps belong to the scatter flight leader). A moved —
-// or absent — ETag marks the cache dirty; the scatter round then
-// re-fetches with its own conditional GET.
-func (g *Gateway) pollOnce(ctx context.Context, p *peer, etag *string) error {
-	var extra http.Header
-	if *etag != "" {
-		extra = http.Header{"If-None-Match": []string{*etag}}
-	}
-	_, hdr, status, err := g.do(ctx, p, http.MethodGet, "/sketch", "", nil, extra)
-	if err != nil {
-		return err
-	}
-	if status == http.StatusNotModified {
-		return nil
-	}
-	if e := hdr.Get("ETag"); e != "" {
-		*etag = e
-	}
-	g.markDirty()
 	return nil
 }

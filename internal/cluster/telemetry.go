@@ -71,8 +71,6 @@ func (g *Gateway) initTelemetry() {
 			}
 			return float64(up)
 		})
-	gauge("push", "1 if push-based epoch propagation is enabled.",
-		func() float64 { return b01(g.cfg.Push) })
 	gauge("replicas", "Configured replication factor (owners per routing cell).",
 		func() float64 { return float64(g.cfg.Replicas) })
 	gauge("quorum_ok", "1 while every routing cell has at least one live owner.",
@@ -117,15 +115,13 @@ func (g *Gateway) initTelemetry() {
 		func() float64 { return float64(g.sketchMerges.Load()) })
 	counter("not_modified_total", "The gateway's own 304s served to clients.",
 		func() float64 { return float64(g.notModified.Load()) })
-	counter("watch_pushes_total", "Epoch bumps received over /watch long-polls.",
+	counter("watch_pushes_total", "Epoch changes received over /watch long-polls.",
 		func() float64 { return float64(g.watchPushes.Load()) })
-	counter("watch_poll_fallbacks_total", "Watchers downgraded to conditional-GET polling.",
-		func() float64 { return float64(g.watchPollFallbacks.Load()) })
 	counter("bg_refreshes_total", "Scatter rounds run by the background refresher.",
 		func() float64 { return float64(g.bgRefreshes.Load()) })
-	counter("stale_serves_total", "Push-mode queries answered from the cached fold.",
+	counter("stale_serves_total", "Queries answered from the cached fold.",
 		func() float64 { return float64(g.staleServes.Load()) })
-	counter("sync_refreshes_total", "Push-mode queries that paid a synchronous refresh.",
+	counter("sync_refreshes_total", "Queries that paid a synchronous refresh.",
 		func() float64 { return float64(g.syncRefreshes.Load()) })
 	gauge("max_staleness_seconds", "Maximum fold staleness observed at serve time.",
 		func() float64 { return float64(g.maxStalenessNs.Load()) / 1e9 })
@@ -142,7 +138,7 @@ func (g *Gateway) initTelemetry() {
 			"1 while the peer's circuit breaker is closed.", lbl,
 			func() float64 { return b01(p.up()) })
 		r.GaugeFunc("sketch_gateway_peer_watch_ok",
-			"1 while the peer's push watcher (or poll fallback) is healthy.", lbl,
+			"1 while the peer's watcher is healthy.", lbl,
 			func() float64 { return b01(p.watchOK.Load()) })
 	}
 	telemetry.RegisterBuildInfo(r, "gateway")
@@ -220,7 +216,5 @@ func (g *Gateway) slowContextLocked(span *telemetry.Span, e *telemetry.SlowEntry
 		return
 	}
 	e.EpochVector = append([]int64(nil), g.mergedEpochs...)
-	if g.cfg.Push {
-		e.StalenessMS = float64(g.foldStaleness(time.Now())) / 1e6
-	}
+	e.StalenessMS = float64(g.foldStaleness(time.Now())) / 1e6
 }

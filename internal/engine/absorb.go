@@ -54,6 +54,6 @@ func (e *Engine) Absorb(in sketch.Sketch) error {
 		}
 	}
 	e.seedClock(parts)
-	e.bumpEpoch()
+	e.epoch.Bump()
 	return nil
 }

@@ -162,7 +162,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	e.seedClock(restored)
 	e.enqueued.Store(st.Enqueued)
-	e.bumpEpoch() // invalidate any cached snapshot
+	e.epoch.Bump() // invalidate any cached snapshot
 	return nil
 }
 
@@ -243,7 +243,7 @@ func (e *Engine) restoreResharded(st checkpointState) error {
 	}
 	e.seedClock(targets)
 	e.enqueued.Store(st.Enqueued)
-	e.bumpEpoch() // invalidate any cached snapshot
+	e.epoch.Bump() // invalidate any cached snapshot
 	return nil
 }
 

@@ -137,13 +137,8 @@ type Engine struct {
 
 	// epoch counts ingest calls; the snapshot cache is valid only while it
 	// holds still, so queries between ingests skip the O(shards×entries)
-	// re-merge.
-	epoch atomic.Int64
-	// watchCh is the epoch-bump broadcast slot behind WaitEpoch: waiters
-	// park a channel here, and bumpEpoch swaps it out and closes it. The
-	// ingest path pays one atomic load (nil) while nobody is watching —
-	// epoch propagation never adds a lock to Process/ProcessBatch.
-	watchCh    atomic.Pointer[chan struct{}]
+	// re-merge. Its broadcast wakes WaitEpoch long-polls.
+	epoch      EpochCounter
 	snapMu     sync.Mutex // guards snap/snapEpoch and serializes snapshot queries
 	snap       sketch.Sketch
 	snapEpoch  int64
@@ -292,20 +287,7 @@ func (e *Engine) Process(p geom.Point) {
 	// snapshot that read the pre-bump epoch is stamped too old and merely
 	// rebuilds on the next query. Bumping first would let a snapshot that
 	// missed this point be stamped current — persistent staleness.
-	e.bumpEpoch()
-}
-
-// bumpEpoch advances the ingest epoch and wakes every WaitEpoch waiter.
-// The broadcast is a single swap-and-close: with no waiters parked the
-// swap sees nil and ingest pays one atomic load, so the hot path stays
-// lock-free.
-//
-//sketch:hotpath
-func (e *Engine) bumpEpoch() {
-	e.epoch.Add(1)
-	if ch := e.watchCh.Swap(nil); ch != nil {
-		close(*ch)
-	}
+	e.epoch.Bump()
 }
 
 // Epoch returns the current ingest epoch — the monotone counter behind
@@ -315,37 +297,11 @@ func (e *Engine) bumpEpoch() {
 //sketch:hotpath
 func (e *Engine) Epoch() int64 { return e.epoch.Load() }
 
-// WaitEpoch blocks until the ingest epoch exceeds after, or ctx is done,
-// and returns the epoch it observed last — the long-poll primitive
-// behind the HTTP tier's GET /watch. A call whose after is already
-// behind returns immediately; otherwise the caller parks on a broadcast
-// channel that every epoch bump closes, so N waiters cost one channel
-// close per bump and zero work on the ingest path while nobody waits.
+// WaitEpoch blocks until the ingest epoch differs from after, or ctx is
+// done, and returns the epoch it observed last — the long-poll primitive
+// behind the HTTP tier's GET /watch (see EpochCounter.Wait).
 func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
-	for {
-		if ep := e.epoch.Load(); ep > after {
-			return ep
-		}
-		ch := e.watchCh.Load()
-		if ch == nil {
-			fresh := make(chan struct{})
-			if !e.watchCh.CompareAndSwap(nil, &fresh) {
-				continue // lost the install race; reload the winner's channel
-			}
-			ch = &fresh
-		}
-		// Re-check after parking the channel: a bump that raced ahead of
-		// the install already advanced the epoch (atomics are seq-cst, so
-		// a bump that this load misses must see — and close — *ch).
-		if ep := e.epoch.Load(); ep > after {
-			return ep
-		}
-		select {
-		case <-*ch:
-		case <-ctx.Done():
-			return e.epoch.Load()
-		}
-	}
+	return e.epoch.Wait(ctx, after)
 }
 
 // ProcessBatch feeds a batch of stream points: the batch is partitioned
@@ -408,7 +364,7 @@ func (e *Engine) ProcessBatch(ps []geom.Point) {
 	}
 	e.putBuckets(bk)
 	// Bumped after enqueueing, for the reason documented in Process.
-	e.bumpEpoch()
+	e.epoch.Bump()
 }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points to a
@@ -471,7 +427,7 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 	}
 	e.putBuckets(bk)
 	// Bumped after enqueueing, for the reason documented in Process.
-	e.bumpEpoch()
+	e.epoch.Bump()
 }
 
 // ProcessAt feeds one explicitly stamped point to a time-windowed engine.

@@ -2,10 +2,11 @@ package engine
 
 // WaitEpoch suite: the long-poll primitive behind the HTTP tier's
 // GET /watch. The properties pinned here are the ones push propagation
-// leans on: a waiter behind the current epoch returns immediately, a
-// parked waiter is woken by the very next ingest (no lost bumps, even
-// when the bump races the park), every waiter of one broadcast wakes,
-// and a context deadline unblocks without an ingest.
+// leans on: a waiter behind the current epoch returns immediately, and
+// so does one ahead of it (it watched an earlier incarnation), a parked
+// waiter is woken by the very next ingest (no lost bumps, even when the
+// bump races the park), every waiter of one broadcast wakes, and a
+// context deadline unblocks without an ingest.
 
 import (
 	"context"
@@ -42,6 +43,20 @@ func TestWaitEpochImmediate(t *testing.T) {
 	}
 	if ctx.Err() != nil {
 		t.Fatal("immediate WaitEpoch consumed the deadline")
+	}
+}
+
+func TestWaitEpochAheadReturnsImmediately(t *testing.T) {
+	eng := newWatchEngine(t, 1)
+	// A watcher of a previous incarnation asks for epoch 5 on a fresh
+	// engine: the epoch differs, so the wait answers at once.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if got := eng.WaitEpoch(ctx, 5); got != 0 {
+		t.Fatalf("WaitEpoch(5) on a fresh engine = %d, want 0", got)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("WaitEpoch ahead of the engine parked until the deadline")
 	}
 }
 
@@ -104,8 +119,11 @@ func TestWaitEpochContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if got := eng.WaitEpoch(ctx, 5); got != 0 {
+	if got := eng.WaitEpoch(ctx, 0); got != 0 {
 		t.Fatalf("timed-out WaitEpoch = %d, want the unchanged epoch 0", got)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("WaitEpoch at the current epoch returned before the deadline")
 	}
 	if time.Since(start) > 3*time.Second {
 		t.Fatal("WaitEpoch ignored the context deadline")

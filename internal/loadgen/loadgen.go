@@ -95,7 +95,7 @@ type Result struct {
 	// QueryErrors counts failed query requests.
 	QueryErrors int64 `json:"query_errors"`
 	// MaxStalenessMS is the largest X-Sketch-Staleness a query answer
-	// carried (push gateways only; 0 otherwise).
+	// carried (gateways only; 0 against a single daemon).
 	MaxStalenessMS int64 `json:"max_staleness_ms"`
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration `json:"elapsed_ns"`

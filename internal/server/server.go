@@ -147,7 +147,7 @@ type Server struct {
 	notModified       atomic.Int64 // conditional GETs answered 304
 
 	watchRequests atomic.Int64 // GET /watch calls served
-	watchChanged  atomic.Int64 // /watch answers that reported a newer epoch
+	watchChanged  atomic.Int64 // /watch answers that reported a changed epoch
 	watchTimeouts atomic.Int64 // /watch answers that timed out unchanged
 
 	sketchAbsorbs atomic.Int64 // POST /sketch envelopes folded into the engine (read repair)
@@ -220,10 +220,11 @@ type QueryResponse struct {
 // WatchResponse is the JSON body of GET /watch — the long-poll epoch
 // notification the cluster gateway's push watchers consume.
 type WatchResponse struct {
-	// Epoch is the engine's ingest epoch at response time.
+	// Epoch is the watched epoch at response time: a daemon's ingest
+	// epoch, or a gateway's export generation.
 	Epoch int64 `json:"epoch"`
-	// Changed reports whether Epoch exceeds the ?epoch= the client was
-	// watching from (false means the poll timed out unchanged).
+	// Changed reports whether Epoch differs from the ?epoch= the client
+	// was watching from (false means the poll timed out unchanged).
 	Changed bool `json:"changed"`
 }
 
@@ -261,7 +262,7 @@ type StatsResponse struct {
 	NotModified int64 `json:"not_modified"`
 	// WatchRequests counts GET /watch long-polls served.
 	WatchRequests int64 `json:"watch_requests"`
-	// WatchChanged counts /watch answers that reported a newer epoch
+	// WatchChanged counts /watch answers that reported a changed epoch
 	// (immediately or after blocking).
 	WatchChanged int64 `json:"watch_changed"`
 	// WatchTimeouts counts /watch answers that timed out with the epoch
@@ -515,49 +516,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.finishRequest(span, s.tel.reqQuery, "/query", http.StatusOK, epoch, t0)
 }
 
-// handleWatch is the push-propagation hook: a long-poll that answers as
-// soon as the engine's ingest epoch exceeds ?epoch= (immediately when it
-// already does), or with Changed=false when the poll times out first.
-// The wait costs no locks on the ingest path — it parks on the engine's
-// epoch broadcast channel (engine.WaitEpoch). ?timeout= (a Go duration)
-// may shorten the server's WatchTimeout ceiling but never extend it.
-// The response carries X-Sketch-Epoch, so a watcher can chain polls
-// without parsing the body. Clients that predate /watch simply never
-// call it; gateways probing an old daemon get 404 from the mux and fall
-// back to conditional-GET polling.
+// handleWatch is the push-propagation hook: a long-poll over the
+// engine's ingest epoch (WaitWatch) that costs the ingest path no locks.
+// A ?epoch= ahead of the engine answers at once: that watcher saw an
+// earlier incarnation of this daemon, whose restart counts from 0 again
+// (1 after -restore).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.watchRequests.Add(1)
-	after := int64(0)
-	if eq := r.URL.Query().Get("epoch"); eq != "" {
-		v, err := strconv.ParseInt(eq, 10, 64)
-		if err != nil || v < 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: bad epoch %q", eq))
-			return
-		}
-		after = v
+	wr, err := WaitWatch(r, s.cfg.WatchTimeout, s.cfg.Engine.WaitEpoch)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
 	}
-	timeout := s.cfg.WatchTimeout
-	if tq := r.URL.Query().Get("timeout"); tq != "" {
-		d, err := time.ParseDuration(tq)
-		if err != nil || d <= 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("server: bad timeout %q", tq))
-			return
-		}
-		if d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	epoch := s.cfg.Engine.WaitEpoch(ctx, after)
-	changed := epoch > after
-	if changed {
+	if wr.Changed {
 		s.watchChanged.Add(1)
 	} else {
 		s.watchTimeouts.Add(1)
 	}
-	w.Header().Set(EpochHeader, strconv.FormatInt(epoch, 10))
-	WriteJSON(w, http.StatusOK, WatchResponse{Epoch: epoch, Changed: changed})
+	w.Header().Set(EpochHeader, strconv.FormatInt(wr.Epoch, 10))
+	WriteJSON(w, http.StatusOK, wr)
+}
+
+// WaitWatch runs one GET /watch long-poll, shared by the daemon (over
+// its ingest epoch) and the cluster gateway (over its export
+// generation): it parses ?epoch= (default 0) and ?timeout= (a Go
+// duration that may shorten ceiling but never extend it), then blocks in
+// wait until the epoch differs from ?epoch= or the timeout expires. An
+// error means a malformed parameter (answer 400). Handlers also send the
+// epoch in X-Sketch-Epoch, so a watcher can chain polls without parsing
+// the body.
+func WaitWatch(r *http.Request, ceiling time.Duration, wait func(context.Context, int64) int64) (WatchResponse, error) {
+	after := int64(0)
+	if eq := r.URL.Query().Get("epoch"); eq != "" {
+		v, err := strconv.ParseInt(eq, 10, 64)
+		if err != nil || v < 0 {
+			return WatchResponse{}, fmt.Errorf("server: bad epoch %q", eq)
+		}
+		after = v
+	}
+	timeout := ceiling
+	if tq := r.URL.Query().Get("timeout"); tq != "" {
+		d, err := time.ParseDuration(tq)
+		if err != nil || d <= 0 {
+			return WatchResponse{}, fmt.Errorf("server: bad timeout %q", tq)
+		}
+		timeout = min(d, ceiling)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	epoch := wait(ctx, after)
+	return WatchResponse{Epoch: epoch, Changed: epoch != after}, nil
 }
 
 // handleSketch exports the engine's cached merged snapshot in the

@@ -2,9 +2,10 @@ package server
 
 // GET /watch suite: long-poll semantics over HTTP. These pin the
 // contract the cluster gateway's push watchers depend on — a stale
-// ?epoch= answers immediately, a current one blocks until the next
-// ingest, ?timeout= bounds the block, and malformed parameters are
-// client errors, not hangs.
+// ?epoch= answers immediately, and so does one ahead of the engine (the
+// watcher saw an earlier incarnation of a restarted daemon), a current
+// one blocks until the next ingest, ?timeout= bounds the block, and
+// malformed parameters are client errors, not hangs.
 
 import (
 	"encoding/json"
@@ -41,6 +42,27 @@ func TestWatchImmediateWhenBehind(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("watch behind the current epoch blocked")
+	}
+}
+
+func TestWatchImmediateWhenAhead(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 8, StreamBound: 1 << 12, Kappa: 64}
+	ts, _ := newL0Server(t, opts, 1, "")
+
+	// A watcher that followed a previous incarnation up to epoch 99 meets
+	// this fresh daemon at epoch 0: the restart is news, not a reason to
+	// park until the new process passes 99.
+	start := time.Now()
+	resp, err := http.Get(ts.URL + "/watch?epoch=99&timeout=10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := mustJSON[WatchResponse](t, resp, http.StatusOK)
+	if !wr.Changed || wr.Epoch != 0 {
+		t.Fatalf("watch ahead of the epoch = %+v, want Changed=true Epoch=0", wr)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("watch ahead of the current epoch blocked")
 	}
 }
 
@@ -92,7 +114,7 @@ func TestWatchTimesOutUnchanged(t *testing.T) {
 	ts, eng := newL0Server(t, opts, 1, "")
 
 	start := time.Now()
-	resp, err := http.Get(ts.URL + "/watch?epoch=99&timeout=50ms")
+	resp, err := http.Get(ts.URL + "/watch?epoch=0&timeout=50ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +150,7 @@ func TestWatchRejectsBadParams(t *testing.T) {
 
 func TestWatchStatsCounters(t *testing.T) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 7, StreamBound: 1 << 12, Kappa: 64}
-	ts, _ := newL0Server(t, opts, 1, "")
+	ts, eng := newL0Server(t, opts, 1, "")
 
 	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", ndjsonBody(stream(2, 1, 3)))
 	if err != nil {
@@ -140,7 +162,8 @@ func TestWatchStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustJSON[WatchResponse](t, resp, http.StatusOK)
-	if resp, err = http.Get(ts.URL + "/watch?epoch=99&timeout=20ms"); err != nil {
+	// The timeout case waits at the current epoch: nothing moves it.
+	if resp, err = http.Get(fmt.Sprintf("%s/watch?epoch=%d&timeout=20ms", ts.URL, eng.Epoch())); err != nil {
 		t.Fatal(err)
 	}
 	mustJSON[WatchResponse](t, resp, http.StatusOK)

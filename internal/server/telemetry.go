@@ -94,7 +94,7 @@ func (s *Server) initTelemetry() {
 		func() float64 { return float64(s.notModified.Load()) })
 	counter("watch_requests_total", "GET /watch long-polls served.",
 		func() float64 { return float64(s.watchRequests.Load()) })
-	counter("watch_changed_total", "/watch answers reporting a newer epoch.",
+	counter("watch_changed_total", "/watch answers reporting a changed epoch.",
 		func() float64 { return float64(s.watchChanged.Load()) })
 	counter("watch_timeouts_total", "/watch answers that timed out unchanged.",
 		func() float64 { return float64(s.watchTimeouts.Load()) })

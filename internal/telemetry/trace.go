@@ -174,7 +174,7 @@ type SlowEntry struct {
 	Epoch int64 `json:"epoch,omitempty"`
 	// EpochVector is the gateway's per-peer epoch vector at answer time.
 	EpochVector []int64 `json:"epoch_vector,omitempty"`
-	// StalenessMS is the age of the served fold (gateway push mode).
+	// StalenessMS is the age of the served fold (gateway only).
 	StalenessMS float64 `json:"staleness_ms,omitempty"`
 	// Partial marks a gateway answer that tolerated down peers.
 	Partial bool `json:"partial,omitempty"`
