@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -336,5 +339,161 @@ func TestGatewayTraceDisabled(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get(telemetry.TraceHeader); got != "client-supplied-id" {
 		t.Fatalf("inbound trace not honored with minting off: %q", got)
+	}
+}
+
+// The two tests below pin the /stats and /metrics contracts of both
+// tiers. They live here because this is the package that builds both a
+// daemon and a gateway.
+
+// TestStatsShape checks, per tier, that GET /stats renders exactly the
+// keys of the tier's StatsResponse, each with the JSON type its field
+// decodes from. It runs with metrics on and with NoMetrics: /stats is
+// rendered from the same declaration either way.
+func TestStatsShape(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, StreamBound: 1 << 16, K: 2, Seed: 5, HighDim: true}
+	for _, noMetrics := range []bool{false, true} {
+		mode := "metrics"
+		if noMetrics {
+			mode = "nometrics"
+		}
+		t.Run("daemon/"+mode, func(t *testing.T) {
+			eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := server.New(server.Config{Engine: eng, Dim: opts.Dim, NoMetrics: noMetrics})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			t.Cleanup(func() { ts.Close(); eng.Close() })
+			checkStatsShape(t, ts.URL, reflect.TypeFor[server.StatsResponse]())
+		})
+		t.Run("gateway/"+mode, func(t *testing.T) {
+			peers := newTestCluster(t, opts, 2, 1)
+			_, gts := newTestGateway(t, opts, peers, func(c *Config) { c.NoMetrics = noMetrics })
+			checkStatsShape(t, gts.URL, reflect.TypeFor[StatsResponse]())
+		})
+	}
+}
+
+// checkStatsShape compares the keys of GET base/stats with the json
+// tags of typ in both directions, and each value's JSON type with the
+// type encoding/json gives its field.
+func checkStatsShape(t *testing.T, base string, typ reflect.Type) {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mustJSON[map[string]json.RawMessage](t, resp, http.StatusOK)
+	want := make(map[string]string, typ.NumField())
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch f.Type.Kind() {
+		case reflect.Struct:
+			want[key] = "object"
+		case reflect.Slice:
+			want[key] = "array"
+		case reflect.String:
+			want[key] = "string"
+		case reflect.Bool:
+			want[key] = "bool"
+		default:
+			want[key] = "number"
+		}
+	}
+	for key, wt := range want {
+		raw, ok := got[key]
+		if !ok {
+			t.Errorf("/stats lacks %q, a StatsResponse field", key)
+			continue
+		}
+		if jt := jsonType(raw); jt != wt {
+			t.Errorf("/stats %q is a JSON %s (%s), its StatsResponse field a %s", key, jt, raw, wt)
+		}
+	}
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			t.Errorf("/stats key %q has no StatsResponse field", key)
+		}
+	}
+}
+
+// jsonType names the JSON type of an encoded value.
+func jsonType(raw json.RawMessage) string {
+	switch raw[0] {
+	case '{':
+		return "object"
+	case '[':
+		return "array"
+	case '"':
+		return "string"
+	case 't', 'f':
+		return "bool"
+	case 'n':
+		return "null"
+	default:
+		return "number"
+	}
+}
+
+// TestObservabilityDocListsFamilies checks the family tables of
+// docs/observability.md against both tiers' registries: every
+// registered family has a row whose kind column matches its # TYPE, and
+// every row names a registered family.
+func TestObservabilityDocListsFamilies(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]string) // family → kind column
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`sketch_") {
+			continue
+		}
+		kind, _, _ := strings.Cut(strings.TrimSpace(cells[2]), ",")
+		rows[strings.Trim(strings.TrimSpace(cells[1]), "`")] = kind
+	}
+
+	opts := core.Options{Alpha: 1, Dim: 2, StreamBound: 1 << 16, K: 2, Seed: 5, HighDim: true}
+	eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := server.New(server.Config{Engine: eng, Dim: opts.Dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, _ := newTestGateway(t, opts, newTestCluster(t, opts, 1, 1), nil)
+	types := make(map[string]string) // family → # TYPE
+	for _, reg := range []*telemetry.Registry{srv.MetricsRegistry(), gw.MetricsRegistry()} {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, typ, _ := strings.Cut(f, " ")
+				types[name] = typ
+			}
+		}
+	}
+	for name, typ := range types {
+		kind, ok := rows[name]
+		if !ok {
+			t.Errorf("family %s has no row in docs/observability.md", name)
+		} else if kind != typ {
+			t.Errorf("family %s: docs/observability.md says %q, # TYPE says %s", name, kind, typ)
+		}
+	}
+	for name := range rows {
+		if _, ok := types[name]; !ok {
+			t.Errorf("docs/observability.md lists %s, which neither tier registers", name)
+		}
 	}
 }

@@ -287,23 +287,13 @@ type Gateway struct {
 	client    *http.Client
 	start     time.Time
 
-	ingestRequests atomic.Int64
-	pointsRouted   atomic.Int64
-	queries        atomic.Int64
-	partialQueries atomic.Int64
-
 	// Replication state (Replicas > 1; see handoff.go). handoff holds one
 	// bounded hint queue per peer; the drainer goroutine replays queued
 	// sub-batches when a peer's breaker re-admits it and read-repairs
 	// replicas it sees rejoin.
-	handoff         []*handoffQueue
-	handoffKick     chan struct{} // wakes the drainer early (capacity 1)
-	replicaFanout   atomic.Int64  // extra point copies routed to replica owners
-	handoffDepth    atomic.Int64  // sub-batches currently queued across peers
-	handoffEnqueued atomic.Int64  // sub-batches ever queued for handoff
-	handoffDrained  atomic.Int64  // queued sub-batches successfully replayed
-	handoffDropped  atomic.Int64  // sub-batches lost to overflow or rejected replays
-	readRepairs     atomic.Int64  // rejoining replicas repaired with their merged slice
+	handoff      []*handoffQueue
+	handoffKick  chan struct{} // wakes the drainer early (capacity 1)
+	handoffDepth atomic.Int64  // sub-batches currently queued across peers
 
 	// Federated query cache (see refresh): per-peer snapshots keyed by
 	// the peers' ETags (ingest epochs), the merged union keyed by the
@@ -349,20 +339,32 @@ type Gateway struct {
 	watcherWG    sync.WaitGroup
 	closeOnce    sync.Once
 
-	peerNotModified  atomic.Int64 // peer fetches answered 304 (cached snapshot reused)
-	fedBytesSaved    atomic.Int64 // envelope bytes not re-transferred thanks to 304s
-	fedCacheHits     atomic.Int64 // scatter rounds that reused the merged union (no fold)
-	fedCacheMisses   atomic.Int64 // scatter rounds that had to re-fold
-	fedAnswerHits    atomic.Int64 // queries served from the per-k answer cache
-	peerDeserializes atomic.Int64 // envelope deserializations performed
-	sketchMerges     atomic.Int64 // Mergeable.Merge folds performed
-	notModified      atomic.Int64 // gateway's own 304s served to clients
-
-	watchPushes    atomic.Int64 // epoch changes received over /watch long-polls
-	bgRefreshes    atomic.Int64 // scatter rounds run by the background refresher
-	staleServes    atomic.Int64 // queries answered from the cached fold with zero request-path peer round trips
-	syncRefreshes  atomic.Int64 // queries that paid a synchronous refresh (cold, or staleness bound exceeded)
 	maxStalenessNs atomic.Int64 // maximum fold staleness observed at serve time
+
+	// The /stats counters, owned by stats (declared in initTelemetry,
+	// where each one's meaning is its help text).
+	stats            *telemetry.Stats
+	ingestRequests   *atomic.Int64
+	pointsRouted     *atomic.Int64
+	queries          *atomic.Int64
+	partialQueries   *atomic.Int64
+	replicaFanout    *atomic.Int64
+	handoffEnqueued  *atomic.Int64
+	handoffDrained   *atomic.Int64
+	handoffDropped   *atomic.Int64
+	readRepairs      *atomic.Int64
+	peerNotModified  *atomic.Int64
+	fedBytesSaved    *atomic.Int64
+	fedCacheHits     *atomic.Int64
+	fedCacheMisses   *atomic.Int64
+	fedAnswerHits    *atomic.Int64
+	peerDeserializes *atomic.Int64
+	sketchMerges     *atomic.Int64
+	notModified      *atomic.Int64
+	watchPushes      *atomic.Int64
+	bgRefreshes      *atomic.Int64
+	staleServes      *atomic.Int64
+	syncRefreshes    *atomic.Int64
 
 	reg  *telemetry.Registry // /metrics families; nil when NoMetrics
 	slow *telemetry.SlowLog
@@ -754,8 +756,9 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			// Distinct indices, and cacheMu is held by the caller: the
-			// per-peer slots cannot be written concurrently.
+			// The network round runs without cacheMu. The slot writes
+			// are still safe: only the flight leader touches peerSnaps,
+			// and each goroutine writes its own index.
 			snap := &g.peerSnaps[i]
 			var extra http.Header
 			if snap.sk != nil && snap.etag != "" {
@@ -1256,48 +1259,16 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g.finishRequest(span, g.tel.reqIngest, telemetry.SlowEntry{Path: "/ingest", Status: http.StatusOK}, t0)
 }
 
+// handleStats renders the declared scalars plus the fields the
+// declaration does not hold: build identity, start time, the per-peer
+// table, the policy, and the maximum staleness in milliseconds (its
+// family is in seconds). The body decodes into StatsResponse.
 func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
-	version, commit := telemetry.BuildInfo()
-	resp := StatsResponse{
-		Version:          version,
-		Commit:           commit,
-		Peers:            make([]PeerStatus, len(g.peers)),
-		Replicas:         g.cfg.Replicas,
-		ReplicaFanout:    g.replicaFanout.Load(),
-		HandoffDepth:     g.handoffDepth.Load(),
-		HandoffEnqueued:  g.handoffEnqueued.Load(),
-		HandoffDrains:    g.handoffDrained.Load(),
-		HandoffDrops:     g.handoffDropped.Load(),
-		ReadRepairs:      g.readRepairs.Load(),
-		PartialPolicy:    g.cfg.Partial,
-		StartedAt:        g.start.UTC().Format(time.RFC3339),
-		UptimeSeconds:    time.Since(g.start).Seconds(),
-		IngestRequests:   g.ingestRequests.Load(),
-		PointsRouted:     g.pointsRouted.Load(),
-		Queries:          g.queries.Load(),
-		PartialQueries:   g.partialQueries.Load(),
-		PeerNotModified:  g.peerNotModified.Load(),
-		FedBytesSaved:    g.fedBytesSaved.Load(),
-		FedCacheHits:     g.fedCacheHits.Load(),
-		FedCacheMisses:   g.fedCacheMisses.Load(),
-		FedAnswerHits:    g.fedAnswerHits.Load(),
-		PeerDeserializes: g.peerDeserializes.Load(),
-		SketchMerges:     g.sketchMerges.Load(),
-		NotModified:      g.notModified.Load(),
-		WatchPushes:      g.watchPushes.Load(),
-		BgRefreshes:      g.bgRefreshes.Load(),
-		StaleServes:      g.staleServes.Load(),
-		SyncRefreshes:    g.syncRefreshes.Load(),
-		MaxStalenessMS:   float64(g.maxStalenessNs.Load()) / 1e6,
-	}
+	peers := make([]PeerStatus, len(g.peers))
 	for i, p := range g.peers {
-		up := p.up()
-		if up {
-			resp.PeersUp++
-		}
-		resp.Peers[i] = PeerStatus{
+		peers[i] = PeerStatus{
 			URL:                 p.url,
-			Up:                  up,
+			Up:                  p.up(),
 			Requests:            p.requests.Load(),
 			Failures:            p.failures.Load(),
 			ConsecutiveFailures: p.consec.Load(),
@@ -1305,20 +1276,31 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 			WatchOK:             p.watchOK.Load(),
 		}
 	}
-	resp.QuorumOK = resp.PeersUp > 0 && len(g.peers)-resp.PeersUp < g.cfg.Replicas
+	resp := g.stats.JSON()
+	resp["version"], resp["commit"] = telemetry.BuildInfo()
+	resp["started_at"] = g.start.UTC().Format(time.RFC3339)
+	resp["peers"] = peers
+	resp["partial_policy"] = g.cfg.Partial
+	resp["max_staleness_ms"] = float64(g.maxStalenessNs.Load()) / 1e6
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
-// quorumOK reports whether every routing cell has at least one live
-// owner: each cell's Replicas owners are distinct peers, so as long as
-// fewer than Replicas peers are down no cell can have lost all of them.
-func (g *Gateway) quorumOK() bool {
+// peersUp counts the peers whose circuit breaker is closed.
+func (g *Gateway) peersUp() int {
 	up := 0
 	for _, p := range g.peers {
 		if p.up() {
 			up++
 		}
 	}
+	return up
+}
+
+// quorumOK reports whether every routing cell has at least one live
+// owner: each cell's Replicas owners are distinct peers, so as long as
+// fewer than Replicas peers are down no cell can have lost all of them.
+func (g *Gateway) quorumOK() bool {
+	up := g.peersUp()
 	return up > 0 && len(g.peers)-up < g.cfg.Replicas
 }
 
@@ -1338,12 +1320,7 @@ func (g *Gateway) quorumOK() bool {
 // detection. A non-empty hinted-handoff backlog is surfaced on its own
 // line in every state.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	up := 0
-	for _, p := range g.peers {
-		if p.up() {
-			up++
-		}
-	}
+	up := g.peersUp()
 	down := len(g.peers) - up
 	w.Header().Set("Content-Type", "text/plain")
 	version, commit := telemetry.BuildInfo()

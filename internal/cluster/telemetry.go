@@ -1,8 +1,9 @@
 package cluster
 
-// Gateway-side observability: the /metrics registry mirroring every
-// /stats counter (plus per-peer health series), per-stage latency
-// histograms for the federated request path, X-Sketch-Trace minting and
+// Gateway-side observability: the /stats scalars, declared once in a
+// telemetry.Stats that renders both GET /stats and their /metrics
+// families, plus per-peer health series, per-stage latency histograms
+// for the federated request path, X-Sketch-Trace minting and
 // propagation, and the slow-query log. The scatter internals (peer
 // fetch, deserialize, merge) record into global stage histograms — one
 // query's slow-query line carries its own contiguous stages (refresh,
@@ -36,95 +37,64 @@ type gwTelemetry struct {
 	reqSketch *telemetry.Histogram
 }
 
-// initTelemetry builds the slow-query log and, unless disabled, the
-// metrics registry mirroring the /stats surface.
+// initTelemetry builds the slow-query log, declares the /stats
+// scalars, and, unless disabled, the metrics registry: the same
+// declared scalars, the per-peer series, and the latency histograms.
 func (g *Gateway) initTelemetry() {
 	g.slow = telemetry.NewSlowLog(g.cfg.SlowQuery, g.cfg.SlowQueryWriter)
+
+	st := telemetry.NewStats("gateway")
+	g.stats = st
+	st.MetricGauge("peers", "Configured fleet size.",
+		func() float64 { return float64(len(g.peers)) })
+	st.Gauge("peers_up", "Peers whose circuit breaker is closed.",
+		func() float64 { return float64(g.peersUp()) })
+	st.Gauge("replicas", "Configured replication factor (owners per routing cell).",
+		func() float64 { return float64(g.cfg.Replicas) })
+	st.Flag("quorum_ok", "1 while every routing cell has at least one live owner.", g.quorumOK)
+	g.replicaFanout = st.Counter("replica_fanout", "Extra point copies routed to replica owners.")
+	st.Gauge("handoff_depth", "Sub-batches currently queued for hinted handoff.",
+		func() float64 { return float64(g.handoffDepth.Load()) })
+	g.handoffEnqueued = st.Counter("handoff_enqueued", "Sub-batches ever queued for hinted handoff.")
+	g.handoffDrained = st.Counter("handoff_drains", "Queued sub-batches successfully replayed.")
+	g.handoffDropped = st.Counter("handoff_drops", "Sub-batches lost to queue overflow or rejected replays.")
+	g.readRepairs = st.Counter("read_repairs", "Rejoined replicas repaired with their merged slice.")
+	st.MetricGauge("start_time_seconds", "Unix time the gateway was built.",
+		func() float64 { return float64(g.start.UnixNano()) / 1e9 })
+	st.Gauge("uptime_seconds", "Seconds since the gateway was built.",
+		func() float64 { return time.Since(g.start).Seconds() })
+	g.ingestRequests = st.Counter("ingest_requests", "POST /ingest calls served.")
+	g.pointsRouted = st.Counter("points_routed", "Points forwarded to peers.")
+	g.queries = st.Counter("queries", "GET /query and GET /sketch requests served.")
+	g.partialQueries = st.Counter("partial_queries", "Answers folded from a strict peer subset.")
+	g.peerNotModified = st.Counter("peer_not_modified", "Peer fetches answered 304.")
+	g.fedBytesSaved = st.Counter("fed_bytes_saved", "Envelope bytes not re-transferred thanks to 304s.")
+	g.fedCacheHits = st.Counter("fed_cache_hits", "Scatter rounds that reused the merged union.")
+	g.fedCacheMisses = st.Counter("fed_cache_misses", "Scatter rounds that re-folded the union.")
+	g.fedAnswerHits = st.Counter("fed_answer_hits", "Queries served from the per-k answer cache.")
+	g.peerDeserializes = st.Counter("peer_deserializes", "Sketch envelope deserializations performed.")
+	g.sketchMerges = st.Counter("sketch_merges", "Mergeable.Merge folds performed.")
+	g.notModified = st.Counter("not_modified", "The gateway's own 304s served to clients.")
+	g.watchPushes = st.Counter("watch_pushes", "Epoch changes received over /watch long-polls.")
+	g.bgRefreshes = st.Counter("bg_refreshes", "Scatter rounds run by the background refresher.")
+	g.staleServes = st.Counter("stale_serves", "Queries answered from the cached fold.")
+	g.syncRefreshes = st.Counter("sync_refreshes", "Queries that paid a synchronous refresh.")
+	// /stats reports this one in milliseconds, as max_staleness_ms.
+	st.MetricGauge("max_staleness_seconds", "Maximum fold staleness observed at serve time.",
+		func() float64 { return float64(g.maxStalenessNs.Load()) / 1e9 })
+
 	if g.cfg.NoMetrics {
 		return
 	}
 	r := telemetry.NewRegistry()
 	g.reg = r
-
-	counter := func(name, help string, fn func() float64) {
-		r.CounterFunc("sketch_gateway_"+name, help, "", fn)
-	}
-	gauge := func(name, help string, fn func() float64) {
-		r.GaugeFunc("sketch_gateway_"+name, help, "", fn)
-	}
+	st.Register(r)
 	b01 := func(v bool) float64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-
-	gauge("peers", "Configured fleet size.",
-		func() float64 { return float64(len(g.peers)) })
-	gauge("peers_up", "Peers whose circuit breaker is closed.",
-		func() float64 {
-			up := 0
-			for _, p := range g.peers {
-				if p.up() {
-					up++
-				}
-			}
-			return float64(up)
-		})
-	gauge("replicas", "Configured replication factor (owners per routing cell).",
-		func() float64 { return float64(g.cfg.Replicas) })
-	gauge("quorum_ok", "1 while every routing cell has at least one live owner.",
-		func() float64 { return b01(g.quorumOK()) })
-	counter("replica_fanout_total", "Extra point copies routed to replica owners.",
-		func() float64 { return float64(g.replicaFanout.Load()) })
-	gauge("handoff_depth", "Sub-batches currently queued for hinted handoff.",
-		func() float64 { return float64(g.handoffDepth.Load()) })
-	counter("handoff_enqueued_total", "Sub-batches ever queued for hinted handoff.",
-		func() float64 { return float64(g.handoffEnqueued.Load()) })
-	counter("handoff_drains_total", "Queued sub-batches successfully replayed.",
-		func() float64 { return float64(g.handoffDrained.Load()) })
-	counter("handoff_drops_total", "Sub-batches lost to queue overflow or rejected replays.",
-		func() float64 { return float64(g.handoffDropped.Load()) })
-	counter("read_repairs_total", "Rejoined replicas repaired with their merged slice.",
-		func() float64 { return float64(g.readRepairs.Load()) })
-	gauge("start_time_seconds", "Unix time the gateway was built.",
-		func() float64 { return float64(g.start.UnixNano()) / 1e9 })
-	gauge("uptime_seconds", "Seconds since the gateway was built.",
-		func() float64 { return time.Since(g.start).Seconds() })
-	counter("ingest_requests_total", "POST /ingest calls served.",
-		func() float64 { return float64(g.ingestRequests.Load()) })
-	counter("points_routed_total", "Points forwarded to peers.",
-		func() float64 { return float64(g.pointsRouted.Load()) })
-	counter("queries_total", "GET /query and GET /sketch requests served.",
-		func() float64 { return float64(g.queries.Load()) })
-	counter("partial_queries_total", "Answers folded from a strict peer subset.",
-		func() float64 { return float64(g.partialQueries.Load()) })
-	counter("peer_not_modified_total", "Peer fetches answered 304.",
-		func() float64 { return float64(g.peerNotModified.Load()) })
-	counter("fed_bytes_saved_total", "Envelope bytes not re-transferred thanks to 304s.",
-		func() float64 { return float64(g.fedBytesSaved.Load()) })
-	counter("fed_cache_hits_total", "Scatter rounds that reused the merged union.",
-		func() float64 { return float64(g.fedCacheHits.Load()) })
-	counter("fed_cache_misses_total", "Scatter rounds that re-folded the union.",
-		func() float64 { return float64(g.fedCacheMisses.Load()) })
-	counter("fed_answer_hits_total", "Queries served from the per-k answer cache.",
-		func() float64 { return float64(g.fedAnswerHits.Load()) })
-	counter("peer_deserializes_total", "Sketch envelope deserializations performed.",
-		func() float64 { return float64(g.peerDeserializes.Load()) })
-	counter("sketch_merges_total", "Mergeable.Merge folds performed.",
-		func() float64 { return float64(g.sketchMerges.Load()) })
-	counter("not_modified_total", "The gateway's own 304s served to clients.",
-		func() float64 { return float64(g.notModified.Load()) })
-	counter("watch_pushes_total", "Epoch changes received over /watch long-polls.",
-		func() float64 { return float64(g.watchPushes.Load()) })
-	counter("bg_refreshes_total", "Scatter rounds run by the background refresher.",
-		func() float64 { return float64(g.bgRefreshes.Load()) })
-	counter("stale_serves_total", "Queries answered from the cached fold.",
-		func() float64 { return float64(g.staleServes.Load()) })
-	counter("sync_refreshes_total", "Queries that paid a synchronous refresh.",
-		func() float64 { return float64(g.syncRefreshes.Load()) })
-	gauge("max_staleness_seconds", "Maximum fold staleness observed at serve time.",
-		func() float64 { return float64(g.maxStalenessNs.Load()) / 1e9 })
 	for _, p := range g.peers {
 		p := p
 		lbl := `peer="` + telemetry.LabelValue(p.url) + `"`

@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/telemetry"
 	"repro/pkg/sketch"
 )
 
@@ -127,4 +132,67 @@ func mustGetA(t *testing.T, url string) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// TestAbsorbSkipsIngestMetrics pins that read repair is not charged to
+// the ingest metrics: a POST /sketch with no ingest leaves every
+// /ingest request series and the ingest stage histogram empty, counts
+// one absorb, and still logs the absorb's ingest stage on its
+// slow-query line.
+func TestAbsorbSkipsIngestMetrics(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, StreamBound: 1 << 16, K: 2, Seed: 7, HighDim: true}
+	eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var slow syncBuffer
+	srv, err := New(Config{Engine: eng, Dim: 2, SlowQuery: time.Nanosecond, SlowQueryWriter: &slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
+
+	other, err := sketch.NewL0(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.ProcessBatch(stream(16, 2, 5))
+	blob, err := other.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts+"/sketch", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustJSON[AbsorbResponse](t, resp, http.StatusOK)
+
+	resp = mustGetA(t, ts+"/metrics")
+	defer resp.Body.Close()
+	m := parseMetrics(t, resp.Body)
+	for _, key := range []string{
+		`sketch_daemon_request_seconds_count{path="/ingest"}`,
+		`sketch_daemon_stage_seconds_count{stage="ingest"}`,
+		`sketch_daemon_request_seconds_count{path="/sketch"}`,
+	} {
+		got, ok := m[key]
+		if !ok {
+			t.Fatalf("%s missing from /metrics", key)
+		}
+		if got != 0 {
+			t.Errorf("%s = %g after one absorb and no ingest, want 0", key, got)
+		}
+	}
+	if m["sketch_daemon_sketch_absorbs_total"] != 1 {
+		t.Errorf("sketch_daemon_sketch_absorbs_total = %g, want 1", m["sketch_daemon_sketch_absorbs_total"])
+	}
+
+	var e telemetry.SlowEntry
+	if err := json.Unmarshal([]byte(strings.TrimSpace(slow.String())), &e); err != nil {
+		t.Fatalf("want one slow-query line for the absorb: %v\n%s", err, slow.String())
+	}
+	if _, ok := e.Stages["ingest"]; e.Path != "/sketch" || !ok {
+		t.Errorf("absorb slow-query line %+v, want path /sketch with an ingest stage", e)
+	}
 }

@@ -1,10 +1,12 @@
 package server
 
-// Daemon-side observability: the /metrics registry mirroring every
-// /stats counter, per-stage latency histograms, inbound X-Sketch-Trace
-// handling, and the slow-query log. Instrumentation on the hot path is
-// allocation-free: histograms record atomically, spans are pooled and
-// only opened when a request is traced or the slow-query log is armed.
+// Daemon-side observability: the /stats scalars, declared once in a
+// telemetry.Stats that renders both GET /stats and their /metrics
+// families, plus the engine series, per-stage latency histograms,
+// inbound X-Sketch-Trace handling, and the slow-query log.
+// Instrumentation on the hot path is allocation-free: counters are
+// atomic adds, histograms record atomically, spans are pooled and only
+// opened when a request is traced or the slow-query log is armed.
 
 import (
 	"net/http"
@@ -29,10 +31,32 @@ type daemonTelemetry struct {
 	reqSketch *telemetry.Histogram
 }
 
-// initTelemetry builds the slow-query log and, unless disabled, the
-// metrics registry mirroring the /stats surface.
+// initTelemetry builds the slow-query log, declares the /stats
+// scalars, and, unless disabled, the metrics registry: the engine
+// series, the same declared scalars, and the latency histograms.
 func (s *Server) initTelemetry() {
 	s.slow = telemetry.NewSlowLog(s.cfg.SlowQuery, s.cfg.SlowQueryWriter)
+
+	st := telemetry.NewStats("daemon")
+	s.stats = st
+	st.MetricGauge("start_time_seconds", "Unix time the server was built.",
+		func() float64 { return float64(s.start.UnixNano()) / 1e9 })
+	st.Gauge("uptime_seconds", "Seconds since the server was built.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	st.Flag("restored_from_checkpoint", "1 if the engine was restored from a checkpoint.",
+		func() bool { return s.cfg.Restored })
+	st.Flag("windowed", "1 if this daemon serves time-windowed sketches.",
+		func() bool { return s.cfg.Windowed })
+	s.ingestRequests = st.Counter("ingest_requests", "POST /ingest calls served.")
+	s.pointsIngested = st.Counter("points_ingested", "Points accepted over HTTP.")
+	s.sketchCacheHits = st.Counter("sketch_cache_hits", "GET /sketch served from the cached marshal.")
+	s.sketchCacheMisses = st.Counter("sketch_cache_misses", "GET /sketch re-serializations.")
+	s.notModified = st.Counter("not_modified", "Conditional GETs answered 304.")
+	s.watchRequests = st.Counter("watch_requests", "GET /watch long-polls served.")
+	s.watchChanged = st.Counter("watch_changed", "/watch answers reporting a changed epoch.")
+	s.watchTimeouts = st.Counter("watch_timeouts", "/watch answers that timed out unchanged.")
+	s.sketchAbsorbs = st.Counter("sketch_absorbs", "POST /sketch envelopes folded into the engine (read repair).")
+
 	if s.cfg.NoMetrics {
 		return
 	}
@@ -46,13 +70,6 @@ func (s *Server) initTelemetry() {
 	gauge := func(name, help string, fn func() float64) {
 		r.GaugeFunc("sketch_daemon_"+name, help, "", fn)
 	}
-	b01 := func(v bool) float64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-
 	gauge("engine_shards", "Number of engine worker shards.",
 		func() float64 { return float64(e.Shards()) })
 	counter("engine_enqueued_points_total", "Points handed to the engine.",
@@ -74,32 +91,7 @@ func (s *Server) initTelemetry() {
 		func() float64 { return float64(e.SnapshotHits()) })
 	counter("engine_snapshot_misses_total", "Snapshot-cache rebuilds.",
 		func() float64 { return float64(e.SnapshotMisses()) })
-	gauge("start_time_seconds", "Unix time the server was built.",
-		func() float64 { return float64(s.start.UnixNano()) / 1e9 })
-	gauge("uptime_seconds", "Seconds since the server was built.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	gauge("restored_from_checkpoint", "1 if the engine was restored from a checkpoint.",
-		func() float64 { return b01(s.cfg.Restored) })
-	gauge("windowed", "1 if this daemon serves time-windowed sketches.",
-		func() float64 { return b01(s.cfg.Windowed) })
-	counter("ingest_requests_total", "POST /ingest calls served.",
-		func() float64 { return float64(s.ingestRequests.Load()) })
-	counter("points_ingested_total", "Points accepted over HTTP.",
-		func() float64 { return float64(s.pointsIngested.Load()) })
-	counter("sketch_cache_hits_total", "GET /sketch served from the cached marshal.",
-		func() float64 { return float64(s.sketchCacheHits.Load()) })
-	counter("sketch_cache_misses_total", "GET /sketch re-serializations.",
-		func() float64 { return float64(s.sketchCacheMisses.Load()) })
-	counter("not_modified_total", "Conditional GETs answered 304.",
-		func() float64 { return float64(s.notModified.Load()) })
-	counter("watch_requests_total", "GET /watch long-polls served.",
-		func() float64 { return float64(s.watchRequests.Load()) })
-	counter("watch_changed_total", "/watch answers reporting a changed epoch.",
-		func() float64 { return float64(s.watchChanged.Load()) })
-	counter("watch_timeouts_total", "/watch answers that timed out unchanged.",
-		func() float64 { return float64(s.watchTimeouts.Load()) })
-	counter("sketch_absorbs_total", "POST /sketch envelopes folded into the engine (read repair).",
-		func() float64 { return float64(s.sketchAbsorbs.Load()) })
+	st.Register(r)
 	telemetry.RegisterBuildInfo(r, "daemon")
 
 	stage := func(name string) *telemetry.Histogram {

@@ -2,9 +2,9 @@
 // dependency-free driver (stdlib go/parser + go/types only) running the
 // analyzers in tools/sketchvet/vet over whole packages. It enforces the
 // invariants go vet cannot see — atomic-access discipline, zero-alloc
-// hot paths, the /stats↔/metrics mirror, context/trace propagation —
-// plus the gofmt and doc-comment checks formerly scattered across CI
-// stages. See docs/static-analysis.md for the analyzer catalog and the
+// hot paths, context/trace propagation — plus the gofmt and
+// doc-comment checks formerly scattered across CI stages. See
+// docs/static-analysis.md for the analyzer catalog and the
 // //sketch:hotpath and //sketch:ignore pragmas.
 //
 // Usage:
@@ -13,8 +13,7 @@
 //
 // Each analyzer has a bool flag named after it (-hotalloc=false skips
 // the hot-path check); -json emits the findings as a JSON array on
-// stdout; -obs-doc points statsmirror at the observability doc
-// (default: docs/observability.md under the module root).
+// stdout.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/load errors.
 package main
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/tools/sketchvet/vet"
 )
@@ -40,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sketchvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	obsDoc := fs.String("obs-doc", "", "observability doc for statsmirror's documentation check (default <module>/docs/observability.md)")
 	analyzers := vet.Analyzers()
 	enabled := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
@@ -59,18 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	ctx := &vet.Context{Module: mod}
-	docPath := *obsDoc
-	if docPath == "" && mod.Root != "" {
-		docPath = filepath.Join(mod.Root, "docs", "observability.md")
-	}
-	if docPath != "" {
-		if data, err := os.ReadFile(docPath); err == nil {
-			ctx.ObsDoc, ctx.ObsDocPath = string(data), "docs/observability.md"
-		} else if *obsDoc != "" {
-			fmt.Fprintln(stderr, "sketchvet:", err)
-			return 2
-		}
-	}
 	var active []*vet.Analyzer
 	for _, a := range analyzers {
 		if *enabled[a.Name] {

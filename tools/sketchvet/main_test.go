@@ -38,7 +38,7 @@ func TestExitCodes(t *testing.T) {
 // true-positive fixture package, as the CI gate does, and requires each
 // to fail with exit code 1.
 func TestBadFixturesExitOne(t *testing.T) {
-	for _, analyzer := range []string{"atomicmix", "hotalloc", "statsmirror", "ctxflow", "gofmt", "doccomment", "pragmas"} {
+	for _, analyzer := range []string{"atomicmix", "hotalloc", "ctxflow", "gofmt", "doccomment", "pragmas"} {
 		t.Run(analyzer, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			dir := "testdata/src/" + analyzer + "/bad"

@@ -60,11 +60,6 @@ type Analyzer struct {
 type Context struct {
 	// Module is the loaded analysis target.
 	Module *Module
-	// ObsDoc is the contents of the observability doc that statsmirror
-	// checks metric families against; empty disables the doc check.
-	ObsDoc string
-	// ObsDocPath names the doc for findings.
-	ObsDocPath string
 
 	hot *hotIndex // lazily built hotpath call-graph closure
 }
@@ -74,7 +69,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AtomicMix(),
 		HotAlloc(),
-		StatsMirror(),
 		CtxFlow(),
 		Gofmt(),
 		DocComment(),

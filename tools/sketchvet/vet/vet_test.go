@@ -92,30 +92,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestStatsMirrorDocCheck exercises the observability-doc presence
-// check: with a doc that lists only one of the two registered families,
-// the other must be flagged.
-func TestStatsMirrorDocCheck(t *testing.T) {
-	dir := filepath.Join(fixtureRoot, "statsmirror", "clean")
-	mod, err := Load([]string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{
-		Module:     mod,
-		ObsDoc:     "| `sketch_fixture_queries_total` | counter | queries |\n| `sketch_build_info` | gauge | identity |\n",
-		ObsDocPath: "docs/observability.md",
-	}
-	findings := Run(ctx, []*Analyzer{analyzerByName(t, "statsmirror")})
-	if len(findings) != 1 {
-		t.Fatalf("want exactly 1 doc finding, got %d: %v", len(findings), findings)
-	}
-	if !strings.Contains(findings[0].Message, `"sketch_fixture_uptime_seconds"`) ||
-		!strings.Contains(findings[0].Message, "not documented") {
-		t.Errorf("unexpected finding: %s", findings[0])
-	}
-}
-
 // TestRunSortsFindings asserts the driver's position ordering across
 // analyzers, which the golden comparisons depend on.
 func TestRunSortsFindings(t *testing.T) {
