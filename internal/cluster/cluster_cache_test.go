@@ -162,7 +162,7 @@ func TestFederatedCachePartialKey(t *testing.T) {
 	const maxStale = 100 * time.Millisecond
 	gw, ts := newTestGateway(t, opts, peers, func(c *Config) { c.MaxStale = maxStale })
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 
 	full := settle(t, ts.URL, peers)
@@ -209,7 +209,7 @@ func TestGatewaySketchConditionalGet(t *testing.T) {
 	peers := newTestCluster(t, opts, 2, 1)
 	gw, ts := newTestGateway(t, opts, peers, nil)
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 	settle(t, ts.URL, peers)
 
@@ -270,7 +270,7 @@ func TestStackedGatewayCache(t *testing.T) {
 	peers := newTestCluster(t, opts, 2, 1)
 	low, lowTS := newTestGateway(t, opts, peers, nil)
 	for _, p := range pts {
-		peers[low.peerIndex(p)].eng.Process(p)
+		peers[low.placement.Primary(low.cfg.Router.Route(p))].eng.Process(p)
 	}
 	_, topTS := newTestGateway(t, opts, nil, func(c *Config) { c.Peers = []string{lowTS.URL} })
 

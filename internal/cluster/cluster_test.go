@@ -383,7 +383,7 @@ func TestClusterPartialFailure(t *testing.T) {
 	// Seed every peer directly (via the gateway's own routing function) so
 	// the dead peer's points are genuinely missing from degraded answers.
 	for _, p := range pts {
-		peers[gw.peerIndex(p)].eng.Process(p)
+		peers[gw.placement.Primary(gw.cfg.Router.Route(p))].eng.Process(p)
 	}
 
 	full := settle(t, degradeTS.URL, peers)
@@ -426,7 +426,7 @@ func TestClusterPartialFailure(t *testing.T) {
 	// still land (retry of the whole batch is documented as safe).
 	var deadBatch []geom.Point
 	for _, p := range pts {
-		if gw.peerIndex(p) == 1 {
+		if gw.placement.Primary(gw.cfg.Router.Route(p)) == 1 {
 			deadBatch = append(deadBatch, p)
 			break
 		}

@@ -605,23 +605,6 @@ type StatsResponse struct {
 	MaxStalenessMS float64 `json:"max_staleness_ms"`
 }
 
-// peerIndex maps a point to its primary home peer. The routing-cell hash
-// is bit-mixed before the modular reduction (inside engine.Placement):
-// the peers reduce the very same cell hash mod their internal shard
-// count, and without the mix a peer that only ever receives hashes ≡ i
-// (mod peers) would feed only the shards with indices in that residue
-// class whenever gcd(peers, shards) > 1, idling the rest. Mixing
-// decorrelates the two reductions while still sending every point of one
-// routing cell — hence one near-duplicate group, with high probability —
-// to one peer. With Replicas > 1 the cell's remaining owners come from
-// placement.Owners; the primary is unchanged, so enabling replication
-// never moves the first copy of any point.
-//
-//sketch:hotpath
-func (g *Gateway) peerIndex(p geom.Point) int {
-	return g.placement.Primary(g.cfg.Router.Route(p))
-}
-
 // forwardChunkBytes caps one forwarded packed-binary sub-batch body —
 // half the peers' default 64 MiB MaxBodyBytes, so an accepted gateway
 // ingest can always be forwarded regardless of how much the text→binary
@@ -1122,22 +1105,15 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := time.Now()
 	buckets := make([][]geom.Point, len(g.peers))
-	if g.cfg.Replicas > 1 {
-		var ob [engine.MaxReplicas]int
-		copies := 0
-		for _, p := range pts {
-			for _, i := range g.placement.Owners(g.cfg.Router.Route(p), ob[:0]) {
-				buckets[i] = append(buckets[i], p)
-				copies++
-			}
-		}
-		g.replicaFanout.Add(int64(copies - len(pts)))
-	} else {
-		for _, p := range pts {
-			i := g.peerIndex(p)
+	var ob [engine.MaxReplicas]int
+	copies := 0
+	for _, p := range pts {
+		for _, i := range g.placement.Owners(g.cfg.Router.Route(p), ob[:0]) {
 			buckets[i] = append(buckets[i], p)
+			copies++
 		}
 	}
+	g.replicaFanout.Add(int64(copies - len(pts)))
 	telemetry.Observe(g.tel.route, span, "route", time.Since(tr))
 	// Windowed peers stamp ingest batches: forward the client's explicit
 	// stamp so every routed sub-batch lands with the same timestamp it
@@ -1149,16 +1125,12 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		stampHdr = http.Header{server.StampHeader: []string{v}}
 	}
 
-	replicated := g.cfg.Replicas > 1
+	hinted := g.handoff != nil
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		failed     []string
-		failedPeer map[int]bool // distinct peer indices with undelivered sub-batches
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed []string // one entry per failed peer: each stops at its first failure
 	)
-	if replicated {
-		failedPeer = make(map[int]bool)
-	}
 	tf := time.Now()
 	now := tf
 	for i, bucket := range buckets {
@@ -1171,11 +1143,8 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// be appending their failures concurrently.
 			mu.Lock()
 			failed = append(failed, fmt.Sprintf("%s: down (circuit open)", p.url))
-			if replicated {
-				failedPeer[i] = true
-			}
 			mu.Unlock()
-			if replicated {
+			if hinted {
 				g.hintBucket(i, bucket, stampHdr)
 			}
 			continue
@@ -1205,11 +1174,8 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 					// queue as is.
 					mu.Lock()
 					failed = append(failed, err.Error())
-					if replicated {
-						failedPeer[i] = true
-					}
 					mu.Unlock()
-					if replicated {
+					if hinted {
 						g.enqueueHint(i, body, stampHdr, n)
 						g.hintBucket(i, bucket, stampHdr)
 					}
@@ -1221,9 +1187,6 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 					mu.Lock()
 					failed = append(failed, fmt.Sprintf("%s: peer accepted %d of %d points (%v)",
 						p.url, ir.Ingested, n, err))
-					if replicated {
-						failedPeer[i] = true
-					}
 					mu.Unlock()
 					return
 				}
@@ -1233,13 +1196,12 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	telemetry.Observe(g.tel.forward, span, "forward", time.Since(tf))
-	// Without replication any failure loses that peer's slice of the
-	// batch, so the whole request fails. With replication every point went
-	// to Replicas distinct owners: as long as fewer than Replicas distinct
-	// peers failed, each point reached at least one live owner — the
-	// ingest is durable, the missed copies sit in the handoff queues, and
-	// the request succeeds.
-	if len(failed) > 0 && (!replicated || len(failedPeer) >= g.cfg.Replicas) {
+	// Every point went to Replicas distinct owners: as long as fewer than
+	// Replicas peers failed, each point reached at least one live owner —
+	// the ingest is durable, the missed copies sit in the handoff queues,
+	// and the request succeeds. At Replicas = 1 any failure loses that
+	// peer's slice of the batch, so the whole request fails.
+	if len(failed) >= g.cfg.Replicas {
 		server.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("cluster: ingest failed on %d peer(s) — retrying the whole batch is safe (duplicates collapse): %s",
 				len(failed), strings.Join(failed, "; ")))

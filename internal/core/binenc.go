@@ -1,8 +1,7 @@
 package core
 
 // Length-prefixed binary encoding helpers behind the samplers' wire
-// formats. The retired gob format allocated per field on both encode and
-// decode; these helpers write into one growing buffer and read with zero
+// formats. They write into one growing buffer and read with zero
 // allocations beyond the decoded state itself, which is what makes the
 // serving hot path (serialize on /sketch, deserialize on every gateway
 // fan-out) cheap. Integers are varints, floats and seeds are fixed
@@ -100,10 +99,10 @@ func (r *binReader) varint() int64 {
 
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// coords reads n floats written by binWriter.coords. The bound is
-// checked in division form: n is attacker-controlled (a decoded
-// dimension), so 8*n must never be computed before validation — it can
-// overflow and slip past the truncation check into a huge allocation.
+// coords reads n floats written by binWriter.coords, refusing
+// non-finite values by the rule Process applies to points (checkFinite).
+// The bound is checked in division form, so 8*n is never computed before
+// validation and cannot overflow past the truncation check.
 func (r *binReader) coords(n int) []float64 {
 	if r.err != nil {
 		return nil
@@ -117,6 +116,10 @@ func (r *binReader) coords(n int) []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off+8*i:]))
 	}
 	r.off += 8 * n
+	if err := checkFinite(out); err != nil {
+		r.fail(err)
+		return nil
+	}
 	return out
 }
 

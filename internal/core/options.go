@@ -53,7 +53,8 @@ type Options struct {
 	// near-duplicates. Required, must be positive.
 	Alpha float64
 
-	// Dim is the dimension of the Euclidean space. Required, must be ≥ 1.
+	// Dim is the dimension of the Euclidean space. Required, must be in
+	// [1, 64] (maxDim).
 	Dim int
 
 	// StreamBound is m, an upper bound on the stream length used to size
@@ -84,7 +85,8 @@ type Options struct {
 	HighDim bool
 
 	// GridSide overrides the grid side length when positive; zero selects
-	// the mode default described under HighDim.
+	// the mode default described under HighDim. The effective side must
+	// be finite and at least Alpha/4 (maxAlphaPerSide).
 	GridSide float64
 
 	// RandomRepresentative, when true, augments the sampler with reservoir
@@ -106,14 +108,27 @@ type Options struct {
 	// See NewFixedWindow and NewWindowSampler.
 }
 
+// Bounds on Options, checked by normalize. Every constructor and every
+// decoder goes through normalize, so these also bound what a crafted blob
+// can make a decoder allocate or enumerate: maxDim caps the per-point
+// allocations, and maxAlphaPerSide caps ⌈α/side⌉, the per-dimension
+// offset range of the adjacency search. They admit every configuration in
+// this repository: dimensions up to 20 for the datasets and 32 for the
+// angular-LSH example, and grid sides α/2, d·α and the ablation's
+// 0.25·d·α.
+const (
+	maxDim          = 64
+	maxAlphaPerSide = 4
+)
+
 // normalize validates opts and fills defaults, returning the effective
 // options. It is called by every constructor in this package.
 func (o Options) normalize() (Options, error) {
 	if !(o.Alpha > 0) || math.IsInf(o.Alpha, 1) || math.IsNaN(o.Alpha) {
 		return o, fmt.Errorf("core: Alpha must be a positive finite number, got %g", o.Alpha)
 	}
-	if o.Dim < 1 {
-		return o, fmt.Errorf("core: Dim must be ≥ 1, got %d", o.Dim)
+	if o.Dim < 1 || o.Dim > maxDim {
+		return o, fmt.Errorf("core: Dim must be in [1, %d], got %d", maxDim, o.Dim)
 	}
 	if o.StreamBound == 0 {
 		o.StreamBound = 1 << 20
@@ -147,6 +162,11 @@ func (o Options) normalize() (Options, error) {
 		} else {
 			o.GridSide = o.Alpha / 2
 		}
+	}
+	// An infinite side (given, or d·α overflowing) turns the grid shift
+	// into NaN, which defeats the adjacency pruning like a NaN coordinate.
+	if math.IsInf(o.GridSide, 1) || o.Alpha/o.GridSide > maxAlphaPerSide {
+		return o, fmt.Errorf("core: GridSide must be finite and ≥ Alpha/%d, got %g", maxAlphaPerSide, o.GridSide)
 	}
 	return o, nil
 }

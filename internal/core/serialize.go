@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-
-	"repro/internal/geom"
 )
 
 // ErrNotSerializable is wrapped by MarshalBinary when the sketch has no
@@ -14,33 +11,27 @@ import (
 // not part of the wire format and could not be re-derived on load).
 var ErrNotSerializable = errors.New("core: not serializable")
 
-// samplerMagic heads the binary wire form of a Sampler (format 1). Blobs
-// without it decode through the retired gob format, so checkpoints
-// written before the binary format still restore.
+// ErrRetiredFormat is wrapped by every decoder that is handed state in
+// the retired gob wire format of envelope version 1: a version-1
+// envelope, a gob payload under a current envelope, or a checkpoint
+// holding either. Such state cannot be read; the upgrade path is to
+// restore it with a build from before the retirement and checkpoint it
+// again, which writes the binary format.
+var ErrRetiredFormat = errors.New(`core: envelope version 1 (gob) sketch state is retired and cannot be read; ` +
+	`compat policy (docs/engine.md "Wire format"): re-checkpoint it with a build from before the retirement`)
+
+// samplerMagic heads the binary wire form of a Sampler (format 1).
 const samplerMagic = "l0s1"
 
-// samplerState is the gob wire form of a Sampler — the retired v1
-// format, kept so old checkpoints keep decoding (and regenerable via
-// MarshalSamplerV1 for compatibility tests). Only dynamic state is
-// stored: the grid, hash function and RNG are all derived deterministically
-// from Options.Seed, so Options plus the entry list reconstructs the
-// sketch exactly. Cached cell keys and adjacency lists are recomputed on
-// load.
-type samplerState struct {
-	Opts    Options
-	R       uint64
-	N       int64
-	Rehash  int
-	Peak    int
-	Entries []entryState
-}
-
-type entryState struct {
-	Rep      []float64
-	Accepted bool
-	Stamp    int64
-	Count    int64
-	Pick     []float64
+// trimMagic strips a binary payload's magic. The only payloads ever
+// written without one are the gob payloads of envelope version 1, so a
+// missing magic is reported as ErrRetiredFormat.
+func trimMagic(data []byte, magic string) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(magic))
+	if !ok {
+		return nil, fmt.Errorf("core: payload lacks the %q magic: %w", magic, ErrRetiredFormat)
+	}
+	return rest, nil
 }
 
 // options writes the serializable subset of Options. Space is excluded
@@ -82,11 +73,12 @@ func (r *binReader) options() Options {
 }
 
 // MarshalBinary serializes the sketch for checkpointing or shipping to
-// another process, in the length-prefixed binary format (magic "l0s1").
-// The counterpart is UnmarshalSampler, which also still reads the
-// retired gob format. Sketches built with a custom Space cannot be
-// serialized: the space is not part of the wire format and could not be
-// re-derived on load.
+// another process, in the length-prefixed binary format (magic "l0s1");
+// the counterpart is UnmarshalSampler. Only dynamic state is stored: the
+// grid, hash function and RNG are derived from Options.Seed, so Options
+// plus the entry list reconstructs the sketch. Sketches built with a
+// custom Space cannot be serialized: the space is not part of the wire
+// format and could not be re-derived on load.
 func (s *Sampler) MarshalBinary() ([]byte, error) {
 	if s.opts.Space != nil {
 		return nil, fmt.Errorf("%w: sketch was built with a custom Space", ErrNotSerializable)
@@ -118,122 +110,55 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 	return w.buf, nil
 }
 
-// MarshalSamplerV1 serializes the sketch in the retired gob wire format.
-// Kept for backward-compatibility tests and the gob-vs-binary benchmark;
-// new code uses MarshalBinary. UnmarshalSampler reads both.
-func MarshalSamplerV1(s *Sampler) ([]byte, error) {
-	if s.opts.Space != nil {
-		return nil, fmt.Errorf("%w: sketch was built with a custom Space", ErrNotSerializable)
-	}
-	st := samplerState{
-		Opts:    s.opts,
-		R:       s.r,
-		N:       s.n,
-		Rehash:  s.rehash,
-		Peak:    s.space.Peak(),
-		Entries: make([]entryState, len(s.entries)),
-	}
-	for i, e := range s.entries {
-		st.Entries[i] = entryState{
-			Rep:      e.rep,
-			Accepted: e.accepted,
-			Stamp:    e.stamp,
-			Count:    e.count,
-			Pick:     e.pick,
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("core: encoding sketch: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalSampler reconstructs a Sampler from MarshalBinary output —
-// the binary format, or the retired gob format for blobs written before
-// it. The query RNG is re-derived from the seed and the number of
-// processed points, so a restored sketch gives statistically equivalent
-// (not bit-identical) query randomness.
+// UnmarshalSampler reconstructs a Sampler from MarshalBinary output,
+// decoding every entry straight into the sampler. The options are
+// validated before anything sized by them is allocated, and each entry's
+// accept/reject classification is re-validated against the re-derived
+// hash, so a blob from different options fails instead of mis-sampling.
+// The query RNG is re-derived from the seed, so a restored sketch gives
+// statistically equivalent (not bit-identical) query randomness.
+// Payloads without the binary magic fail with ErrRetiredFormat.
 func UnmarshalSampler(data []byte) (*Sampler, error) {
-	if bytes.HasPrefix(data, []byte(samplerMagic)) {
-		return unmarshalSamplerBinary(data[len(samplerMagic):])
-	}
-	var st samplerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: decoding sketch: %w", err)
-	}
-	return samplerFromState(st)
-}
-
-// unmarshalSamplerBinary decodes the binary payload after the magic.
-func unmarshalSamplerBinary(data []byte) (*Sampler, error) {
-	r := binReader{data: data}
-	st := samplerState{Opts: r.options()}
-	st.R = r.u64()
-	st.N = r.varint()
-	st.Rehash = int(r.uvarint())
-	st.Peak = int(r.uvarint())
-	n, err := r.count(1 + 1 + 1 + 8*st.Opts.Dim)
+	data, err := trimMagic(data, samplerMagic)
 	if err != nil {
 		return nil, err
 	}
-	if st.Opts.Dim < 1 {
-		return nil, fmt.Errorf("core: corrupt sketch: dimension %d", st.Opts.Dim)
-	}
-	st.Entries = make([]entryState, n)
-	for i := range st.Entries {
-		flags := r.u8()
-		es := entryState{
-			Accepted: flags&1 != 0,
-			Stamp:    r.varint(),
-			Count:    r.varint(),
-			Rep:      r.coords(st.Opts.Dim),
-		}
-		if flags&2 != 0 {
-			es.Pick = r.coords(st.Opts.Dim)
-		}
-		st.Entries[i] = es
-	}
+	r := binReader{data: data}
+	opts := r.options()
 	if r.err != nil {
 		return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 	}
-	return samplerFromState(st)
-}
-
-// samplerFromState rebuilds a live Sampler from either wire form.
-func samplerFromState(st samplerState) (*Sampler, error) {
-	if st.R == 0 || st.R&(st.R-1) != 0 {
-		return nil, fmt.Errorf("core: corrupt sketch: R=%d is not a power of two", st.R)
-	}
-	s, err := NewSampler(st.Opts)
+	s, err := NewSampler(opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring sketch: %w", err)
 	}
-	s.r = st.R
-	s.n = st.N
-	s.rehash = st.Rehash
-	for _, es := range st.Entries {
-		if len(es.Rep) != s.opts.Dim {
-			return nil, fmt.Errorf("core: corrupt sketch: entry dimension %d, want %d",
-				len(es.Rep), s.opts.Dim)
+	s.r = r.u64()
+	s.n = r.varint()
+	s.rehash = int(r.uvarint())
+	peak := int(r.uvarint())
+	dim := s.opts.Dim
+	n, err := r.count(1 + 1 + 1 + 8*dim)
+	if err != nil {
+		return nil, err
+	}
+	if s.r == 0 || s.r&(s.r-1) != 0 {
+		return nil, fmt.Errorf("core: corrupt sketch: R=%d is not a power of two", s.r)
+	}
+	s.entries = make([]*entry, 0, n)
+	for range n {
+		flags := r.u8()
+		e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
+		if flags&2 != 0 {
+			e.pick = r.coords(dim)
 		}
-		rep := geom.Point(es.Rep)
-		e := &entry{
-			rep:      rep,
-			cell:     s.spc.Cell(rep),
-			adj:      s.spc.Adjacent(rep),
-			accepted: es.Accepted,
-			stamp:    es.Stamp,
-			count:    es.Count,
-			pick:     es.Pick,
+		if r.err != nil {
+			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 		}
-		// Re-validate the classification against the (re-derived) hash: a
-		// sketch from different options would fail here rather than
-		// silently mis-sample.
-		own := s.ls.SampledAt(uint64(e.cell), s.r)
-		if e.accepted != own {
-			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", rep)
+		e.cell = s.spc.Cell(e.rep)
+		if e.accepted != s.ls.SampledAt(uint64(e.cell), s.r) {
+			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", e.rep)
 		}
+		e.adj = s.spc.Adjacent(e.rep)
 		s.entries = append(s.entries, e)
 		s.index.add(e)
 		s.space.add(e.words(s.opts.RandomRepresentative, false))
@@ -241,8 +166,8 @@ func samplerFromState(st samplerState) (*Sampler, error) {
 			s.numAcc++
 		}
 	}
-	if st.Peak > s.space.peak {
-		s.space.peak = st.Peak
+	if peak > s.space.peak {
+		s.space.peak = peak
 	}
 	return s, nil
 }

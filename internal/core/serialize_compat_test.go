@@ -1,16 +1,12 @@
 package core
 
-// Equivalence suite for the two sampler wire formats: the current
-// length-prefixed binary format and the retired gob format must restore
-// identical sketch state, and UnmarshalSampler/UnmarshalWindowSampler
-// must keep accepting both.
+// Robustness suite for the binary sampler wire format: crafted and
+// truncated blobs must fail with an error, never panic or decode.
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/window"
 )
 
 // compatStream feeds n deterministic well-separated groups with some
@@ -22,103 +18,6 @@ func compatStream(n int) []geom.Point {
 		pts = append(pts, p, geom.Point{p[0] + 0.2, p[1] - 0.1})
 	}
 	return pts
-}
-
-// TestSamplerGobBinaryEquivalence marshals the same sampler through both
-// formats and requires both restores to agree on every observable.
-func TestSamplerGobBinaryEquivalence(t *testing.T) {
-	opts := Options{Alpha: 1, Dim: 2, Seed: 31, StreamBound: 1 << 12, RandomRepresentative: true}
-	s, err := NewSampler(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ProcessBatch(compatStream(200))
-
-	gobBlob, err := MarshalSamplerV1(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binBlob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := UnmarshalSampler(gobBlob)
-	if err != nil {
-		t.Fatalf("gob restore: %v", err)
-	}
-	fromBin, err := UnmarshalSampler(binBlob)
-	if err != nil {
-		t.Fatalf("binary restore: %v", err)
-	}
-	for _, pair := range []struct {
-		name string
-		a, b any
-	}{
-		{"Processed", fromGob.Processed(), fromBin.Processed()},
-		{"R", fromGob.R(), fromBin.R()},
-		{"Rehashes", fromGob.Rehashes(), fromBin.Rehashes()},
-		{"AcceptSize", fromGob.AcceptSize(), fromBin.AcceptSize()},
-		{"RejectSize", fromGob.RejectSize(), fromBin.RejectSize()},
-		{"SpaceWords", fromGob.SpaceWords(), fromBin.SpaceWords()},
-		{"PeakSpaceWords", fromGob.PeakSpaceWords(), fromBin.PeakSpaceWords()},
-		{"AcceptedReps", fromGob.AcceptedReps(), fromBin.AcceptedReps()},
-		{"RejectedReps", fromGob.RejectedReps(), fromBin.RejectedReps()},
-	} {
-		if !reflect.DeepEqual(pair.a, pair.b) {
-			t.Fatalf("%s differs between formats: %v vs %v", pair.name, pair.a, pair.b)
-		}
-	}
-
-	// Post-restore ingestion stays in lockstep across formats.
-	extra := geom.Point{999, 999}
-	fromGob.Process(extra)
-	fromBin.Process(extra)
-	if !reflect.DeepEqual(fromGob.AcceptedReps(), fromBin.AcceptedReps()) {
-		t.Fatal("post-restore ingestion diverged between formats")
-	}
-}
-
-// TestWindowSamplerGobBinaryEquivalence is the window-family counterpart,
-// covering the expiry stamps, level structure, and reservoir skylines.
-func TestWindowSamplerGobBinaryEquivalence(t *testing.T) {
-	opts := Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 12, RandomRepresentative: true}
-	ws, err := NewWindowSampler(opts, window.Window{Kind: window.Time, W: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range compatStream(300) {
-		ws.ProcessAt(p, int64(i/20+1))
-	}
-
-	gobBlob, err := MarshalWindowSamplerV1(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binBlob, err := ws.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := UnmarshalWindowSampler(gobBlob)
-	if err != nil {
-		t.Fatalf("gob restore: %v", err)
-	}
-	fromBin, err := UnmarshalWindowSampler(binBlob)
-	if err != nil {
-		t.Fatalf("binary restore: %v", err)
-	}
-	if fromGob.Now() != fromBin.Now() || fromGob.Processed() != fromBin.Processed() {
-		t.Fatalf("clock/count differ: now %d vs %d, n %d vs %d",
-			fromGob.Now(), fromBin.Now(), fromGob.Processed(), fromBin.Processed())
-	}
-	if !reflect.DeepEqual(fromGob.AcceptSizes(), fromBin.AcceptSizes()) {
-		t.Fatalf("accept sizes differ: %v vs %v", fromGob.AcceptSizes(), fromBin.AcceptSizes())
-	}
-	if fromGob.MaxNonEmptyLevel() != fromBin.MaxNonEmptyLevel() {
-		t.Fatalf("max level differs: %d vs %d", fromGob.MaxNonEmptyLevel(), fromBin.MaxNonEmptyLevel())
-	}
-	if fromGob.SpaceWords() != fromBin.SpaceWords() {
-		t.Fatalf("space differs: %d vs %d", fromGob.SpaceWords(), fromBin.SpaceWords())
-	}
 }
 
 // TestUnmarshalSamplerBinaryHugeDim pins that a crafted blob carrying an

@@ -1,86 +1,67 @@
 package engine
 
-// Backward-compatibility suite for engine checkpoints written before the
-// binary sketch wire format: testdata/checkpoint_v1.ckpt was produced by
-// the gob-era code (see pkg/sketch/testdata for the sibling envelope
-// fixtures) and must keep restoring — at the original shard count and
-// re-sharded.
+// Compat-policy suite for engine checkpoints written before the binary
+// sketch wire format: testdata/checkpoint_v1.ckpt was produced by the
+// gob-era code and holds envelope version 1 sketches (see
+// pkg/sketch/testdata for the sibling envelope fixtures). Restoring it
+// must fail with core.ErrRetiredFormat, at the original shard count and
+// re-sharded, and leave the engine empty.
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 )
 
 // The options checkpoint_v1.ckpt was taken with (2 shards, 3000 points,
-// 300 groups — values recorded by the fixture generator alongside
-// pkg/sketch/testdata/envelope_v1_manifest.json). Restore requires the
-// same options and seed; the fixture is immutable.
+// 300 groups). The fixture is immutable.
 var v1CheckpointOpts = core.Options{Alpha: 1, Dim: 2, Seed: 77, StreamBound: 1 << 15, Kappa: 64}
 
-const (
-	v1CheckpointPoints   = 3000
-	v1CheckpointEstimate = 300
-)
-
-// TestRestoreV1Checkpoint restores the gob-era checkpoint into engines
-// with the original and a different shard count and requires the
-// recorded counters and estimate.
+// TestRestoreV1Checkpoint refuses the gob-era checkpoint into engines
+// with the original and a different shard count, then requires each
+// engine to still be empty and to restore a current checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
+	src, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	pts := stream(300, 10, 77)
+	src.ProcessBatch(pts)
+	want, err := src.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := t.TempDir() + "/current.ckpt"
+	if _, _, err := src.CheckpointFile(current); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, shards := range []int{2, 3} {
 		eng, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.RestoreFile("testdata/checkpoint_v1.ckpt"); err != nil {
-			t.Fatalf("shards=%d: restoring v1 checkpoint: %v", shards, err)
+		err = eng.RestoreFile("testdata/checkpoint_v1.ckpt")
+		if !errors.Is(err, core.ErrRetiredFormat) {
+			t.Fatalf("shards=%d: restoring v1 checkpoint: error %v, want core.ErrRetiredFormat", shards, err)
 		}
-		if got := eng.Enqueued(); got != v1CheckpointPoints {
-			t.Fatalf("shards=%d: restored %d points, want %d", shards, got, v1CheckpointPoints)
+		if eng.Enqueued() != 0 || eng.Processed() != 0 || eng.SpaceWords() != 0 {
+			t.Fatalf("shards=%d: refused restore left state: enqueued %d processed %d space %d",
+				shards, eng.Enqueued(), eng.Processed(), eng.SpaceWords())
+		}
+		if err := eng.RestoreFile(current); err != nil {
+			t.Fatalf("shards=%d: restoring a current checkpoint after the refusal: %v", shards, err)
 		}
 		res, err := eng.Query()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Estimate != v1CheckpointEstimate {
-			t.Fatalf("shards=%d: restored estimate %g, want %d", shards, res.Estimate, v1CheckpointEstimate)
+		if res.Estimate != want.Estimate || eng.Enqueued() != int64(len(pts)) {
+			t.Fatalf("shards=%d: restored estimate %g over %d points, want %g over %d",
+				shards, res.Estimate, eng.Enqueued(), want.Estimate, len(pts))
 		}
 		eng.Close()
-	}
-}
-
-// TestCheckpointRoundTripAfterV1Restore pins the upgrade path: a
-// restored gob-era engine re-checkpoints in the current format and that
-// checkpoint restores with identical state.
-func TestCheckpointRoundTripAfterV1Restore(t *testing.T) {
-	eng, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.RestoreFile("testdata/checkpoint_v1.ckpt"); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/upgraded.ckpt"
-	if _, _, err := eng.CheckpointFile(path); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if err := eng2.RestoreFile(path); err != nil {
-		t.Fatalf("restoring upgraded checkpoint: %v", err)
-	}
-	res, err := eng2.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate != v1CheckpointEstimate {
-		t.Fatalf("upgraded estimate %g, want %d", res.Estimate, v1CheckpointEstimate)
-	}
-	if eng2.Enqueued() != v1CheckpointPoints {
-		t.Fatalf("upgraded point count %d, want %d", eng2.Enqueued(), v1CheckpointPoints)
 	}
 }

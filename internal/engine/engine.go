@@ -112,9 +112,6 @@ type shard struct {
 	mu   sync.Mutex // guards sk
 	sk   sketch.Sketch
 	done atomic.Int64
-
-	pendMu sync.Mutex // guards pend
-	pend   []geom.Point
 }
 
 // Engine is the sharded batched stream processor. All exported methods
@@ -251,12 +248,11 @@ func (e *Engine) shardOf(p geom.Point) *shard {
 	return e.shards[e.cfg.Router.Route(p)%uint64(len(e.shards))]
 }
 
-// Process feeds one stream point. Points accumulate in a per-shard
-// pending buffer and are shipped to the worker one batch at a time; call
-// Flush (or Query/Snapshot/Close, which flush) to push out a partial
-// batch. On a time-windowed engine the point arrives at the engine's
-// latest known timestamp (see ProcessStampedBatch) and ships
-// immediately. Process must not be called after Close.
+// Process feeds one stream point: it ships to its shard at once as a
+// one-point batch in a pooled buffer, so callers with many points should
+// prefer ProcessBatch. On a time-windowed engine the point arrives at the
+// engine's latest known timestamp (see ProcessStampedBatch). Process
+// must not be called after Close.
 //
 //sketch:hotpath
 func (e *Engine) Process(p geom.Point) {
@@ -269,20 +265,7 @@ func (e *Engine) Process(p geom.Point) {
 		panic("engine: Process after Close")
 	}
 	e.enqueued.Add(1)
-	sh := e.shardOf(p)
-	sh.pendMu.Lock()
-	if sh.pend == nil {
-		sh.pend = e.getBuf()
-	}
-	sh.pend = append(sh.pend, p)
-	var full []geom.Point
-	if len(sh.pend) >= e.cfg.BatchSize {
-		full, sh.pend = sh.pend, nil
-	}
-	sh.pendMu.Unlock()
-	if full != nil {
-		sh.ch <- batch{pts: full}
-	}
+	e.shardOf(p).ch <- batch{pts: append(e.getBuf(), p)}
 	// The epoch is bumped only after the point is enqueued: a concurrent
 	// snapshot that read the pre-bump epoch is stamped too old and merely
 	// rebuilds on the next query. Bumping first would let a snapshot that
@@ -307,13 +290,11 @@ func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
 // ProcessBatch feeds a batch of stream points: the batch is partitioned
 // by the router into per-shard sub-batches of at most BatchSize points
 // (no locks taken while routing), shipped to the workers as they fill —
-// so QueueDepth backpressure applies to large inputs too. Any pending
-// single-point buffer of a touched shard is flushed first, preserving
-// per-producer order. The slice ps itself is not retained, but the
-// points are: per the repository convention, points handed to a sketch
-// must not be mutated afterwards (Clone first), and with the engine that
-// holds from the moment ProcessBatch is called — workers read the
-// points asynchronously.
+// so QueueDepth backpressure applies to large inputs too. The slice ps
+// itself is not retained, but the points are: per the repository
+// convention, points handed to a sketch must not be mutated afterwards
+// (Clone first), and with the engine that holds from the moment
+// ProcessBatch is called — workers read the points asynchronously.
 //
 //sketch:hotpath
 func (e *Engine) ProcessBatch(ps []geom.Point) {
@@ -345,7 +326,6 @@ func (e *Engine) ProcessBatch(ps []geom.Point) {
 		i := e.cfg.Router.Route(p) % uint64(len(e.shards))
 		b := buckets[i]
 		if b == nil {
-			e.flushShard(e.shards[i])
 			b = e.getBuf()
 		}
 		b = append(b, p)
@@ -406,7 +386,6 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 		i := e.cfg.Router.Route(p) % uint64(len(e.shards))
 		b := buckets[i]
 		if b == nil {
-			e.flushShard(e.shards[i])
 			b = e.getBuf()
 		}
 		b = append(b, p)
@@ -431,42 +410,20 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 }
 
 // ProcessAt feeds one explicitly stamped point to a time-windowed engine.
-// Unlike Process it does not buffer: the point ships to its shard
-// immediately, so high-rate stamped producers should prefer
-// ProcessStampedBatch.
+// Like Process, the point ships to its shard immediately, so high-rate
+// stamped producers should prefer ProcessStampedBatch.
 func (e *Engine) ProcessAt(p geom.Point, stamp int64) {
 	e.ProcessStampedBatch([]geom.Point{p}, []int64{stamp})
 }
 
-// flushShard ships a shard's pending single-point buffer to its worker.
-//
-//sketch:hotpath
-func (e *Engine) flushShard(sh *shard) {
-	sh.pendMu.Lock()
-	pend := sh.pend
-	sh.pend = nil
-	sh.pendMu.Unlock()
-	if pend != nil {
-		sh.ch <- batch{pts: pend}
-	}
-}
-
-// Flush ships every partially filled pending buffer to its worker.
-func (e *Engine) Flush() {
-	for _, sh := range e.shards {
-		e.flushShard(sh)
-	}
-}
-
-// Drain flushes pending buffers and blocks until every batch enqueued so
-// far has been fully ingested. Concurrent producers may keep feeding;
-// Drain only guarantees its happens-before batches are done. After Close
-// (which already drained) it is a no-op.
+// Drain blocks until every batch enqueued so far has been fully
+// ingested. Concurrent producers may keep feeding; Drain only guarantees
+// its happens-before batches are done. After Close (which already
+// drained) it is a no-op.
 func (e *Engine) Drain() {
 	if e.closed.Load() {
 		return
 	}
-	e.Flush()
 	acks := make([]chan struct{}, len(e.shards))
 	for i, sh := range e.shards {
 		acks[i] = make(chan struct{})
@@ -637,15 +594,14 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Close flushes, stops the workers, and waits for them to finish.
-// Snapshot/Query keep working on the final state, but no further points
-// may be processed. Close is idempotent, but must not race with
+// Close stops the workers and waits for them to finish. Snapshot/Query
+// keep working on the final state, but no further points may be
+// processed. Close is idempotent, but must not race with
 // in-flight Process/ProcessBatch/Drain calls; Process after Close panics.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	e.Flush()
 	for _, sh := range e.shards {
 		close(sh.ch)
 	}

@@ -62,10 +62,13 @@ func (pl Placement) Peers() int { return pl.peers }
 func (pl Placement) Replicas() int { return pl.replicas }
 
 // Primary returns the cell's first owner. The cell hash is bit-mixed
-// before the modular reduction for the same reason the legacy
-// single-owner routing mixed it: the peers reduce the very same hash mod
-// their internal shard count, and mixing decorrelates the two reductions
-// (see Gateway.peerIndex in internal/cluster).
+// before the modular reduction: the peers reduce the very same hash mod
+// their internal shard count, and without the mix a peer that only ever
+// receives hashes ≡ i (mod peers) would feed only the shards in that
+// residue class whenever gcd(peers, shards) > 1, idling the rest. Mixing
+// decorrelates the two reductions while still sending every point of one
+// routing cell to one peer. Owners always lists Primary first, so
+// enabling replication never moves the first copy of any point.
 //
 //sketch:hotpath
 func (pl Placement) Primary(cell uint64) int {

@@ -3,7 +3,6 @@ package f0
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -11,22 +10,12 @@ import (
 )
 
 // medianMagic and windowEstimatorMagic head the binary wire forms of the
-// estimator stacks (format 1). Blobs without the magic decode through
-// the retired gob format, so old checkpoints keep restoring.
+// estimator stacks (format 1). Payloads without them fail with
+// core.ErrRetiredFormat.
 const (
 	medianMagic          = "f0m1"
 	windowEstimatorMagic = "f0w1"
 )
-
-// medianState is the gob wire form of a Median estimator — the retired
-// v1 format, kept for decoding old blobs (and regenerable via
-// MarshalMedianV1 for compatibility tests): the per-copy samplers carry
-// their own options (including the derived seeds), so only epsilon needs
-// to be stored alongside the copy blobs.
-type medianState struct {
-	Eps    float64
-	Copies [][]byte
-}
 
 // appendBlobs appends a uvarint count followed by length-prefixed blobs.
 func appendBlobs(dst []byte, blobs [][]byte) []byte {
@@ -39,11 +28,15 @@ func appendBlobs(dst []byte, blobs [][]byte) []byte {
 }
 
 // readBlobs reads the counterpart of appendBlobs, returning sub-slices
-// of data (no copies).
+// of data (no copies). An empty list is corrupt: every stack has at
+// least one copy.
 func readBlobs(data []byte) ([][]byte, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 || n > uint64(len(data)) {
 		return nil, fmt.Errorf("f0: truncated copy list")
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("f0: corrupt copy list: no copies")
 	}
 	data = data[sz:]
 	out := make([][]byte, 0, n)
@@ -60,9 +53,10 @@ func readBlobs(data []byte) ([][]byte, error) {
 
 // MarshalBinary serializes the estimator stack for checkpointing, in the
 // length-prefixed binary format (magic "f0m1"); the counterpart is
-// UnmarshalMedian, which also still reads the retired gob format.
-// Estimators built over a custom Space are not serializable (see
-// core.Sampler.MarshalBinary).
+// UnmarshalMedian. The per-copy samplers carry their own options
+// (including the derived seeds), so only epsilon is stored alongside the
+// copy blobs. Estimators built over a custom Space are not serializable
+// (see core.Sampler.MarshalBinary).
 func (m *Median) MarshalBinary() ([]byte, error) {
 	blobs := make([][]byte, len(m.copies))
 	for i, c := range m.copies {
@@ -77,38 +71,11 @@ func (m *Median) MarshalBinary() ([]byte, error) {
 	return appendBlobs(out, blobs), nil
 }
 
-// MarshalMedianV1 serializes the estimator stack in the retired gob wire
-// format (gob framing over gob copy blobs). Kept for backward-
-// compatibility tests; new code uses MarshalBinary. UnmarshalMedian
-// reads both.
-func MarshalMedianV1(m *Median) ([]byte, error) {
-	st := medianState{Eps: m.copies[0].eps, Copies: make([][]byte, len(m.copies))}
-	for i, c := range m.copies {
-		blob, err := core.MarshalSamplerV1(c.s)
-		if err != nil {
-			return nil, fmt.Errorf("f0: encoding copy %d: %w", i, err)
-		}
-		st.Copies[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("f0: encoding median: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// windowEstimatorState is the gob wire form of a WindowEstimator — the
-// retired v1 format, kept for decoding old blobs: the per-copy window
-// samplers carry their own options (including derived seeds) and window,
-// so the copy blobs are the whole state.
-type windowEstimatorState struct {
-	Copies [][]byte
-}
-
 // MarshalBinary serializes the window-estimator stack for checkpointing,
 // in the length-prefixed binary format (magic "f0w1"); the counterpart
-// is UnmarshalWindowEstimator, which also still reads the retired gob
-// format. Only time-based windows have a wire format (see
+// is UnmarshalWindowEstimator. The per-copy window samplers carry their
+// own options and window, so the copy blobs are the whole state. Only
+// time-based windows have a wire format (see
 // core.WindowSampler.MarshalBinary).
 func (we *WindowEstimator) MarshalBinary() ([]byte, error) {
 	blobs := make([][]byte, len(we.copies))
@@ -122,43 +89,16 @@ func (we *WindowEstimator) MarshalBinary() ([]byte, error) {
 	return appendBlobs(append([]byte(nil), windowEstimatorMagic...), blobs), nil
 }
 
-// MarshalWindowEstimatorV1 serializes the window-estimator stack in the
-// retired gob wire format. Kept for backward-compatibility tests; new
-// code uses MarshalBinary. UnmarshalWindowEstimator reads both.
-func MarshalWindowEstimatorV1(we *WindowEstimator) ([]byte, error) {
-	st := windowEstimatorState{Copies: make([][]byte, len(we.copies))}
-	for i, c := range we.copies {
-		blob, err := core.MarshalWindowSamplerV1(c)
-		if err != nil {
-			return nil, fmt.Errorf("f0: encoding window copy %d: %w", i, err)
-		}
-		st.Copies[i] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("f0: encoding window estimator: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // UnmarshalWindowEstimator reconstructs a WindowEstimator from
-// MarshalBinary output (binary or retired gob format).
+// MarshalBinary output; every copy must share copy 0's window.
 func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
-	var blobs [][]byte
-	if bytes.HasPrefix(data, []byte(windowEstimatorMagic)) {
-		var err error
-		if blobs, err = readBlobs(data[len(windowEstimatorMagic):]); err != nil {
-			return nil, fmt.Errorf("f0: decoding window estimator: %w", err)
-		}
-	} else {
-		var st windowEstimatorState
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-			return nil, fmt.Errorf("f0: decoding window estimator: %w", err)
-		}
-		blobs = st.Copies
+	data, ok := bytes.CutPrefix(data, []byte(windowEstimatorMagic))
+	if !ok {
+		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", windowEstimatorMagic, core.ErrRetiredFormat)
 	}
-	if len(blobs) == 0 {
-		return nil, fmt.Errorf("f0: corrupt window estimator: no copies")
+	blobs, err := readBlobs(data)
+	if err != nil {
+		return nil, fmt.Errorf("f0: decoding window estimator: %w", err)
 	}
 	we := &WindowEstimator{copies: make([]*core.WindowSampler, len(blobs))}
 	for i, blob := range blobs {
@@ -175,35 +115,22 @@ func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
 	return we, nil
 }
 
-// UnmarshalMedian reconstructs a Median from MarshalBinary output
-// (binary or retired gob format).
+// UnmarshalMedian reconstructs a Median from MarshalBinary output.
 func UnmarshalMedian(data []byte) (*Median, error) {
-	var (
-		eps   float64
-		blobs [][]byte
-	)
-	if bytes.HasPrefix(data, []byte(medianMagic)) {
-		rest := data[len(medianMagic):]
-		if len(rest) < 8 {
-			return nil, fmt.Errorf("f0: truncated median header")
-		}
-		eps = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		var err error
-		if blobs, err = readBlobs(rest[8:]); err != nil {
-			return nil, fmt.Errorf("f0: decoding median: %w", err)
-		}
-	} else {
-		var st medianState
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-			return nil, fmt.Errorf("f0: decoding median: %w", err)
-		}
-		eps, blobs = st.Eps, st.Copies
+	data, ok := bytes.CutPrefix(data, []byte(medianMagic))
+	if !ok {
+		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", medianMagic, core.ErrRetiredFormat)
 	}
-	if len(blobs) == 0 {
-		return nil, fmt.Errorf("f0: corrupt median: no copies")
+	if len(data) < 8 {
+		return nil, fmt.Errorf("f0: truncated median header")
 	}
+	eps := math.Float64frombits(binary.LittleEndian.Uint64(data))
 	if !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("f0: corrupt median: epsilon %g", eps)
+	}
+	blobs, err := readBlobs(data[8:])
+	if err != nil {
+		return nil, fmt.Errorf("f0: decoding median: %w", err)
 	}
 	m := &Median{copies: make([]*InfiniteEstimator, len(blobs))}
 	for i, blob := range blobs {

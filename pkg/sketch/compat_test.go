@@ -1,38 +1,22 @@
 package sketch
 
-// Backward-compatibility suite for the serialization format change: the
-// envelope moved from version 1 (gob payloads) to version 2 (the
-// hand-rolled binary payloads), and Deserialize must keep reading both.
+// Compat-policy suite: envelope version 1 (gob payloads) is retired.
 // The testdata fixtures were written by the version-1 code and are
-// immutable; envelope_v1_manifest.json records the estimates the sketches
-// held when they were serialized.
+// immutable; every one of them, and every gob payload re-wrapped in a
+// current envelope, must be refused with core.ErrRetiredFormat, whose
+// message names envelope version 1 and the compat policy.
 
 import (
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/f0"
-	"repro/internal/window"
 )
 
-// v1Manifest loads the recorded expectations for the v1 fixtures.
-func v1Manifest(t *testing.T) map[string]float64 {
-	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("testdata", "envelope_v1_manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]float64{}
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func readFixture(t *testing.T, name string) []byte {
+func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -41,176 +25,72 @@ func readFixture(t *testing.T, name string) []byte {
 	return blob
 }
 
+// requireRetired fails unless err is the compat-policy refusal.
+func requireRetired(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, core.ErrRetiredFormat) {
+		t.Fatalf("error = %v, want core.ErrRetiredFormat", err)
+	}
+	for _, want := range []string{"envelope version 1", "compat policy"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// requireV1Refused pins the refusal of one v1 fixture of the given kind:
+// as written (a version-1 envelope) and with its gob payload re-wrapped
+// in a current envelope.
+func requireV1Refused(t *testing.T, file string, kind Kind) {
+	t.Helper()
+	blob := readFixture(t, file)
+	if blob[4] != 1 || Kind(blob[5]) != kind {
+		t.Fatalf("fixture envelope version %d kind %d, want 1 and %v — fixtures must never be regenerated",
+			blob[4], blob[5], kind)
+	}
+	_, err := KindOf(blob)
+	requireRetired(t, err)
+	_, err = Deserialize(blob)
+	requireRetired(t, err)
+	_, err = Deserialize(encodeEnvelope(kind, blob[envelopeHeaderLen:]))
+	requireRetired(t, err)
+}
+
 // TestDeserializeV1Fixtures pins that envelopes written by the retired
-// gob format (envelope version 1) still deserialize to sketches holding
-// their recorded state, and that re-serializing them produces a current
-// envelope that round-trips to the same state — the upgrade path for
-// old checkpoints.
+// gob format (envelope version 1) are refused under the compat policy.
 func TestDeserializeV1Fixtures(t *testing.T) {
-	manifest := v1Manifest(t)
-	cases := []struct {
+	for _, tc := range []struct {
 		file string
 		kind Kind
-		want float64 // expected estimate; NaN-free manifest keys only
 	}{
-		{"envelope_v1_l0.bin", KindL0, manifest["l0"]},
-		{"envelope_v1_f0.bin", KindF0, manifest["f0"]},
-		{"envelope_v1_windowf0.bin", KindWindowF0, manifest["windowf0"]},
-	}
-	for _, tc := range cases {
-		t.Run(tc.file, func(t *testing.T) {
-			blob := readFixture(t, tc.file)
-			if blob[4] != 1 {
-				t.Fatalf("fixture envelope version %d, want 1 — fixtures must never be regenerated", blob[4])
-			}
-			if k, err := KindOf(blob); err != nil || k != tc.kind {
-				t.Fatalf("KindOf = %v, %v; want %v", k, err, tc.kind)
-			}
-			sk, err := Deserialize(blob)
-			if err != nil {
-				t.Fatalf("deserializing v1 envelope: %v", err)
-			}
-			res, err := sk.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Estimate != tc.want {
-				t.Fatalf("restored estimate %g, want %g", res.Estimate, tc.want)
-			}
-			// Upgrade path: the restored sketch re-serializes as a current
-			// envelope with the same state.
-			blob2, err := sk.Serialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if blob2[4] != envelopeVersion {
-				t.Fatalf("re-serialized envelope version %d, want %d", blob2[4], envelopeVersion)
-			}
-			sk2, err := Deserialize(blob2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res2, err := sk2.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res2.Estimate != tc.want {
-				t.Fatalf("upgraded estimate %g, want %g", res2.Estimate, tc.want)
-			}
-		})
+		{"envelope_v1_l0.bin", KindL0},
+		{"envelope_v1_f0.bin", KindF0},
+		{"envelope_v1_windowf0.bin", KindWindowF0},
+	} {
+		t.Run(tc.file, func(t *testing.T) { requireV1Refused(t, tc.file, tc.kind) })
 	}
 }
 
-// TestDeserializeV1WindowL0Fixture covers the sample-only window family:
-// the v1 window envelope restores with its clock intact and still
-// answers queries.
+// TestDeserializeV1WindowL0Fixture covers the sample-only window family.
 func TestDeserializeV1WindowL0Fixture(t *testing.T) {
-	manifest := v1Manifest(t)
-	blob := readFixture(t, "envelope_v1_windowl0.bin")
-	sk, err := Deserialize(blob)
-	if err != nil {
-		t.Fatalf("deserializing v1 windowl0: %v", err)
-	}
-	w, ok := sk.(*WindowL0)
-	if !ok {
-		t.Fatalf("deserialized %T, want *WindowL0", sk)
-	}
-	if got := float64(w.Now()); got != manifest["windowl0_now"] {
-		t.Fatalf("restored clock %g, want %g", got, manifest["windowl0_now"])
-	}
-	res, err := w.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sample) != 2 {
-		t.Fatalf("restored window sample %v", res.Sample)
-	}
+	requireV1Refused(t, "envelope_v1_windowl0.bin", KindWindowL0)
 }
 
-// TestV1GobBlobsDecodeInsideCurrentEnvelope pins the payload sniffing:
-// a gob payload wrapped in a current (version 2) envelope, and a binary
-// payload wrapped in a v1 envelope, both decode — the envelope version
-// advertises the writer, the per-format magic decides the codec.
-func TestV1GobBlobsDecodeInsideCurrentEnvelope(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: 1 << 12}
-	l0, err := NewL0(opts)
+// TestDeserializeFutureVersionRefused pins that only the current
+// envelope version decodes: a version-3 envelope is unknown, not retired.
+func TestDeserializeFutureVersionRefused(t *testing.T) {
+	l0, err := NewL0(core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
-		l0.Process([]float64{float64(i * 10), 1})
-	}
-	gobPayload, err := core.MarshalSamplerV1(l0.Sampler())
+	l0.Process([]float64{1, 2})
+	blob, err := l0.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := encodeEnvelope(KindL0, gobPayload)
-	sk, err := Deserialize(wrapped)
-	if err != nil {
-		t.Fatalf("gob payload under v2 envelope: %v", err)
-	}
-	want, err := l0.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("estimate %g, want %g", got.Estimate, want.Estimate)
-	}
-
-	binPayload, err := l0.Sampler().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1env := append([]byte(nil), envelopeMagic[:]...)
-	v1env = append(v1env, 1, byte(KindL0))
-	v1env = append(v1env, binPayload...)
-	if _, err := Deserialize(v1env); err != nil {
-		t.Fatalf("binary payload under v1 envelope: %v", err)
-	}
-
-	// Future versions stay rejected.
-	bad := append([]byte(nil), envelopeMagic[:]...)
-	bad = append(bad, envelopeVersion+1, byte(KindL0))
-	bad = append(bad, binPayload...)
-	if _, err := Deserialize(bad); err == nil {
-		t.Fatal("envelope version beyond current was accepted")
-	}
-}
-
-// TestWindowEstimatorV1Gob round-trips the windowed estimator stack
-// through the retired gob format and requires the same estimate as the
-// binary format.
-func TestWindowEstimatorV1Gob(t *testing.T) {
-	opts := core.Options{Alpha: 1, Dim: 2, Seed: 11, StreamBound: 1 << 12}
-	win := window.Window{Kind: window.Time, W: 16}
-	wf0, err := NewWindowF0(opts, win, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		wf0.ProcessAt([]float64{float64(i%50) * 10, 2}, int64(i/10+1))
-	}
-	want, err := wf0.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobBlob, err := f0.MarshalWindowEstimatorV1(wf0.we)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Deserialize(encodeEnvelope(KindWindowF0, gobBlob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("gob-restored estimate %g, want %g", got.Estimate, want.Estimate)
+	blob[4] = envelopeVersion + 1
+	_, err = Deserialize(blob)
+	if err == nil || errors.Is(err, core.ErrRetiredFormat) {
+		t.Fatalf("version-%d envelope: error %v, want an unsupported-version error", blob[4], err)
 	}
 }

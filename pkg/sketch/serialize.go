@@ -71,20 +71,15 @@ func (k Kind) String() string {
 	}
 }
 
-// envelopeVersion is the current serialization format version: version 2
-// payloads use the hand-rolled length-prefixed binary formats of
-// internal/core and internal/f0, version 1 payloads the retired gob
-// forms. Encoders write envelopeVersion; decoders accept every version
-// in [envelopeMinVersion, envelopeVersion] (the family decoders sniff a
-// per-format magic, so either payload codec decodes under either
-// envelope version).
-const (
-	envelopeVersion    = 2
-	envelopeMinVersion = 1
-)
+// envelopeVersion is the serialization format version: payloads use the
+// length-prefixed binary formats of internal/core and internal/f0 (the
+// baseline families keep their own encodings). Version 1, whose payloads
+// were gob, is retired: decodeEnvelope refuses it with
+// core.ErrRetiredFormat (see docs/engine.md "Wire format").
+const envelopeVersion = 2
 
 // envelopeMagic tags serialized sketches so that foreign blobs fail fast
-// with a clear error instead of a gob decode failure.
+// with a clear error instead of a payload decode failure.
 var envelopeMagic = [4]byte{'s', 'k', 'c', 'h'}
 
 // envelopeHeaderLen is magic + version byte + kind byte.
@@ -106,9 +101,12 @@ func decodeEnvelope(data []byte) (Kind, []byte, error) {
 	if string(data[:4]) != string(envelopeMagic[:]) {
 		return KindInvalid, nil, fmt.Errorf("sketch: not a serialized sketch (bad magic)")
 	}
-	if v := data[4]; v < envelopeMinVersion || v > envelopeVersion {
-		return KindInvalid, nil, fmt.Errorf("sketch: unsupported format version %d (want %d–%d)",
-			v, envelopeMinVersion, envelopeVersion)
+	switch v := data[4]; v {
+	case envelopeVersion:
+	case 1:
+		return KindInvalid, nil, core.ErrRetiredFormat
+	default:
+		return KindInvalid, nil, fmt.Errorf("sketch: unsupported format version %d (want %d)", v, envelopeVersion)
 	}
 	return Kind(data[5]), data[envelopeHeaderLen:], nil
 }
@@ -124,6 +122,8 @@ func KindOf(data []byte) (Kind, error) {
 // output, dispatching on the envelope's Kind. The restored sketch answers
 // queries from the checkpointed state and keeps ingesting consistently
 // (hash functions and grids are re-derived from the serialized seeds).
+// Retired version-1 state, including a gob payload under a current
+// envelope, fails with an error wrapping core.ErrRetiredFormat.
 func Deserialize(data []byte) (Sketch, error) {
 	k, payload, err := decodeEnvelope(data)
 	if err != nil {
