@@ -626,7 +626,8 @@ func BenchmarkProcessBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures query latency on a loaded sketch.
+// BenchmarkQuery measures query latency on a loaded sketch: k=1 is one
+// Query, k=4 one QueryK(4) draw without replacement.
 func BenchmarkQuery(b *testing.B) {
 	inst := dataset.Build(dataset.Spec{Base: dataset.Rand5, Kind: dataset.DupUniform}, 1)
 	s, err := core.NewSampler(benchOptions(inst, 11))
@@ -636,11 +637,20 @@ func BenchmarkQuery(b *testing.B) {
 	for _, p := range inst.Points {
 		s.Process(p)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(); err != nil {
-			b.Fatal(err)
+	b.Run("k=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Query(); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("k=4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.QueryK(4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

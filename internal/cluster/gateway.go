@@ -23,9 +23,10 @@
 //   - Federated cache: every peer snapshot is cached alongside its
 //     strong ETag (derived from the peer's ingest epoch) and re-fetched
 //     with conditional GETs inside the scatter round (a 304 reuses the
-//     cached deserialized sketch), and the merged union plus per-k
-//     answers are cached keyed by the whole peer-validator vector — a
-//     round over quiescent peers deserializes and merges nothing.
+//     cached deserialized sketch), and the merged union is cached keyed
+//     by the whole peer-validator vector — a round over quiescent peers
+//     deserializes and merges nothing. Each query draws fresh samples
+//     from that union, as a daemon does from its snapshot.
 //
 // The gateway exposes the same HTTP API as a single daemon (/ingest,
 // /query, /stats, /healthz — and /sketch and /watch, so gateways stack
@@ -296,10 +297,11 @@ type Gateway struct {
 	handoffDepth atomic.Int64  // sub-batches currently queued across peers
 
 	// Federated query cache (see refresh): per-peer snapshots keyed by
-	// the peers' ETags (ingest epochs), the merged union keyed by the
-	// whole validator vector, and per-k answers on top. cacheMu guards
-	// all of it and hands the merged sketch to one query at a time —
-	// queries advance its RNG, so unsynchronized sharing would race.
+	// the peers' ETags (ingest epochs) and the merged union keyed by the
+	// whole validator vector. cacheMu guards both and hands the merged
+	// sketch to one query at a time — queries advance its RNG and QueryK
+	// reorders its accept set while drawing, so unsynchronized sharing
+	// would race.
 	// The network scatter itself runs outside cacheMu under the flight
 	// singleflight below, so handlers hold the lock only for the
 	// in-memory fold and answer.
@@ -316,11 +318,10 @@ type Gateway struct {
 	mergedKey    string
 	merged       sketch.Mergeable // nil until the first install
 	mergedFo     fanout
-	mergedBlob   []byte                       // lazily serialized union for GET /sketch
-	mergedEpochs []int64                      // per-peer ingest epochs of the fold; -1 = down/unknown
-	answers      map[int]server.QueryResponse // per-k answers for mergedKey
-	nonce        atomic.Int64                 // validators for peers serving no ETag
-	exportGen    engine.EpochCounter          // bumped by every install (a new /sketch ETag); GET /watch waits on it
+	mergedBlob   []byte              // lazily serialized union for GET /sketch
+	mergedEpochs []int64             // per-peer ingest epochs of the fold; -1 = down/unknown
+	nonce        atomic.Int64        // validators for peers serving no ETag
+	exportGen    engine.EpochCounter // bumped by every install (a new /sketch ETag); GET /watch waits on it
 
 	// Push-propagation state (see push.go). dirtyGen counts invalidation
 	// events observed by the watchers; lastRoundGen is the dirtyGen value
@@ -357,7 +358,6 @@ type Gateway struct {
 	fedBytesSaved    *atomic.Int64
 	fedCacheHits     *atomic.Int64
 	fedCacheMisses   *atomic.Int64
-	fedAnswerHits    *atomic.Int64
 	peerDeserializes *atomic.Int64
 	sketchMerges     *atomic.Int64
 	notModified      *atomic.Int64
@@ -402,7 +402,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{cfg: cfg, placement: pl, mux: http.NewServeMux(), client: cfg.Client, start: time.Now()}
 	g.peerSnaps = make([]peerSnap, len(cfg.Peers))
-	g.answers = make(map[int]server.QueryResponse)
 	g.peers = make([]*peer, len(cfg.Peers))
 	for i, raw := range cfg.Peers {
 		u, err := url.Parse(raw)
@@ -574,9 +573,6 @@ type StatsResponse struct {
 	FedCacheHits int64 `json:"fed_cache_hits"`
 	// FedCacheMisses counts scatter rounds that re-folded the union.
 	FedCacheMisses int64 `json:"fed_cache_misses"`
-	// FedAnswerHits counts GET /query responses served verbatim from the
-	// per-k answer cache over an unchanged fold.
-	FedAnswerHits int64 `json:"fed_answer_hits"`
 	// PeerDeserializes counts sketch envelope deserializations performed
 	// (zero across a warm-cache query).
 	PeerDeserializes int64 `json:"peer_deserializes"`
@@ -660,11 +656,6 @@ type scatterResult struct {
 	epoch     int64  // peer's ingest epoch; -1 when down or not served
 	degraded  bool
 }
-
-// maxAnswerCache bounds the per-k answer cache; past it the map is
-// cleared rather than grown (distinct k values per epoch vector are
-// normally a handful).
-const maxAnswerCache = 64
 
 // flight is one in-progress scatter round shared by concurrent queries.
 type flight struct {
@@ -865,7 +856,6 @@ func (g *Gateway) scatter(ctx context.Context) error {
 	g.merged, g.mergedFo, g.mergedKey = merged, fo, key
 	g.mergedBlob = nil
 	g.mergedEpochs = epochs
-	clear(g.answers)
 	g.markFresh(startGen)
 	g.exportGen.Bump()
 	return nil
@@ -950,29 +940,16 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	slowE := telemetry.SlowEntry{Path: "/query", Status: http.StatusOK, Partial: fo.partial()}
 	g.slowContextLocked(span, &slowE)
-	if cached, ok := g.answers[k]; ok {
-		// Fully warm: same peer epochs, same k — the cached answer is
-		// returned verbatim (samples included; they would merely
-		// re-randomize over identical state).
-		g.fedAnswerHits.Add(1)
-		resp.QueryResponse = cached
-	} else {
-		// The answer itself is built by the same code as on a single
-		// daemon, so the two tiers agree on response shape and status
-		// codes.
-		resp.QueryResponse, err = server.AnswerQuery(g.merged, k)
-		if err != nil {
-			g.cacheMu.Unlock()
-			telemetry.Observe(g.tel.answer, span, "answer", time.Since(ta))
-			server.WriteError(w, server.QueryErrorStatus(err), err)
-			slowE.Status = server.QueryErrorStatus(err)
-			g.finishRequest(span, g.tel.reqQuery, slowE, t0)
-			return
-		}
-		if len(g.answers) >= maxAnswerCache {
-			clear(g.answers)
-		}
-		g.answers[k] = resp.QueryResponse
+	// The answer is built by the same code as on a single daemon, so the
+	// two tiers agree on response shape, status codes and fresh samples.
+	resp.QueryResponse, err = server.AnswerQuery(g.merged, k)
+	if err != nil {
+		g.cacheMu.Unlock()
+		telemetry.Observe(g.tel.answer, span, "answer", time.Since(ta))
+		server.WriteError(w, server.QueryErrorStatus(err), err)
+		slowE.Status = server.QueryErrorStatus(err)
+		g.finishRequest(span, g.tel.reqQuery, slowE, t0)
+		return
 	}
 	g.servedPartial(fo)
 	g.cacheMu.Unlock()

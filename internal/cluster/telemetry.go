@@ -71,7 +71,6 @@ func (g *Gateway) initTelemetry() {
 	g.fedBytesSaved = st.Counter("fed_bytes_saved", "Envelope bytes not re-transferred thanks to 304s.")
 	g.fedCacheHits = st.Counter("fed_cache_hits", "Scatter rounds that reused the merged union.")
 	g.fedCacheMisses = st.Counter("fed_cache_misses", "Scatter rounds that re-folded the union.")
-	g.fedAnswerHits = st.Counter("fed_answer_hits", "Queries served from the per-k answer cache.")
 	g.peerDeserializes = st.Counter("peer_deserializes", "Sketch envelope deserializations performed.")
 	g.sketchMerges = st.Counter("sketch_merges", "Mergeable.Merge folds performed.")
 	g.notModified = st.Counter("not_modified", "The gateway's own 304s served to clients.")

@@ -58,7 +58,7 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	if err := addAll(b, a.n); err != nil {
 		return nil, err
 	}
-	for out.numAcc > out.opts.acceptThreshold() {
+	for len(out.acc) > out.opts.acceptThreshold() {
 		out.doubleR()
 	}
 	return out, nil
@@ -95,7 +95,7 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	}
 	s.n += b.n
 	s.rehash += b.rehash - raised
-	for s.numAcc > s.opts.acceptThreshold() {
+	for len(s.acc) > s.opts.acceptThreshold() {
 		s.doubleR()
 	}
 	return nil
@@ -156,11 +156,6 @@ func (s *Sampler) mergeEntry(e *entry, stampOffset int64) error {
 		count:    e.count,
 		pick:     e.pick,
 	}
-	s.entries = append(s.entries, ne)
-	s.index.add(ne)
-	s.space.add(ne.words(s.opts.RandomRepresentative, false))
-	if accepted {
-		s.numAcc++
-	}
+	s.store(ne)
 	return nil
 }

@@ -59,14 +59,7 @@ func (s *Sampler) Partition(n int, shard func(p geom.Point) int) ([]*Sampler, er
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("core: Partition route %d out of [0,%d)", i, n)
 		}
-		p := parts[i]
-		c := cloneEntry(e)
-		p.entries = append(p.entries, c)
-		p.index.add(c)
-		p.space.add(c.words(p.opts.RandomRepresentative, false))
-		if c.accepted {
-			p.numAcc++
-		}
+		parts[i].store(cloneEntry(e))
 	}
 	return parts, nil
 }

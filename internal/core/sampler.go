@@ -36,10 +36,12 @@ type Sampler struct {
 	r       uint64 // reciprocal of the cell sample rate, a power of two
 	entries []*entry
 	index   cellIndex
-	numAcc  int
-	n       int64 // points processed
-	space   spaceMeter
-	rehash  int // number of rate doublings performed (diagnostics)
+	// acc is Sacc: the accepted entries, in entries order. Like index it
+	// points at stored entries, so it adds no sketch words.
+	acc    []*entry
+	n      int64 // points processed
+	space  spaceMeter
+	rehash int // number of rate doublings performed (diagnostics)
 
 	// lastHit caches the entry that matched the previous point. Streams
 	// with near-duplicate locality (bursts of points from one group, the
@@ -51,6 +53,20 @@ type Sampler struct {
 
 // NewSampler constructs an infinite-window robust ℓ0-sampler.
 func NewSampler(opts Options) (*Sampler, error) {
+	return newSampler(opts, maxAccReserve)
+}
+
+// maxAccReserve caps the Sacc capacity NewSampler reserves up front; a
+// larger Sacc grows by append.
+const maxAccReserve = 1 << 12
+
+// newSampler is NewSampler with the Sacc capacity reserved up front
+// capped at accCap. Process keeps Sacc within the threshold plus the
+// entry that trips a doubling; reserving that once means ingest never
+// grows it. A decoder passes 0 and reserves by the entry count it has
+// checked against its input, so a decode allocates in proportion to the
+// bytes it reads, not to the options a blob declares.
+func newSampler(opts Options, accCap int) (*Sampler, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
@@ -68,6 +84,7 @@ func NewSampler(opts Options) (*Sampler, error) {
 		rng:   rand.New(rand.NewPCG(rngSeed1, rngSeed2)),
 		r:     1,
 		index: make(cellIndex),
+		acc:   make([]*entry, 0, min(opts.acceptThreshold()+1, accCap)),
 	}, nil
 }
 
@@ -84,10 +101,10 @@ func (s *Sampler) R() uint64 { return s.r }
 func (s *Sampler) Rehashes() int { return s.rehash }
 
 // AcceptSize returns |Sacc|, the number of accepted groups.
-func (s *Sampler) AcceptSize() int { return s.numAcc }
+func (s *Sampler) AcceptSize() int { return len(s.acc) }
 
 // RejectSize returns |Srej|, the number of rejected groups retained.
-func (s *Sampler) RejectSize() int { return len(s.entries) - s.numAcc }
+func (s *Sampler) RejectSize() int { return len(s.entries) - len(s.acc) }
 
 // SpaceWords returns the current number of sketch words.
 func (s *Sampler) SpaceWords() int { return s.space.Live() }
@@ -144,18 +161,24 @@ func (s *Sampler) Process(p geom.Point) {
 		count:    1,
 		pick:     p,
 	}
+	s.store(e)
+	s.lastHit = e
+	// Lines 10–12: keep |Sacc| within the threshold by halving the
+	// sample rate (doubling R) and re-classifying stored entries.
+	for len(s.acc) > s.opts.acceptThreshold() {
+		s.doubleR()
+	}
+}
+
+// store appends a classified entry to the sketch: the entry list, the
+// cell index, Sacc when accepted, and the space meter.
+func (s *Sampler) store(e *entry) {
 	s.entries = append(s.entries, e)
 	s.index.add(e)
-	s.lastHit = e
-	s.space.add(e.words(s.opts.RandomRepresentative, false))
-	if accepted {
-		s.numAcc++
-		// Lines 10–12: keep |Sacc| within the threshold by halving the
-		// sample rate (doubling R) and re-classifying stored entries.
-		for s.numAcc > s.opts.acceptThreshold() {
-			s.doubleR()
-		}
+	if e.accepted {
+		s.acc = append(s.acc, e)
 	}
+	s.space.add(e.words(s.opts.RandomRepresentative, false))
 }
 
 // anySampled reports whether any of the cells is sampled at the current
@@ -170,22 +193,23 @@ func (s *Sampler) anySampled(cells []grid.CellKey) bool {
 }
 
 // doubleR doubles R and re-classifies every stored entry per
-// Definition 2.2. Because sampled sets are nested across rates (Fact 1b), a
-// group ignored before stays ignored, an accepted group either stays
-// accepted or becomes rejected/dropped, and a rejected group either stays
-// rejected or is dropped; no new candidate groups can appear.
+// Definition 2.2, rebuilding Sacc in the same pass. Because sampled sets
+// are nested across rates (Fact 1b), a group ignored before stays
+// ignored, an accepted group either stays accepted or becomes
+// rejected/dropped, and a rejected group either stays rejected or is
+// dropped; no new candidate groups can appear, so Sacc only shrinks.
 func (s *Sampler) doubleR() {
 	s.r *= 2
 	s.rehash++
 	s.lastHit = nil // entries may be dropped below; the cache must not outlive them
 	kept := s.entries[:0]
-	s.numAcc = 0
+	acc := s.acc[:0]
 	for _, e := range s.entries {
 		accepted := s.ls.SampledAt(uint64(e.cell), s.r)
 		switch {
 		case accepted:
 			e.accepted = true
-			s.numAcc++
+			acc = append(acc, e)
 			kept = append(kept, e)
 		case s.anySampled(e.adj):
 			e.accepted = false
@@ -196,11 +220,10 @@ func (s *Sampler) doubleR() {
 			freeEntry(e)
 		}
 	}
-	// Zero the tail so dropped entries can be collected.
-	for i := len(kept); i < len(s.entries); i++ {
-		s.entries[i] = nil
-	}
-	s.entries = kept
+	// Zero the tails so dropped entries can be collected.
+	clear(s.entries[len(kept):])
+	clear(s.acc[len(acc):])
+	s.entries, s.acc = kept, acc
 }
 
 // Query returns a robust ℓ0-sample: a uniformly random element of Sacc.
@@ -208,14 +231,10 @@ func (s *Sampler) doubleR() {
 // the sampled group rather than its representative. The returned point must
 // not be mutated by the caller.
 func (s *Sampler) Query() (geom.Point, error) {
-	e, err := s.queryEntry()
-	if err != nil {
-		return nil, err
+	if len(s.acc) == 0 {
+		return nil, ErrEmptySketch
 	}
-	if s.opts.RandomRepresentative {
-		return e.pick, nil
-	}
-	return e.rep, nil
+	return s.answer(s.acc[s.rng.IntN(len(s.acc))]), nil
 }
 
 // QueryK returns min(k, |Sacc|) distinct sampled groups' points, a sample
@@ -223,51 +242,41 @@ func (s *Sampler) Query() (geom.Point, error) {
 // Options.K = k so that |Sacc| ≥ k holds with high probability. The error
 // is non-nil only when no group at all is available.
 func (s *Sampler) QueryK(k int) ([]geom.Point, error) {
-	acc := s.acceptedEntries()
-	if len(acc) == 0 {
+	if len(s.acc) == 0 {
 		return nil, ErrEmptySketch
 	}
-	if k > len(acc) {
-		k = len(acc)
-	}
-	// Partial Fisher–Yates over the accepted entries.
+	k = min(k, len(s.acc))
+	// Partial Fisher–Yates over Sacc in place, then the swaps undone in
+	// reverse, so Sacc is back in entries order for the next query.
+	var swapBuf [16]int
+	swaps := swapBuf[:0]
 	out := make([]geom.Point, 0, k)
-	for i := 0; i < k; i++ {
-		j := i + s.rng.IntN(len(acc)-i)
-		acc[i], acc[j] = acc[j], acc[i]
-		if s.opts.RandomRepresentative {
-			out = append(out, acc[i].pick)
-		} else {
-			out = append(out, acc[i].rep)
-		}
+	for i := range k {
+		j := i + s.rng.IntN(len(s.acc)-i)
+		s.acc[i], s.acc[j] = s.acc[j], s.acc[i]
+		swaps = append(swaps, j)
+		out = append(out, s.answer(s.acc[i]))
+	}
+	for i := len(swaps) - 1; i >= 0; i-- {
+		j := swaps[i]
+		s.acc[i], s.acc[j] = s.acc[j], s.acc[i]
 	}
 	return out, nil
 }
 
-func (s *Sampler) queryEntry() (*entry, error) {
-	acc := s.acceptedEntries()
-	if len(acc) == 0 {
-		return nil, ErrEmptySketch
+// answer returns the point a query reports for an accepted entry.
+func (s *Sampler) answer(e *entry) geom.Point {
+	if s.opts.RandomRepresentative {
+		return e.pick
 	}
-	return acc[s.rng.IntN(len(acc))], nil
-}
-
-func (s *Sampler) acceptedEntries() []*entry {
-	acc := make([]*entry, 0, s.numAcc)
-	for _, e := range s.entries {
-		if e.accepted {
-			acc = append(acc, e)
-		}
-	}
-	return acc
+	return e.rep
 }
 
 // AcceptedReps returns the representative points currently in Sacc, in
 // arrival order. Intended for tests, diagnostics and the F0 estimator.
 func (s *Sampler) AcceptedReps() []geom.Point {
-	acc := s.acceptedEntries()
-	out := make([]geom.Point, len(acc))
-	for i, e := range acc {
+	out := make([]geom.Point, len(s.acc))
+	for i, e := range s.acc {
 		out[i] = e.rep
 	}
 	return out

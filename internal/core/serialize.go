@@ -128,7 +128,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 	}
-	s, err := NewSampler(opts)
+	s, err := newSampler(opts, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring sketch: %w", err)
 	}
@@ -145,6 +145,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 		return nil, fmt.Errorf("core: corrupt sketch: R=%d is not a power of two", s.r)
 	}
 	s.entries = make([]*entry, 0, n)
+	s.acc = make([]*entry, 0, min(s.opts.acceptThreshold()+1, n))
 	for range n {
 		flags := r.u8()
 		e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
@@ -159,12 +160,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", e.rep)
 		}
 		e.adj = s.spc.Adjacent(e.rep)
-		s.entries = append(s.entries, e)
-		s.index.add(e)
-		s.space.add(e.words(s.opts.RandomRepresentative, false))
-		if e.accepted {
-			s.numAcc++
-		}
+		s.store(e)
 	}
 	if peak > s.space.peak {
 		s.space.peak = peak

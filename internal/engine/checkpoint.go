@@ -114,11 +114,16 @@ func (e *Engine) CheckpointFile(path string) (size, points int64, err error) {
 
 // Restore replaces the engine's state with a checkpoint previously
 // written by Checkpoint. The engine must have been built with the same
-// sketch options and seed as the checkpointed one, and must not have
-// ingested any points yet (emptiness is enforced by counter, matching
-// options by the sketch decoders' consistency checks where the family
-// supports them). The shard count may differ: a checkpoint from an
-// N-shard engine loads into an M-shard engine by re-routing every
+// sketch family, options and seed as the checkpointed one, and must not
+// have ingested any points yet. Emptiness is enforced by counter;
+// matching options by folding the decoded shard sketches into a fresh
+// accumulator — the fold a snapshot query runs — before anything is
+// installed, so a mismatched checkpoint fails with the merge error
+// (core.ErrMergeOptions, or sketch.ErrIncompatible across families) and
+// leaves the engine empty. At the checkpoint's shard count that fold
+// becomes the cached snapshot, so the first query does not repeat it.
+// The shard count may differ: a checkpoint from
+// an N-shard engine loads into an M-shard engine by re-routing every
 // checkpointed entry through the engine's router (see restoreResharded),
 // with identical query results.
 func (e *Engine) Restore(r io.Reader) error {
@@ -143,8 +148,13 @@ func (e *Engine) Restore(r io.Reader) error {
 		return fmt.Errorf("engine: corrupt checkpoint: %d blobs / %d counters for %d shards",
 			len(st.Sketches), len(st.PerShard), st.Shards)
 	}
-	if st.Shards != len(e.shards) {
-		return e.restoreResharded(st)
+	fresh, err := e.cfg.New(-1)
+	if err != nil {
+		return fmt.Errorf("engine: building restore accumulator: %w", err)
+	}
+	acc, ok := fresh.(sketch.Mergeable)
+	if !ok {
+		return fmt.Errorf("engine: %T is not mergeable; restoring a checkpoint needs sketch.Mergeable", fresh)
 	}
 	restored := make([]sketch.Sketch, st.Shards)
 	for i, blob := range st.Sketches {
@@ -152,7 +162,13 @@ func (e *Engine) Restore(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("engine: restoring shard %d: %w", i, err)
 		}
+		if err := acc.Merge(s); err != nil {
+			return fmt.Errorf("engine: folding checkpoint shard %d: %w", i, err)
+		}
 		restored[i] = s
+	}
+	if st.Shards != len(e.shards) {
+		return e.restoreResharded(st, acc)
 	}
 	for i, sh := range e.shards {
 		sh.mu.Lock()
@@ -162,7 +178,12 @@ func (e *Engine) Restore(r io.Reader) error {
 	}
 	e.seedClock(restored)
 	e.enqueued.Store(st.Enqueued)
-	e.epoch.Bump() // invalidate any cached snapshot
+	e.epoch.Bump()
+	// acc is the fold a snapshot of the installed shards would run, so it
+	// becomes the cached snapshot and the first query does not repeat it.
+	e.snapMu.Lock()
+	e.snap, e.snapEpoch, e.snapValid = acc, e.epoch.Load(), true
+	e.snapMu.Unlock()
 	return nil
 }
 
@@ -183,40 +204,22 @@ func (e *Engine) seedClock(restored []sketch.Sketch) {
 }
 
 // restoreResharded loads a checkpoint taken with a different shard count.
-// The checkpointed sketches are first folded into one merged sketch —
-// exactly the fold a snapshot query of the checkpointed engine would have
-// produced — and the merged state is then partitioned once through the
-// engine's router: every stored group lands on the shard its
-// representative's routing-cell hash selects, exactly where that group's
-// future traffic will arrive. Because the partitions are disjoint and
-// level-preserving, re-folding them at query time reconstructs the merged
-// sketch verbatim, so the restored engine answers identically to a
-// same-shard-count restore. Requires the checkpointed family to implement
+// acc is Restore's fold of the checkpointed sketches — exactly the fold a
+// snapshot query of the checkpointed engine would have produced — and is
+// partitioned once through the engine's router: every stored group lands
+// on the shard its representative's routing-cell hash selects, exactly
+// where that group's future traffic will arrive. Because the partitions
+// are disjoint and level-preserving, re-folding them at query time
+// reconstructs the merged sketch verbatim, so the restored engine answers
+// identically to a same-shard-count restore. Requires the checkpointed family to implement
 // sketch.Partitionable and sketch.Mergeable (the l0/f0 families and their
 // time-window variants all do). The per-shard processed counters cannot
 // be re-derived from the blobs, so the checkpointed total is spread
 // evenly across shards; Enqueued stays exact.
-func (e *Engine) restoreResharded(st checkpointState) error {
+func (e *Engine) restoreResharded(st checkpointState, acc sketch.Mergeable) error {
 	m := len(e.shards)
 	route := func(p geom.Point) int {
 		return int(e.cfg.Router.Route(p) % uint64(m))
-	}
-	fresh, err := e.cfg.New(-1)
-	if err != nil {
-		return fmt.Errorf("engine: building re-sharding accumulator: %w", err)
-	}
-	acc, ok := fresh.(sketch.Mergeable)
-	if !ok {
-		return fmt.Errorf("engine: %T is not mergeable; re-sharding a checkpoint needs sketch.Mergeable", fresh)
-	}
-	for i, blob := range st.Sketches {
-		s, err := sketch.Deserialize(blob)
-		if err != nil {
-			return fmt.Errorf("engine: restoring shard %d: %w", i, err)
-		}
-		if err := acc.Merge(s); err != nil {
-			return fmt.Errorf("engine: folding checkpoint shard %d: %w", i, err)
-		}
 	}
 	p, ok := acc.(sketch.Partitionable)
 	if !ok {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/pkg/sketch"
 )
 
 func TestSnapshotCacheHitsAndInvalidation(t *testing.T) {
@@ -228,4 +230,134 @@ func TestCheckpointFileAndRestoreErrors(t *testing.T) {
 	if res.Estimate != want.Estimate {
 		t.Fatalf("file-restored estimate %g != original %g", res.Estimate, want.Estimate)
 	}
+}
+
+// checkpointOf runs pts through a fresh 2-shard engine built by mk and
+// returns its checkpoint and query estimate.
+func checkpointOf(t *testing.T, mk func(shards int) (*Engine, error), pts []geom.Point) ([]byte, float64) {
+	t.Helper()
+	eng, err := mk(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.ProcessBatch(pts)
+	res, err := eng.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := eng.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), res.Estimate
+}
+
+// TestRestoreRefusesMismatchedOptions restores a 2-shard, seed-3 l0
+// checkpoint into engines built with another seed, another α and another
+// family, at the checkpoint's shard count and at another. Each restore
+// must fail with the merge error and leave the engine empty; the engine
+// must then restore a checkpoint of its own options and answer as the
+// engine that wrote it did.
+func TestRestoreRefusesMismatchedOptions(t *testing.T) {
+	pts := stream(100, 4, 5)
+	base := core.Options{Alpha: 1, Dim: 2, Seed: 3, StreamBound: len(pts) + 1}
+	l0 := func(o core.Options) func(int) (*Engine, error) {
+		return func(shards int) (*Engine, error) { return NewSamplerEngine(o, Config{Shards: shards}) }
+	}
+	seed4, alpha2 := base, base
+	seed4.Seed = 4
+	alpha2.Alpha = 2
+	blob, _ := checkpointOf(t, l0(base), pts)
+
+	cases := []struct {
+		name string
+		mk   func(int) (*Engine, error)
+		want error
+	}{
+		{"seed", l0(seed4), core.ErrMergeOptions},
+		{"alpha", l0(alpha2), core.ErrMergeOptions},
+		{"family", func(shards int) (*Engine, error) {
+			return NewF0Engine(base, 0.25, 5, Config{Shards: shards})
+		}, sketch.ErrIncompatible},
+	}
+	for _, tc := range cases {
+		own, want := checkpointOf(t, tc.mk, pts)
+		for _, shards := range []int{2, 3} {
+			eng, err := tc.mk(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Restore(bytes.NewReader(blob)); !errors.Is(err, tc.want) {
+				t.Fatalf("%s mismatch, %d shards: Restore error %v, want %v", tc.name, shards, err, tc.want)
+			}
+			if eng.Enqueued() != 0 || eng.Processed() != 0 || eng.SpaceWords() != 0 {
+				t.Fatalf("%s mismatch, %d shards: refused restore left enqueued %d processed %d space %d",
+					tc.name, shards, eng.Enqueued(), eng.Processed(), eng.SpaceWords())
+			}
+			if err := eng.Restore(bytes.NewReader(own)); err != nil {
+				t.Fatalf("%s mismatch, %d shards: restoring its own checkpoint: %v", tc.name, shards, err)
+			}
+			res, err := eng.Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Estimate != want || eng.Enqueued() != int64(len(pts)) {
+				t.Fatalf("%s mismatch, %d shards: restored estimate %g over %d points, want %g over %d",
+					tc.name, shards, res.Estimate, eng.Enqueued(), want, len(pts))
+			}
+			// At the checkpoint's shard count the restore's fold is the
+			// cached snapshot, so the first query does not fold again.
+			if misses := eng.Stats().SnapshotMisses; shards == 2 && misses != 0 {
+				t.Fatalf("%s mismatch: first query after a same-shard restore rebuilt the snapshot (%d misses)", tc.name, misses)
+			}
+			eng.Close()
+		}
+	}
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore on fresh 2- and 3-shard
+// seed-3 l0 engines. No input may panic; a refused restore must leave
+// the engine empty, and an accepted one must leave it answering queries
+// (an empty sketch is an answer).
+func FuzzRestore(f *testing.F) {
+	pts := stream(60, 3, 9)
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 3, StreamBound: 1 << 10}
+	other := opts
+	other.Seed = 4
+	for _, o := range []core.Options{opts, other} {
+		eng, err := NewSamplerEngine(o, Config{Shards: 2})
+		if err != nil {
+			f.Fatal(err)
+		}
+		eng.ProcessBatch(pts)
+		var buf bytes.Buffer
+		if _, err := eng.Checkpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		eng.Close()
+		f.Add(buf.Bytes())
+	}
+	v1, err := os.ReadFile("testdata/checkpoint_v1.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, shards := range []int{2, 3} {
+			eng, err := NewSamplerEngine(opts, Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Restore(bytes.NewReader(data)); err != nil {
+				if n := eng.Enqueued(); n != 0 {
+					t.Fatalf("%d shards: refused restore (%v) left Enqueued() = %d", shards, err, n)
+				}
+			} else if _, err := eng.Query(); err != nil && !errors.Is(err, core.ErrEmptySketch) {
+				t.Fatalf("%d shards: accepted restore, then Query: %v", shards, err)
+			}
+			eng.Close()
+		}
+	})
 }

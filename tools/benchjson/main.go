@@ -1,9 +1,9 @@
 // Command benchjson runs a set of benchmarks through `go test -bench`
 // and emits the results as machine-readable JSON, so the repository's
 // performance trajectory can be tracked commit over commit (CI runs a
-// 1x smoke invocation and archives the file).
+// 25x pass against the committed baseline and archives the file).
 //
-//	go run ./tools/benchjson                       # engine + window + gateway + fold → BENCH_engine.json
+//	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x  # engine, window, gateway, fold, marshal, query → BENCH_engine.json
 //	go run ./tools/benchjson -bench 'BenchmarkF0' -benchtime 10x -out f0.json
 //
 // The output records the environment (go version, GOOS/GOARCH, CPU
@@ -27,10 +27,14 @@
 // line. The flags warn by default and only fail the run when
 // -fail-on-regress (ns/op) or -fail-on-alloc-regress (allocs/op) is
 // set — CI gates on allocations only, since allocs/op is deterministic
-// while wall time is noisy on shared runners:
+// while wall time is noisy on shared runners. Rows match by full name,
+// and go test suffixes every name with -N when GOMAXPROCS > 1;
+// BENCH_engine.json was measured at GOMAXPROCS=1, so compare against it
+// under GOMAXPROCS=1. A run that matches no baseline row fails instead
+// of comparing nothing:
 //
-//	go run ./tools/benchjson -compare BENCH_engine.json -max-regress 20 -out /tmp/new.json
-//	go run ./tools/benchjson -compare BENCH_engine.json -fail-on-alloc-regress -out /tmp/new.json
+//	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -max-regress 20 -out /tmp/new.json
+//	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -fail-on-alloc-regress -out /tmp/new.json
 //
 // -in report.json skips running benchmarks and ingests an existing
 // report instead — the load harness (cmd/sketchload) emits its
@@ -92,11 +96,11 @@ type Report struct {
 
 func main() {
 	var (
-		bench     = flag.String("bench", "BenchmarkEngineProcess|BenchmarkWindowEngineProcess|BenchmarkGatewayQueryWarm|BenchmarkFederatedFold|BenchmarkSketchMarshal", "benchmark selection regexp passed to go test -bench")
+		bench     = flag.String("bench", "BenchmarkEngineProcess|BenchmarkWindowEngineProcess|BenchmarkGatewayQueryWarm|BenchmarkFederatedFold|BenchmarkSketchMarshal|BenchmarkQuery$", "benchmark selection regexp passed to go test -bench")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value (e.g. 1x, 100x, 2s)")
 		pkg       = flag.String("pkg", ".", "package pattern to benchmark")
 		out       = flag.String("out", "BENCH_engine.json", "output JSON file")
-		require   = flag.String("require", "BenchmarkEngineProcess,BenchmarkWindowEngineProcess,BenchmarkGatewayQueryWarm,BenchmarkFederatedFold,BenchmarkSketchMarshal",
+		require   = flag.String("require", "BenchmarkEngineProcess,BenchmarkWindowEngineProcess,BenchmarkGatewayQueryWarm,BenchmarkFederatedFold,BenchmarkSketchMarshal,BenchmarkQuery",
 			"comma-separated benchmark name prefixes that must appear in the results (empty disables the check; the default applies only with the default -bench)")
 		compare     = flag.String("compare", "", "previous report JSON to diff the fresh run against (ns/op and allocs/op)")
 		maxRegress  = flag.Float64("max-regress", 20, "percent ns/op slowdown vs -compare above which a benchmark is flagged")
@@ -207,7 +211,8 @@ func main() {
 // flagging ns/op slowdowns beyond maxRegress percent and allocs/op
 // growth beyond maxAllocs percent with WARNING. It returns the flagged
 // counts per metric. Benchmarks present in only one of the two runs are
-// skipped (renames are caught by -require).
+// skipped (renames are caught by -require), but a run that matches no
+// baseline row at all compared nothing and is an error.
 func compareReports(path string, results []Result, maxRegress, maxAllocs float64) (nsRegressed, allocRegressed int, err error) {
 	old, err := loadReport(path)
 	if err != nil {
@@ -217,11 +222,13 @@ func compareReports(path string, results []Result, maxRegress, maxAllocs float64
 	for _, r := range old.Benchmarks {
 		oldBy[r.Name] = r
 	}
+	matched := 0
 	for _, r := range results {
 		prev, ok := oldBy[r.Name]
 		if !ok {
 			continue
 		}
+		matched++
 		// Latency metrics all regress under the same percentage
 		// threshold: mean (ns/op) for microbenchmarks, and the
 		// distribution quantiles load reports carry on top of it.
@@ -251,6 +258,11 @@ func compareReports(path string, results []Result, maxRegress, maxAllocs float64
 			fmt.Printf("benchjson: WARNING: %s regressed allocs/op (%.0f → %.0f, threshold %g%%)\n",
 				r.Name, was, now, maxAllocs)
 		}
+	}
+	if matched == 0 {
+		return 0, 0, fmt.Errorf("no benchmark of this run matches a row of %s, so nothing was compared; "+
+			"likely cause: go test appends a -N GOMAXPROCS suffix to names when GOMAXPROCS > 1, "+
+			"so run with the GOMAXPROCS the baseline was measured at (GOMAXPROCS=1 for BENCH_engine.json)", path)
 	}
 	return nsRegressed, allocRegressed, nil
 }

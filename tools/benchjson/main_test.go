@@ -165,6 +165,24 @@ func TestCompareReportsErrors(t *testing.T) {
 	}
 }
 
+// TestCompareReportsNoMatch pins that a run matching no baseline row —
+// here every fresh name carries the -2 suffix go test appends when
+// GOMAXPROCS is 2 — fails instead of comparing nothing.
+func TestCompareReportsNoMatch(t *testing.T) {
+	base := writeReport(t, t.TempDir(), []Result{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"allocs/op": 1}},
+		{Name: "BenchmarkB/k=1", Metrics: map[string]float64{"allocs/op": 0}},
+	})
+	fresh := []Result{
+		{Name: "BenchmarkA-2", Metrics: map[string]float64{"allocs/op": 9}},
+		{Name: "BenchmarkB/k=1-2", Metrics: map[string]float64{"allocs/op": 9}},
+	}
+	_, _, err := compareReports(base, fresh, 20, 10)
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Fatalf("err = %v, want a no-match error naming GOMAXPROCS", err)
+	}
+}
+
 func TestLoadReport(t *testing.T) {
 	path := writeReport(t, t.TempDir(), []Result{
 		{Name: "Load/ingest", Iterations: 500, Metrics: map[string]float64{"p99-ns": 7602175}},
