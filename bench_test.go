@@ -304,8 +304,9 @@ func BenchmarkSerialize(b *testing.B) {
 // streaming engine across shard counts (ns/op is per point). The
 // workload has a high distinct-group rate, so per-point sketch work
 // dominates the router. The sweep committed in BENCH_engine.json was
-// measured with num_cpu 1: 416k pts/s at 1 shard, 293k at 2, 192k at 4
-// and 308k at 8; scaling on a multi-core host has not been measured.
+// measured under GOMAXPROCS=1 on a 2-CPU host: 341k pts/s at 1 shard,
+// 415k at 2, 365k at 4 and 184k at 8; multi-core scaling has not been
+// measured.
 func BenchmarkEngineProcess(b *testing.B) {
 	const chunk = 512
 	rng := rand.New(rand.NewPCG(41, 43))
@@ -340,6 +341,26 @@ func BenchmarkEngineProcess(b *testing.B) {
 // counterpart of BenchmarkEngineProcess (stamps advance once per chunk,
 // so expiry churn is part of the measured path).
 func BenchmarkWindowEngineProcess(b *testing.B) {
+	win := window.Window{Kind: window.Time, W: 1 << 14}
+	benchStampedEngine(b, []int{1, 2, 4, 8}, func(opts core.Options, cfg engine.Config) (*engine.Engine, error) {
+		return engine.NewWindowSamplerEngine(opts, win, cfg)
+	})
+}
+
+// BenchmarkWindowF0EngineProcess is BenchmarkWindowEngineProcess for the
+// sliding-window F0 estimator at sketchd's default ε = 0.25: every point
+// goes through ⌈2/ε²⌉ = 32 window-sampler copies, which makes it the
+// costliest ingest path per point.
+func BenchmarkWindowF0EngineProcess(b *testing.B) {
+	win := window.Window{Kind: window.Time, W: 1 << 14}
+	benchStampedEngine(b, []int{1, 2}, func(opts core.Options, cfg engine.Config) (*engine.Engine, error) {
+		return engine.NewWindowF0Engine(opts, win, 0.25, cfg)
+	})
+}
+
+// benchStampedEngine feeds 2^16 uniform points in stamped chunks to the
+// engine newEngine builds, once per shard count; ns/op is per point.
+func benchStampedEngine(b *testing.B, shardCounts []int, newEngine func(core.Options, engine.Config) (*engine.Engine, error)) {
 	const chunk = 512
 	rng := rand.New(rand.NewPCG(47, 53))
 	pts := make([]geom.Point, 1<<16)
@@ -347,11 +368,10 @@ func BenchmarkWindowEngineProcess(b *testing.B) {
 		pts[i] = geom.Point{rng.Float64() * 4096, rng.Float64() * 4096}
 	}
 	stamps := make([]int64, len(pts))
-	win := window.Window{Kind: window.Time, W: 1 << 14}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 21, HighDim: true}
-			eng, err := engine.NewWindowSamplerEngine(opts, win, engine.Config{Shards: shards, BatchSize: chunk})
+			eng, err := newEngine(opts, engine.Config{Shards: shards, BatchSize: chunk})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -524,14 +544,24 @@ func BenchmarkFederatedFold(b *testing.B) {
 		i := pl.Primary(router.Route(p))
 		buckets[i] = append(buckets[i], p)
 	}
-	blobs := make([][]byte, peers)
+	engs := make([]*engine.Engine, peers)
 	for i, bucket := range buckets {
-		eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
-		if err != nil {
+		if engs[i], err = engine.NewSamplerEngine(opts, engine.Config{Shards: 2}); err != nil {
 			b.Fatal(err)
 		}
-		eng.ProcessBatch(bucket)
-		err = eng.WithSnapshot(func(s sketch.Sketch) (err error) {
+		engs[i].ProcessBatch(bucket)
+	}
+	benchFold(b, engs)
+}
+
+// benchFold closes the peers' engines and times the background
+// refresher's fold over their /sketch blobs: sketch.Deserialize of every
+// blob and of the fold receiver, then a Merge of every other peer into
+// the receiver.
+func benchFold(b *testing.B, peers []*engine.Engine) {
+	blobs := make([][]byte, len(peers))
+	for i, eng := range peers {
+		err := eng.WithSnapshot(func(s sketch.Sketch) (err error) {
 			blobs[i], err = s.Serialize()
 			return err
 		})
@@ -540,10 +570,11 @@ func BenchmarkFederatedFold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	sks := make([]sketch.Sketch, len(blobs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		var sks [peers]sketch.Sketch
+		var err error
 		for i, blob := range blobs {
 			if sks[i], err = sketch.Deserialize(blob); err != nil {
 				b.Fatal(err)
@@ -560,6 +591,54 @@ func BenchmarkFederatedFold(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkWindowFold is BenchmarkFederatedFold for time-window peers:
+// the gateway's refresh fold over three 2-shard window daemons fed a
+// stream shaped like bench/'s cluster-window workload (512 Zipf groups,
+// a 5000-stamp window, 200-point batches stamped 10 apart with ±200
+// jitter, 10% of them 1000–3000 stamps late).
+func BenchmarkWindowFold(b *testing.B) {
+	const (
+		peers   = 3
+		batches = 600
+		batch   = 200
+	)
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 1, StreamBound: 1 << 23, HighDim: true}
+	win := window.Window{Kind: window.Time, W: 5000}
+	router, err := engine.NewRouterFromOptions(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := engine.NewPlacement(peers, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engs := make([]*engine.Engine, peers)
+	for i := range engs {
+		if engs[i], err = engine.NewWindowSamplerEngine(opts, win, engine.Config{Shards: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewPCG(5, 7))
+	zipf := rand.NewZipf(rng, 1.2, 1, 511)
+	for n := range batches {
+		stamp := 1_000_000 + int64(n)*10 + rng.Int64N(401) - 200
+		if rng.Float64() < 0.10 {
+			stamp -= 1000 + rng.Int64N(2001)
+		}
+		buckets := make([][]geom.Point, peers)
+		for range batch {
+			g := int(zipf.Uint64())
+			p := geom.Point{float64(g%64)*10 + (2*rng.Float64()-1)/4, float64(g/64)*10 + (2*rng.Float64()-1)/4}
+			i := pl.Primary(router.Route(p))
+			buckets[i] = append(buckets[i], p)
+		}
+		for i, bucket := range buckets {
+			engs[i].ProcessStampedBatch(bucket, slices.Repeat([]int64{stamp}, len(bucket)))
+		}
+	}
+	benchFold(b, engs)
 }
 
 // BenchmarkSketchMarshal measures the binary wire format on a loaded

@@ -45,9 +45,9 @@ func (ws *WindowSampler) ProcessBatch(ps []geom.Point) {
 }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points to the
-// sliding-window sampler: stamps[i] is the timestamp of ps[i]. Stamps must
-// be non-decreasing and len(stamps) must equal len(ps). This is the
-// batched fast path the sharded engine uses for time-based windows.
+// sliding-window sampler: stamps[i] is the timestamp of ps[i], which may
+// be late (see ProcessAt), and len(stamps) must equal len(ps). This is
+// the batched fast path the sharded engine uses for time-based windows.
 func (ws *WindowSampler) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 	if len(ps) != len(stamps) {
 		panic("core: ProcessStampedBatch: len(ps) != len(stamps)")

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/hash"
 )
 
 // entry is the stored state for one candidate group: its representative
@@ -16,7 +18,15 @@ type entry struct {
 	cell     grid.CellKey   // cell(rep)
 	adj      []grid.CellKey // cached adj(rep): cells within α of rep
 	accepted bool           // true → Sacc, false → Srej
-	stamp    int64          // arrival index (or timestamp) of rep
+
+	// cellLvl and adjLvl cache, plus one, the hash level of cell and the
+	// maximum hash level over adj; zero means not computed yet. The grid
+	// and hash are seed-derived, so neither ever changes. They sit in the
+	// padding after accepted and share its word in words.
+	cellLvl uint8
+	adjLvl  uint8
+
+	stamp int64 // arrival index (or timestamp) of rep
 
 	// Reservoir augmentation (Section 2.3): count points seen in this
 	// group and keep a uniform pick among them.
@@ -39,18 +49,79 @@ type entry struct {
 	wres []windowPick
 }
 
+// hashLevel returns the hash level of cell c: the number of trailing
+// zero bits of h(c). c is sampled at rate 1/R exactly when its level is
+// at least log2 R (see sampledAt).
+func hashLevel(ls *hash.LevelSampler, c grid.CellKey) uint8 {
+	return uint8(ls.Level(uint64(c), 64))
+}
+
+// sampledAt reports whether a cell of the given hash level is sampled at
+// rate 1/r, for r a power of two: h(c) mod r = 0.
+func sampledAt(level uint8, r uint64) bool {
+	return int(level) >= bits.TrailingZeros64(r)
+}
+
+// ownLevel returns the hash level of e's cell, caching it on first use.
+func (e *entry) ownLevel(ls *hash.LevelSampler) uint8 {
+	if e.cellLvl == 0 {
+		e.cellLvl = hashLevel(ls, e.cell) + 1
+	}
+	return e.cellLvl - 1
+}
+
+// nearLevel returns the maximum hash level over e's adjacency list,
+// caching it on first use: some cell of adj(rep) is sampled at rate 1/r
+// exactly when sampledAt(nearLevel, r).
+func (e *entry) nearLevel(ls *hash.LevelSampler) uint8 {
+	if e.adjLvl == 0 {
+		var m uint8
+		for _, c := range e.adj {
+			m = max(m, hashLevel(ls, c))
+		}
+		e.adjLvl = m + 1
+	}
+	return e.adjLvl - 1
+}
+
+// classify re-classifies e at rate 1/r per Definition 2.2 and reports
+// whether the group is kept: accepted when its own cell is sampled,
+// rejected when only some cell of adj(rep) is, dropped otherwise.
+func (e *entry) classify(ls *hash.LevelSampler, r uint64) bool {
+	e.accepted = sampledAt(e.ownLevel(ls), r)
+	return e.accepted || sampledAt(e.nearLevel(ls), r)
+}
+
 type windowPick struct {
 	stamp int64
 	prio  uint64
 	p     geom.Point
 }
 
-// observeWindowPick records a group point into the window reservoir.
+// observeWindowPick records a group point into the window reservoir at
+// its stamp position: a late point lands among the picks it is not later
+// than, or nowhere if a later pick outranks it.
 func (e *entry) observeWindowPick(p geom.Point, stamp int64, prio uint64) {
-	for len(e.wres) > 0 && e.wres[len(e.wres)-1].prio <= prio {
-		e.wres = e.wres[:len(e.wres)-1]
+	i := len(e.wres)
+	for i > 0 && e.wres[i-1].stamp > stamp {
+		i--
 	}
-	e.wres = append(e.wres, windowPick{stamp: stamp, prio: prio, p: p})
+	if i < len(e.wres) && e.wres[i].prio >= prio {
+		return
+	}
+	j := i
+	for j > 0 && e.wres[j-1].prio <= prio {
+		j--
+	}
+	wp := windowPick{stamp: stamp, prio: prio, p: p}
+	if j < i { // wp replaces the earlier picks it outranks
+		e.wres[j] = wp
+		e.wres = append(e.wres[:j+1], e.wres[i:]...)
+		return
+	}
+	e.wres = append(e.wres, windowPick{})
+	copy(e.wres[i+1:], e.wres[i:])
+	e.wres[i] = wp
 }
 
 // windowPickAt returns a uniform random in-window point of the group (the
@@ -70,9 +141,10 @@ func (e *entry) windowPickAt(expired func(stamp int64) bool) geom.Point {
 
 // words returns the number of machine words this entry occupies in the
 // sketch, reproducing the paper's pSpace accounting: d words per stored
-// point, one word per cell key, flags/counters/stamps one word each.
+// point, one word per cell key, flags/counters/stamps one word each. The
+// flag word holds accepted and both cached hash levels.
 func (e *entry) words(reservoir, windowed bool) int {
-	w := len(e.rep) + 1 + len(e.adj) + 1 + 1 // rep + cell + adj + accepted + stamp
+	w := len(e.rep) + 1 + len(e.adj) + 1 + 1 // rep + cell + adj + flags + stamp
 	if reservoir {
 		w += len(e.pick) + 1 // pick + count
 		for _, wp := range e.wres {
@@ -87,13 +159,14 @@ func (e *entry) words(reservoir, windowed bool) int {
 
 // observeDuplicate updates per-group state when a new point p of this
 // group arrives: the reservoir pick (uniform over the group's points) and,
-// for windowed samplers, the last-point pair.
+// for windowed samplers, the last-point pair, which a late point never
+// moves backwards.
 func (e *entry) observeDuplicate(p geom.Point, stamp int64, rng *rand.Rand, windowed bool) {
 	e.count++
 	if rng != nil && rng.Int64N(e.count) == 0 {
 		e.pick = p
 	}
-	if windowed {
+	if windowed && stamp >= e.lastStamp {
 		e.last = p
 		e.lastStamp = stamp
 	}

@@ -102,41 +102,46 @@ func (fw *FixedWindow) SpaceWords() int { return fw.space.Live() }
 func (fw *FixedWindow) PeakSpaceWords() int { return fw.space.Peak() }
 
 // Process feeds the next point with its stamp (arrival index for sequence
-// windows, non-decreasing timestamp for time windows): it expires outdated
-// groups and then observes the point. It reports whether p is now the
-// latest point of some candidate group — the "∃(u,p) ∈ A" predicate
-// WindowSampler uses to decide whether the point stuck at this level. It
-// panics on wrong-dimension or non-finite points.
+// windows, timestamp for time windows): it expires outdated groups and
+// then observes the point. It reports whether p is now a point of some
+// candidate group — the "∃(u,p) ∈ A" predicate WindowSampler uses to
+// decide whether the point stuck at this level. A point already expired
+// at the instance's clock (the latest stamp seen) is dropped. It panics
+// on wrong-dimension or non-finite points.
 func (fw *FixedWindow) Process(p geom.Point, stamp int64) bool {
 	validatePoint(p, fw.opts.Dim)
 	fw.Expire(stamp)
-	return fw.observe(p, stamp)
+	if fw.win.Expired(stamp, fw.now) {
+		return false
+	}
+	return fw.observe(p, stamp, fw.spc.Adjacent(p))
 }
 
-// Expire removes every group whose latest point has left the window ending
-// at now (Algorithm 2, lines 1–3).
+// Expire advances the clock to now, unless it is already later, and
+// removes every group whose latest point has left the window ending at
+// the clock (Algorithm 2, lines 1–3).
 func (fw *FixedWindow) Expire(now int64) {
-	fw.now = now
+	fw.now = max(fw.now, now)
 	for {
 		front := fw.order.Front()
 		if front == nil {
 			return
 		}
 		e := front.Value.(*entry)
-		if !fw.win.Expired(e.lastStamp, now) {
+		if !fw.win.Expired(e.lastStamp, fw.now) {
 			return
 		}
 		fw.drop(e)
 	}
 }
 
-// observe implements lines 4–10 of Algorithm 2 for one point.
-func (fw *FixedWindow) observe(p geom.Point, stamp int64) bool {
-	adjKeys := fw.spc.Adjacent(p)
-
+// observe implements lines 4–10 of Algorithm 2 for one point with
+// adjacency list adjKeys = adj(p).
+func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey) bool {
 	// Lines 5–6: a stored representative of p's group exists; p becomes the
-	// group's latest point.
+	// group's latest point unless a later one is already stored.
 	if e := fw.index.findGroup(p, adjKeys, fw.spc); e != nil {
+		advanced := stamp >= e.lastStamp
 		if fw.opts.RandomRepresentative {
 			fw.space.sub(e.words(true, true))
 			e.observeDuplicate(p, stamp, fw.rng, true)
@@ -145,7 +150,9 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64) bool {
 		} else {
 			e.observeDuplicate(p, stamp, nil, true)
 		}
-		fw.order.MoveToBack(fw.elem[e])
+		if advanced {
+			fw.moveForward(fw.elem[e])
+		}
 		return true
 	}
 	if fw.matchOnly {
@@ -154,22 +161,21 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64) bool {
 
 	// Lines 7–10: p is the first point of its group in this window; it
 	// becomes the representative if the group is sampled or rejected.
-	cp := fw.spc.Cell(p)
-	accepted := fw.ls.SampledAt(uint64(cp), fw.r)
-	if !accepted && !fw.anySampled(adjKeys) {
-		return false
-	}
-	e := &entry{
+	c := entry{
 		rep:       p,
-		cell:      cp,
+		cell:      fw.spc.Cell(p),
 		adj:       adjKeys,
-		accepted:  accepted,
 		stamp:     stamp,
 		count:     1,
 		pick:      p,
 		last:      p,
 		lastStamp: stamp,
 	}
+	if !c.classify(fw.ls, fw.r) {
+		return false
+	}
+	e := new(entry)
+	*e = c
 	if fw.opts.RandomRepresentative {
 		e.observeWindowPick(p, stamp, fw.rng.Uint64())
 	}
@@ -177,19 +183,24 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64) bool {
 	return true
 }
 
-func (fw *FixedWindow) anySampled(cells []grid.CellKey) bool {
-	for _, c := range cells {
-		if fw.ls.SampledAt(uint64(c), fw.r) {
-			return true
-		}
+// moveForward restores the expiry order after el's lastStamp moved
+// forward: el moves behind every entry stamped at or before it, which
+// for an in-order stream is the back of the list.
+func (fw *FixedWindow) moveForward(el *list.Element) {
+	stamp := el.Value.(*entry).lastStamp
+	at := fw.order.Back()
+	for at != el && at.Value.(*entry).lastStamp > stamp {
+		at = at.Prev()
 	}
-	return false
+	if at != el {
+		fw.order.MoveAfter(el, at)
+	}
 }
 
 // insert adds an entry, keeping the order list sorted by lastStamp. New and
-// promoted entries always carry the largest stamps seen by this instance,
-// so insertion at the back is correct; a defensive backward scan handles
-// any out-of-order merge.
+// promoted entries of an in-order stream carry the largest stamps seen by
+// this instance, so they go to the back; late points and out-of-order
+// merges take a backward scan.
 func (fw *FixedWindow) insert(e *entry) {
 	var el *list.Element
 	back := fw.order.Back()

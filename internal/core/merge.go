@@ -124,13 +124,14 @@ func mergeCompatible(a, b Options) bool {
 // mergeEntry inserts one source entry into the merged sketch: coalesce
 // with an existing group if the representative falls within α of a kept
 // representative, otherwise re-classify at the merged rate per
-// Definition 2.2.
+// Definition 2.2. Both sketches share the grid and hash (mergeCompatible),
+// so the source's cell, adjacency and cached levels carry over; e itself
+// is only read.
 func (s *Sampler) mergeEntry(e *entry, stampOffset int64) error {
 	if len(e.rep) != s.opts.Dim {
 		return fmt.Errorf("core: merging entry of dimension %d into %d", len(e.rep), s.opts.Dim)
 	}
-	adjKeys := s.spc.Adjacent(e.rep)
-	if prev := s.index.findGroup(e.rep, adjKeys, s.spc); prev != nil {
+	if prev := s.index.findGroup(e.rep, e.adj, s.spc); prev != nil {
 		// Same group seen in both shards: keep the earlier representative,
 		// merge the reservoir (pick one of the two picks with probability
 		// proportional to the point counts).
@@ -141,21 +142,21 @@ func (s *Sampler) mergeEntry(e *entry, stampOffset int64) error {
 		prev.count = total
 		return nil
 	}
-	cp := s.spc.Cell(e.rep)
-	accepted := s.ls.SampledAt(uint64(cp), s.r)
-	if !accepted && !s.anySampled(adjKeys) {
+	c := entry{
+		rep:     e.rep,
+		cell:    e.cell,
+		adj:     e.adj,
+		cellLvl: e.cellLvl,
+		adjLvl:  e.adjLvl,
+		stamp:   e.stamp + stampOffset,
+		count:   e.count,
+		pick:    e.pick,
+	}
+	if !c.classify(s.ls, s.r) {
 		return nil // ignored at the merged rate
 	}
 	ne := newEntry()
-	*ne = entry{
-		rep:      e.rep,
-		cell:     cp,
-		adj:      adjKeys,
-		accepted: accepted,
-		stamp:    e.stamp + stampOffset,
-		count:    e.count,
-		pick:     e.pick,
-	}
+	*ne = c
 	s.store(ne)
 	return nil
 }

@@ -4,20 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/window"
 )
 
-// cloneEntry deep-copies an entry's sketch-owned state. Point slices are
-// shared (immutable by repository convention); the adjacency cache and the
-// window reservoir are copied because the clone's owner mutates them
-// independently of the source.
+// cloneEntry copies an entry's sketch-owned state. Point slices and the
+// adjacency list are shared (immutable once set); the window reservoir is
+// copied because the clone's owner mutates it independently of the
+// source.
 func cloneEntry(e *entry) *entry {
 	c := &entry{
 		rep:       e.rep,
 		cell:      e.cell,
-		adj:       append([]grid.CellKey(nil), e.adj...),
+		adj:       e.adj,
 		accepted:  e.accepted,
+		cellLvl:   e.cellLvl,
+		adjLvl:    e.adjLvl,
 		stamp:     e.stamp,
 		count:     e.count,
 		pick:      e.pick,

@@ -147,7 +147,8 @@ func (s *Sampler) Process(p geom.Point) {
 	// p is the first point of its group among groups we can still see.
 	// Lines 6–9: classify the group by its first point's cell.
 	cp := s.spc.Cell(p)
-	accepted := s.ls.SampledAt(uint64(cp), s.r)
+	lvl := hashLevel(s.ls, cp)
+	accepted := sampledAt(lvl, s.r)
 	if !accepted && !s.anySampled(adjKeys) {
 		return // ignored group: no cell of adj(p) is sampled
 	}
@@ -157,6 +158,7 @@ func (s *Sampler) Process(p geom.Point) {
 		cell:     cp,
 		adj:      adjKeys,
 		accepted: accepted,
+		cellLvl:  lvl + 1,
 		stamp:    s.n,
 		count:    1,
 		pick:     p,
@@ -205,20 +207,16 @@ func (s *Sampler) doubleR() {
 	kept := s.entries[:0]
 	acc := s.acc[:0]
 	for _, e := range s.entries {
-		accepted := s.ls.SampledAt(uint64(e.cell), s.r)
-		switch {
-		case accepted:
-			e.accepted = true
-			acc = append(acc, e)
-			kept = append(kept, e)
-		case s.anySampled(e.adj):
-			e.accepted = false
-			kept = append(kept, e)
-		default:
+		if !e.classify(s.ls, s.r) {
 			s.index.remove(e)
 			s.space.sub(e.words(s.opts.RandomRepresentative, false))
 			freeEntry(e)
+			continue
 		}
+		if e.accepted {
+			acc = append(acc, e)
+		}
+		kept = append(kept, e)
 	}
 	// Zero the tails so dropped entries can be collected.
 	clear(s.entries[len(kept):])

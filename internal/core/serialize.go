@@ -156,7 +156,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 		}
 		e.cell = s.spc.Cell(e.rep)
-		if e.accepted != s.ls.SampledAt(uint64(e.cell), s.r) {
+		if e.accepted != sampledAt(e.ownLevel(s.ls), s.r) {
 			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", e.rep)
 		}
 		e.adj = s.spc.Adjacent(e.rep)

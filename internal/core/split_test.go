@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/hash"
 )
 
@@ -13,6 +14,15 @@ import (
 // under load.
 func tinyOpts(seed uint64) Options {
 	return Options{Alpha: 1, Dim: 2, Seed: seed, Kappa: 1, StreamBound: 16}
+}
+
+func (ws *WindowSampler) anySampledAt(cells []grid.CellKey, r uint64) bool {
+	for _, c := range cells {
+		if ws.ls.SampledAt(uint64(c), r) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSplitCascadeFires(t *testing.T) {

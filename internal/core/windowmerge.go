@@ -111,7 +111,9 @@ func (ws *WindowSampler) MergeFrom(b *WindowSampler) error {
 // collectUnion gathers the live groups of ws and b against the merged
 // clock, coalescing groups tracked on both sides. ws's levels still hold
 // their entries when it returns (the caller resets them); b is never
-// modified — its entries are cloned.
+// modified — its entries are cloned. Both samplers share the grid and
+// hash (mergeCompatible), so every entry keeps its cell, adjacency and
+// cached levels.
 func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry {
 	var all []mergedEntry
 	for l, lv := range ws.levels {
@@ -138,8 +140,7 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 	expired := func(stamp int64) bool { return ws.win.Expired(stamp, now) }
 	for _, m := range all {
 		e := m.e
-		adjKeys := ws.spc.Adjacent(e.rep)
-		if prev := idx.findGroup(e.rep, adjKeys, ws.spc); prev != nil {
+		if prev := idx.findGroup(e.rep, e.adj, ws.spc); prev != nil {
 			if e.lastStamp > prev.lastStamp {
 				prev.last, prev.lastStamp = e.last, e.lastStamp
 			}
@@ -154,8 +155,6 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 			}
 			continue
 		}
-		e.cell = ws.spc.Cell(e.rep)
-		e.adj = adjKeys
 		idx.add(e)
 		keptAt[e] = len(kept)
 		kept = append(kept, m)
@@ -163,15 +162,13 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 
 	// Re-classify each group at its level's rate (Definition 2.2; the
 	// grids and hashes are shared, so this is a no-op except for coalesced
-	// groups whose level or representative changed). A group whose
-	// neighbourhood is unsampled at its level demotes to the nearest level
-	// that can represent it — level 0 (R = 1) always can.
+	// groups whose level changed). A group whose neighbourhood is
+	// unsampled at its level demotes to the nearest level that can
+	// represent it — level 0 (R = 1) always can.
 	for i := range kept {
 		e := kept[i].e
 		for l := kept[i].level; ; l-- {
-			r := ws.levels[l].r
-			e.accepted = ws.ls.SampledAt(uint64(e.cell), r)
-			if e.accepted || ws.anySampledAt(e.adj, r) || l == 0 {
+			if e.classify(ws.ls, ws.levels[l].r) || l == 0 {
 				kept[i].level = l
 				break
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/hash"
 	"repro/internal/window"
 )
@@ -190,20 +189,35 @@ func (ws *WindowSampler) nextStamp() int64 {
 }
 
 // ProcessAt feeds the next point with an explicit stamp for time-based
-// windows. Stamps must be non-decreasing.
+// windows. Stamps may arrive late. The clock is the latest stamp seen,
+// and every level expires against it when it advances, so no level holds
+// an expired group. A point already expired at the clock is dropped, and
+// a late point never moves its group's latest point (or the Lemma 2.10
+// fallback point) backwards. It panics on wrong-dimension or non-finite
+// points, before any state changes.
 func (ws *WindowSampler) ProcessAt(p geom.Point, stamp int64) {
+	validatePoint(p, ws.opts.Dim)
 	ws.n++
 	if stamp > ws.now {
 		ws.now = stamp
+		for _, lv := range ws.levels {
+			lv.Expire(stamp)
+		}
 	}
-	ws.latest = p
-	ws.latestStamp = stamp
+	if ws.win.Expired(stamp, ws.now) {
+		return
+	}
+	if ws.latest == nil || stamp >= ws.latestStamp {
+		ws.latest, ws.latestStamp = p, stamp
+	}
 	// Offer p from the top level down; the first level already tracking
 	// p's group refreshes its entry. If none does, the group registers
 	// fresh at level 0 (match-only is off there and R=1 accepts every
 	// cell), after which the split cascade restores the size invariant.
+	// The levels share one grid, so one adjacency search serves them all.
+	adjKeys := ws.spc.Adjacent(p)
 	for l := len(ws.levels) - 1; l >= 0; l-- {
-		if ws.levels[l].Process(p, stamp) {
+		if ws.levels[l].observe(p, stamp, adjKeys) {
 			ws.rebalance(l)
 			break
 		}
@@ -265,7 +279,7 @@ func (ws *WindowSampler) split(lv *FixedWindow) ([]*entry, bool) {
 
 	var t int64 = -1
 	for _, e := range all {
-		if e.accepted && ws.ls.SampledAt(uint64(e.cell), nextR) && e.stamp > t {
+		if e.accepted && sampledAt(e.ownLevel(ws.ls), nextR) && e.stamp > t {
 			t = e.stamp
 		}
 	}
@@ -279,25 +293,11 @@ func (ws *WindowSampler) split(lv *FixedWindow) ([]*entry, bool) {
 			continue
 		}
 		lv.drop(e)
-		switch {
-		case ws.ls.SampledAt(uint64(e.cell), nextR):
-			e.accepted = true
-			promoted = append(promoted, e)
-		case ws.anySampledAt(e.adj, nextR):
-			e.accepted = false
+		if e.classify(ws.ls, nextR) {
 			promoted = append(promoted, e)
 		}
 	}
 	return promoted, true
-}
-
-func (ws *WindowSampler) anySampledAt(cells []grid.CellKey, r uint64) bool {
-	for _, c := range cells {
-		if ws.ls.SampledAt(uint64(c), r) {
-			return true
-		}
-	}
-	return false
 }
 
 // merge is Algorithm 5: union the promoted entries into the target level.

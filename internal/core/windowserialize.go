@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/window"
 )
@@ -126,12 +128,14 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		return nil, fmt.Errorf("core: corrupt window sketch: %d levels for window width %d (want %d)",
 			levels, win.W, len(ws.levels))
 	}
+	var es []*entry // one level's entries, reused across levels
 	for l, lv := range ws.levels {
 		lv.now = ws.now
 		n, err := r.count(1 + 1 + 1 + 8*dim)
 		if err != nil {
 			return nil, err
 		}
+		es = slices.Grow(es[:0], n)
 		for range n {
 			flags := r.u8()
 			e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
@@ -157,12 +161,21 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 			}
 			e.cell = ws.spc.Cell(e.rep)
 			e.adj = ws.spc.Adjacent(e.rep)
-			own := ws.ls.SampledAt(uint64(e.cell), lv.r)
-			if e.accepted != own || (!own && !ws.anySampledAt(e.adj, lv.r)) {
+			if accepted := e.accepted; !e.classify(ws.ls, lv.r) || e.accepted != accepted {
 				return nil, fmt.Errorf("core: window sketch inconsistent with options (level %d entry %v)", l, e.rep)
 			}
+			es = append(es, e)
+		}
+		// MarshalBinary writes each level in expiry order, so this sort
+		// leaves its output as it is. A checkpoint written before late
+		// points kept that order sorted, or a crafted blob, may hold an
+		// unsorted level: sorting decodes it in O(n log n), where filing
+		// each entry by insert's backward scan would cost O(n²).
+		slices.SortStableFunc(es, func(a, b *entry) int { return cmp.Compare(a.lastStamp, b.lastStamp) })
+		for _, e := range es {
 			lv.insert(e)
 		}
+		lv.Expire(ws.now)
 	}
 	ws.trackSpace()
 	if peak > ws.space.peak {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,8 +349,8 @@ func (e *Engine) ProcessBatch(ps []geom.Point) {
 }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points to a
-// time-windowed engine: stamps[i] is the timestamp of ps[i], and stamps
-// must be non-decreasing per producer. The batch is partitioned by the
+// time-windowed engine: stamps[i] is the timestamp of ps[i], which may be
+// late (see core.WindowSampler.ProcessAt). The batch is partitioned by the
 // router exactly like ProcessBatch — expiry is a per-point property of
 // the stamp, so shard-local expiry plus the merged snapshot equals the
 // sequential window sampler. Panics when the configured sketches do not
@@ -370,10 +371,10 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 	if !e.stamped {
 		panic("engine: ProcessStampedBatch on an engine whose sketches are not time-windowed (sketch.Stamped)")
 	}
-	// Advance the engine-global clock to the batch's latest stamp (stamps
-	// are non-decreasing within a batch). CAS-max: concurrent producers
-	// may race, and the clock must never move backwards.
-	for latest := stamps[len(stamps)-1]; ; {
+	// Advance the engine-global clock to the batch's latest stamp.
+	// CAS-max: concurrent producers may race, and the clock must never
+	// move backwards.
+	for latest := slices.Max(stamps); ; {
 		cur := e.lastStamp.Load()
 		if latest <= cur || e.lastStamp.CompareAndSwap(cur, latest) {
 			break

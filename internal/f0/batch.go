@@ -27,8 +27,8 @@ func (we *WindowEstimator) ProcessBatch(ps []geom.Point) {
 }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points to every
-// window-sampler copy, copy-major: stamps[i] is the timestamp of ps[i],
-// non-decreasing (time-based windows; the sharded engine's fast path).
+// window-sampler copy, copy-major: stamps[i] is the timestamp of ps[i]
+// (time-based windows; the sharded engine's fast path).
 func (we *WindowEstimator) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 	for _, c := range we.copies {
 		c.ProcessStampedBatch(ps, stamps)

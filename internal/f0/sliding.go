@@ -75,7 +75,7 @@ func (we *WindowEstimator) Process(p geom.Point) {
 }
 
 // ProcessAt feeds the next point with an explicit stamp (time-based
-// windows). Stamps must be non-decreasing.
+// windows). Stamps may arrive late (see core.WindowSampler.ProcessAt).
 func (we *WindowEstimator) ProcessAt(p geom.Point, stamp int64) {
 	for _, c := range we.copies {
 		c.ProcessAt(p, stamp)

@@ -1,6 +1,9 @@
 package hash
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LevelSampler implements the subsampling primitive of the paper:
 // given a hash function h and a rate parameter R = 2^k, a key x is sampled
@@ -41,14 +44,7 @@ func (ls *LevelSampler) SampledAt(x, r uint64) bool {
 // This is the FM-sketch style "level" of a key and is used by the sliding
 // window F0 estimator.
 func (ls *LevelSampler) Level(x uint64, maxLevel int) int {
-	h := ls.fn.Hash(x)
-	for l := 0; l < maxLevel; l++ {
-		if h&1 == 1 {
-			return l
-		}
-		h >>= 1
-	}
-	return maxLevel
+	return min(bits.TrailingZeros64(ls.fn.Hash(x)), maxLevel)
 }
 
 // Func exposes the wrapped hash function (used by tests and by components

@@ -75,9 +75,10 @@ type Config struct {
 	// Windowed marks the engine's sketches as time-windowed: every ingest
 	// batch is stamped — with the X-Sketch-Stamp request header when the
 	// client provides one, with Clock otherwise — and handed to
-	// Engine.ProcessStampedBatch. Client stamps should be non-decreasing;
-	// points stamped further than the window width behind the latest stamp
-	// expire immediately (late data beyond the window is dropped).
+	// Engine.ProcessStampedBatch. Client stamps may arrive late: a point
+	// stamped the window width or more behind the latest stamp is dropped,
+	// and a later one keeps its group in the window until the group's
+	// newest point leaves it (docs/server.md, "Windowed serving").
 	Windowed bool
 
 	// Clock returns the stamp assigned to ingest requests without an

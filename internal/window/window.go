@@ -17,7 +17,7 @@ const (
 	// arrival indices (1, 2, 3, ...).
 	Sequence Kind = iota
 	// Time windows contain items stamped within the last w time units;
-	// stamps are caller-provided non-decreasing timestamps.
+	// stamps are caller-provided timestamps, and "now" is the latest.
 	Time
 )
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/window"
 )
@@ -23,6 +24,17 @@ var pinnedDigests = map[string]string{
 	"windowl0":      "6cfd2d5343d9e63288cd7ee8a0c627f8e0c1b07ada0146a70e5997f3bf5f010d",
 	"f0":            "3c4d8e815bdfede0ac5c01706a141e48bcf1c16e7424e04f7a121d0e786a3ef0",
 	"windowf0":      "274faa2407a17ea56780b4b53712208831447a933e159508f835d80891fd8c8a",
+
+	"windowl0/merge":                "59094ab3cccf400c3fdab7bdf2b681aad6af684d18b3b05cb4a35261daf67241",
+	"windowl0/partition":            "8059bca231fe1cbdc17e8fdf29277765e2edfdbf08e2540e86151dd09abae22e",
+	"windowl0/restore":              "4e4699ac4aad1a35723e998f9ffe2cc2aa7120a5867900ff6e588fab10c736e5",
+	"windowl0/merge/random-rep":     "6309fc657928dbf31cb19f6d95de12d5e82e92d114531eb4d5093005bed31353",
+	"windowl0/partition/random-rep": "e8d048410be15296d7b1acf45d7f179e2198c4b8ee91e02ac065db09d9d9803b",
+	"windowl0/restore/random-rep":   "1b48c82137e30cde20077c60f6ee08ef80ff4289ff71c73e887822c9c720d02b",
+	"windowl0/merge/highdim":        "b05f5d1ccc8c082e8bb69109ac35dca82f2bd27d6c579dd600c1710296507c5a",
+	"windowl0/partition/highdim":    "6dd7202c57646d84178d5d488388a8bad9a00dd995f5172ccc04b47035ce73f0",
+	"windowl0/restore/highdim":      "b05b5db3d4895cf36b13ae8fcf29c20132171ae6c5c76b5870cd09d373ec1da6",
+	"windowf0/merge":                "85777508a4ebaaac2d27a5ba876c0cee664d05854186de788a55f79e07b3b181",
 }
 
 // digest accumulates a SHA-256 over a sketch's bytes and answers.
@@ -166,6 +178,90 @@ func windowL0Digest(t *testing.T) string {
 	return d.sum()
 }
 
+// groupShard routes a testStream point by its group: every point of a
+// group lies within 0.2 of a center on the 10-spaced lattice.
+func groupShard(n int) func(p geom.Point) int {
+	return func(p geom.Point) int { return int(math.Round((p[0]+p[1])/10)) % n }
+}
+
+// windowL0PathDigests hashes a time-window L0 after each way a fold
+// builds one, on in-order stamps:
+//   - "merge": MergeFrom of two halves fed independently, split by group.
+//     On this stream their union exceeds the level threshold in every
+//     variant, so the merge replays it;
+//   - "partition": Partition into three parts and a MergeFrom back, in
+//     which every group keeps its level;
+//   - "restore": Partition of a deserialized copy.
+func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
+	pts := testStream(300, 4, 27)
+	win := window.Window{Kind: window.Time, W: 400}
+	mk := func() *WindowL0 {
+		w, err := NewWindowL0(opts, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	answers := func(d *digest, s Sketch) {
+		for range 8 {
+			d.answer(s)
+		}
+	}
+	out := make(map[string]string)
+
+	a, b := mk(), mk()
+	halves := groupShard(2)
+	for i, p := range pts {
+		if halves(p) == 0 {
+			a.ProcessAt(p, int64(i))
+		} else {
+			b.ProcessAt(p, int64(i))
+		}
+	}
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	d := newDigest()
+	d.blob(t, a)
+	answers(d, a)
+	out["merge"] = d.sum()
+
+	w := mk()
+	for i, p := range pts {
+		w.ProcessAt(p, int64(i))
+	}
+	parts, err := w.Partition(3, groupShard(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := parts[0].(*WindowL0)
+	for _, p := range parts[1:] {
+		if err := m.Merge(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d = newDigest()
+	blob := d.blob(t, m)
+	answers(d, m)
+	out["partition"] = d.sum()
+
+	r, err := Deserialize(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err = r.(*WindowL0).Partition(3, groupShard(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = newDigest()
+	for _, p := range parts {
+		d.blob(t, p)
+		answers(d, p)
+	}
+	out["restore"] = d.sum()
+	return out
+}
+
 // f0Digest hashes an F0 sketch's bytes and estimate.
 func f0Digest(t *testing.T) string {
 	pts := testStream(300, 4, 23)
@@ -196,15 +292,60 @@ func windowF0Digest(t *testing.T) string {
 	return d.sum()
 }
 
+// windowF0MergeDigest hashes a time-window F0 sketch merged from two
+// halves fed independently, split by group, on in-order stamps.
+func windowF0MergeDigest(t *testing.T) string {
+	pts := testStream(300, 4, 26)
+	win := window.Window{Kind: window.Time, W: 400}
+	a, err := NewWindowF0(testOpts(len(pts)), win, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewWindowF0(testOpts(len(pts)), win, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := groupShard(2)
+	for i, p := range pts {
+		if halves(p) == 0 {
+			a.ProcessAt(p, int64(i))
+		} else {
+			b.ProcessAt(p, int64(i))
+		}
+	}
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	d := newDigest()
+	d.blob(t, a)
+	d.answer(a)
+	return d.sum()
+}
+
 // TestPinnedDigests checks every family's bytes and answers on a fixed
 // stream against pinnedDigests.
 func TestPinnedDigests(t *testing.T) {
 	got := map[string]string{
-		"l0":            l0Digest(t, false),
-		"l0/random-rep": l0Digest(t, true),
-		"windowl0":      windowL0Digest(t),
-		"f0":            f0Digest(t),
-		"windowf0":      windowF0Digest(t),
+		"l0":             l0Digest(t, false),
+		"l0/random-rep":  l0Digest(t, true),
+		"windowl0":       windowL0Digest(t),
+		"f0":             f0Digest(t),
+		"windowf0":       windowF0Digest(t),
+		"windowf0/merge": windowF0MergeDigest(t),
+	}
+	base := testOpts(1200)
+	randomRep, highDim := base, base
+	randomRep.RandomRepresentative = true
+	highDim.HighDim = true
+	for variant, opts := range map[string]core.Options{"": base, "/random-rep": randomRep, "/highdim": highDim} {
+		for path, sum := range windowL0PathDigests(t, opts) {
+			got["windowl0/"+path+variant] = sum
+		}
+	}
+	for name := range got {
+		if _, ok := pinnedDigests[name]; !ok {
+			t.Errorf("%s digest = %s is not pinned", name, got[name])
+		}
 	}
 	for name, want := range pinnedDigests {
 		if got[name] != want {

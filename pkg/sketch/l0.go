@@ -150,7 +150,7 @@ func (w *WindowL0) WindowSampler() *core.WindowSampler { return w.ws }
 func (w *WindowL0) Process(p geom.Point) { w.ws.Process(p) }
 
 // ProcessAt feeds the next point with an explicit stamp (time-based
-// windows). Stamps must be non-decreasing.
+// windows). Stamps may arrive late (see Stamped).
 func (w *WindowL0) ProcessAt(p geom.Point, stamp int64) { w.ws.ProcessAt(p, stamp) }
 
 // ProcessStampedBatch feeds a batch of explicitly stamped points in

@@ -88,9 +88,11 @@ type Mergeable interface {
 
 // Stamped is implemented by sliding-window sketches that accept
 // explicitly stamped points — time-based windows, where the stamp is the
-// point's timestamp and must be non-decreasing across calls. Process and
-// ProcessBatch remain valid on a Stamped sketch: they stamp each point
-// with the latest timestamp seen so far ("arrives now").
+// point's timestamp. Stamps may arrive late: the window's right edge is
+// the latest stamp seen, and a point already outside it is dropped
+// (core.WindowSampler.ProcessAt). Process and ProcessBatch remain valid
+// on a Stamped sketch: they stamp each point with the latest timestamp
+// seen so far ("arrives now").
 type Stamped interface {
 	Sketch
 
