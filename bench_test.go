@@ -304,8 +304,8 @@ func BenchmarkSerialize(b *testing.B) {
 // streaming engine across shard counts (ns/op is per point). The
 // workload has a high distinct-group rate, so per-point sketch work
 // dominates the router. The sweep committed in BENCH_engine.json was
-// measured under GOMAXPROCS=1 on a 2-CPU host: 341k pts/s at 1 shard,
-// 415k at 2, 365k at 4 and 184k at 8; multi-core scaling has not been
+// measured under GOMAXPROCS=1 on a 2-CPU host: 487k pts/s at 1 shard,
+// 514k at 2, 300k at 4 and 244k at 8; multi-core scaling has not been
 // measured.
 func BenchmarkEngineProcess(b *testing.B) {
 	const chunk = 512
@@ -525,7 +525,7 @@ func BenchmarkGatewayQueryWarm(b *testing.B) {
 
 // BenchmarkFederatedFold is the background refresher's re-fold after
 // every peer's epoch moved, without HTTP: sketch.Deserialize of each of
-// three peers' /sketch blobs and of the fold receiver, then two Merges.
+// three peers' /sketch blobs, then two Merges into the first.
 // The peers hold the benchGatewayData points, routed as the gateway
 // routes them, so the blobs are the ones the warm benchmarks fold.
 func BenchmarkFederatedFold(b *testing.B) {
@@ -555,9 +555,9 @@ func BenchmarkFederatedFold(b *testing.B) {
 }
 
 // benchFold closes the peers' engines and times the background
-// refresher's fold over their /sketch blobs: sketch.Deserialize of every
-// blob and of the fold receiver, then a Merge of every other peer into
-// the receiver.
+// refresher's fold over their /sketch blobs, as the gateway folds them:
+// sketch.Deserialize of every blob, then a Merge of every other peer into
+// the first decoded sketch.
 func benchFold(b *testing.B, peers []*engine.Engine) {
 	blobs := make([][]byte, len(peers))
 	for i, eng := range peers {
@@ -580,11 +580,7 @@ func benchFold(b *testing.B, peers []*engine.Engine) {
 				b.Fatal(err)
 			}
 		}
-		recv, err := sketch.Deserialize(blobs[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		merged := recv.(sketch.Mergeable)
+		merged := sks[0].(sketch.Mergeable)
 		for _, sk := range sks[1:] {
 			if err := merged.Merge(sk); err != nil {
 				b.Fatal(err)

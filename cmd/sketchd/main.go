@@ -151,7 +151,6 @@ func main() {
 		Dim:            *dim,
 		CheckpointPath: *ckpt,
 		Restored:       *restore,
-		Windowed:       windowed,
 		NoMetrics:      !*metrics,
 		SlowQuery:      *slowQ,
 	})

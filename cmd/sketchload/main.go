@@ -488,7 +488,7 @@ func startFleet(fc fleetConfig) (*fleet, error) {
 			return nil, err
 		}
 		fl.engines = append(fl.engines, eng)
-		srv, err := server.New(server.Config{Engine: eng, Dim: fc.dim, Windowed: windowed})
+		srv, err := server.New(server.Config{Engine: eng, Dim: fc.dim})
 		if err != nil {
 			fl.stop()
 			return nil, err

@@ -26,7 +26,7 @@ func newWindowedCluster(t *testing.T, opts core.Options, win window.Window, n, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.Config{Engine: eng, Dim: opts.Dim, Windowed: true})
+		srv, err := server.New(server.Config{Engine: eng, Dim: opts.Dim})
 		if err != nil {
 			t.Fatal(err)
 		}

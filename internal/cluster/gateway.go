@@ -9,10 +9,10 @@
 //     peers shard by), so every point lands on exactly one peer and a
 //     near-duplicate group lands together with high probability.
 //   - Scatter-gather fold: a scatter round fetches the serialized merged
-//     snapshot of every live peer (GET /sketch) in parallel,
-//     sketch.Deserializes them, and folds them with Mergeable.Merge;
-//     boundary groups are repaired by the merge's α-ball coalescing,
-//     exactly as between shards.
+//     snapshot of every live peer (GET /sketch) in parallel, decodes each
+//     once with sketch.Deserialize, and folds the others into the first
+//     with Mergeable.Merge; boundary groups are repaired by the merge's
+//     α-ball coalescing, exactly as between shards.
 //   - Push propagation (push.go): one watcher per peer long-polls the
 //     peer's GET /watch, GET /query and GET /sketch answer from the last
 //     installed fold, and a background refresher runs the scatter rounds
@@ -20,13 +20,11 @@
 //   - Partial failure is policy: PartialFail turns any unreachable peer
 //     into a 502, PartialDegrade (the default) answers from the live
 //     subset with "partial": true in the response.
-//   - Federated cache: every peer snapshot is cached alongside its
-//     strong ETag (derived from the peer's ingest epoch) and re-fetched
-//     with conditional GETs inside the scatter round (a 304 reuses the
-//     cached deserialized sketch), and the merged union is cached keyed
-//     by the whole peer-validator vector — a round over quiescent peers
-//     deserializes and merges nothing. Each query draws fresh samples
-//     from that union, as a daemon does from its snapshot.
+//   - Cached fold: the last installed union answers every query until a
+//     push marks it dirty, and each query draws fresh samples from it, as
+//     a daemon does from its snapshot. A round decodes every fetched peer
+//     once and holds the cache lock only to install; handlers hold it
+//     only to answer.
 //
 // The gateway exposes the same HTTP API as a single daemon (/ingest,
 // /query, /stats, /healthz — and /sketch and /watch, so gateways stack
@@ -40,7 +38,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -278,7 +275,7 @@ func (c Config) withDefaults() Config {
 
 // Gateway is the scatter-gather HTTP front end over a peer fleet. All
 // handlers are safe for concurrent use; queries serialize on the
-// federated cache (cacheMu), mirroring how a single daemon serializes
+// installed fold (cacheMu), mirroring how a single daemon serializes
 // snapshot queries on the engine's snapshot cache.
 type Gateway struct {
 	cfg       Config
@@ -296,31 +293,25 @@ type Gateway struct {
 	handoffKick  chan struct{} // wakes the drainer early (capacity 1)
 	handoffDepth atomic.Int64  // sub-batches currently queued across peers
 
-	// Federated query cache (see refresh): per-peer snapshots keyed by
-	// the peers' ETags (ingest epochs) and the merged union keyed by the
-	// whole validator vector. cacheMu guards both and hands the merged
+	// The installed fold (see scatter): the merged union, its fan-out and
+	// its per-peer epochs. cacheMu guards them and hands the merged
 	// sketch to one query at a time — queries advance its RNG and QueryK
 	// reorders its accept set while drawing, so unsynchronized sharing
-	// would race.
-	// The network scatter itself runs outside cacheMu under the flight
-	// singleflight below, so handlers hold the lock only for the
-	// in-memory fold and answer.
+	// would race. A scatter round fetches, decodes and merges sketches
+	// only it holds, so the lock is held only to install a fold and to
+	// answer from one.
 	cacheMu sync.Mutex
 
 	// flightMu/inflight deduplicate concurrent scatter rounds: one
-	// leader runs the network round (and exclusively owns peerSnaps for
-	// its duration), followers wait for its outcome. Without this, a
-	// slow not-yet-broken peer would make every concurrent query pay its
-	// own full timeout-bounded round back to back.
+	// leader runs the round (and is the only installer), followers wait
+	// for its outcome. Without this, a slow not-yet-broken peer would
+	// make every concurrent query pay its own full timeout-bounded round
+	// back to back.
 	flightMu     sync.Mutex
 	inflight     *flight
-	peerSnaps    []peerSnap
-	mergedKey    string
 	merged       sketch.Mergeable // nil until the first install
 	mergedFo     fanout
-	mergedBlob   []byte              // lazily serialized union for GET /sketch
 	mergedEpochs []int64             // per-peer ingest epochs of the fold; -1 = down/unknown
-	nonce        atomic.Int64        // validators for peers serving no ETag
 	exportGen    engine.EpochCounter // bumped by every install (a new /sketch ETag); GET /watch waits on it
 
 	// Push-propagation state (see push.go). dirtyGen counts invalidation
@@ -354,9 +345,6 @@ type Gateway struct {
 	handoffDrained   *atomic.Int64
 	handoffDropped   *atomic.Int64
 	readRepairs      *atomic.Int64
-	peerNotModified  *atomic.Int64
-	fedBytesSaved    *atomic.Int64
-	fedCacheHits     *atomic.Int64
 	fedCacheMisses   *atomic.Int64
 	peerDeserializes *atomic.Int64
 	sketchMerges     *atomic.Int64
@@ -369,19 +357,6 @@ type Gateway struct {
 	reg  *telemetry.Registry // /metrics families; nil when NoMetrics
 	slow *telemetry.SlowLog
 	tel  gwTelemetry
-}
-
-// peerSnap is one peer's slot in the federated cache: the last envelope
-// the peer served, its strong validator, and the deserialized sketch.
-// The sketch is reused read-only across rounds (it is never the merge
-// receiver), so a 304 from the peer costs zero deserializations and
-// zero sketch allocations.
-type peerSnap struct {
-	etag     string
-	blob     []byte
-	sk       sketch.Sketch
-	epoch    int64 // peer's ingest epoch (X-Sketch-Epoch); -1 when the peer serves none
-	degraded bool  // peer (itself a gateway) flagged its fold partial
 }
 
 // New builds a Gateway over the configured peers.
@@ -401,7 +376,6 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("cluster: Config.Replicas: %w", err)
 	}
 	g := &Gateway{cfg: cfg, placement: pl, mux: http.NewServeMux(), client: cfg.Client, start: time.Now()}
-	g.peerSnaps = make([]peerSnap, len(cfg.Peers))
 	g.peers = make([]*peer, len(cfg.Peers))
 	for i, raw := range cfg.Peers {
 		u, err := url.Parse(raw)
@@ -561,20 +535,12 @@ type StatsResponse struct {
 	Queries int64 `json:"queries"`
 	// PartialQueries counts fan-outs answered from a strict peer subset.
 	PartialQueries int64 `json:"partial_queries"`
-	// PeerNotModified counts peer snapshot fetches answered 304 — the
-	// cached deserialized sketch was reused without transfer or decode.
-	PeerNotModified int64 `json:"peer_not_modified"`
-	// FedBytesSaved totals the envelope bytes not re-transferred because
-	// a peer answered 304 to a conditional GET.
-	FedBytesSaved int64 `json:"fed_bytes_saved"`
-	// FedCacheHits counts scatter rounds whose merged union was reused
-	// because no peer epoch, down set, or degraded set had changed — the
-	// whole fold (every deserialization and merge) was skipped.
-	FedCacheHits int64 `json:"fed_cache_hits"`
-	// FedCacheMisses counts scatter rounds that re-folded the union.
+	// FedCacheMisses counts scatter rounds that folded and installed the
+	// union.
 	FedCacheMisses int64 `json:"fed_cache_misses"`
-	// PeerDeserializes counts sketch envelope deserializations performed
-	// (zero across a warm-cache query).
+	// PeerDeserializes counts sketch envelope deserializations performed:
+	// one per peer fetched by a scatter round (zero across a warm-cache
+	// query).
 	PeerDeserializes int64 `json:"peer_deserializes"`
 	// SketchMerges counts Mergeable.Merge folds performed (zero across a
 	// warm-cache query).
@@ -651,10 +617,9 @@ func (f fanout) partial() bool {
 
 // scatterResult is one peer's outcome in a refresh round.
 type scatterResult struct {
-	ok        bool
-	validator string // cache-key part: the peer's ETag (or a nonce); "down" on failure
-	epoch     int64  // peer's ingest epoch; -1 when down or not served
-	degraded  bool
+	sk       sketch.Sketch // the peer's decoded /sketch; nil when the peer is down or failed
+	epoch    int64         // peer's ingest epoch; -1 when down or not served
+	degraded bool          // the peer (itself a gateway) flagged its fold partial
 }
 
 // flight is one in-progress scatter round shared by concurrent queries.
@@ -695,21 +660,18 @@ func (g *Gateway) refresh(ctx context.Context) error {
 	return f.err
 }
 
-// scatter runs one fan-out round and installs the results. Only the
-// flight leader runs it, which is what makes the lock-free peerSnaps
-// access safe. Every live peer gets a GET /sketch — conditional
-// (If-None-Match with the cached validator) when a snapshot of it is
-// already cached, so a quiescent peer answers 304 and its cached
-// deserialized sketch is reused with zero allocations. The merged union
-// is then re-folded (under cacheMu) only when the vector of peer
-// validators (ETags — i.e. ingest epochs — plus the down/degraded set)
-// differs from the cached one; on a match the fold, and therefore every
-// deserialization and merge, is skipped. Every install bumps the export
-// generation behind the gateway's own GET /watch. The error is non-nil
-// when no peer contributed, when the round is partial under PartialFail,
-// or when it is partial and a complete fold within MaxStale stays
-// (errKeptComplete) — the cache, dirtiness included, is left untouched
-// in every case.
+// scatter runs one fan-out round and installs its fold. Only the flight
+// leader runs it, so a round is the only installer while it runs. Every
+// live peer gets a GET /sketch whose answer is decoded once; the first
+// decoded sketch in peer order is the fold receiver, and the others are
+// merged into it. The round owns every sketch it decoded, so the fetch,
+// decode and merge run without cacheMu: the lock is taken to check the
+// installed fold before merging and again to install. Every install
+// bumps the export generation behind the gateway's own GET /sketch ETag
+// and GET /watch. The error is non-nil when no peer contributed, when
+// the round is partial under PartialFail, or when it is partial and a
+// complete fold within MaxStale stays (errKeptComplete) — the cache,
+// dirtiness included, is left untouched in every case.
 func (g *Gateway) scatter(ctx context.Context) error {
 	// The generation read MUST precede the network round: an invalidation
 	// that lands while the round is in flight may or may not be reflected
@@ -724,32 +686,16 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		res[i].epoch = -1
 		if !p.admit(now, g.cfg.DownCooldown) {
 			errs[i] = fmt.Errorf("cluster: peer %s is down (circuit open)", p.url)
-			res[i].validator = "down"
 			continue
 		}
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			// The network round runs without cacheMu. The slot writes
-			// are still safe: only the flight leader touches peerSnaps,
-			// and each goroutine writes its own index.
-			snap := &g.peerSnaps[i]
-			var extra http.Header
-			if snap.sk != nil && snap.etag != "" {
-				extra = http.Header{"If-None-Match": []string{snap.etag}}
-			}
 			tFetch := time.Now()
-			blob, hdr, status, err := g.do(ctx, p, http.MethodGet, "/sketch", "", nil, extra)
+			blob, hdr, err := g.do(ctx, p, http.MethodGet, "/sketch", "", nil, nil)
 			telemetry.Observe(g.tel.fetch, nil, "", time.Since(tFetch))
 			if err != nil {
 				errs[i] = err
-				res[i].validator = "down"
-				return
-			}
-			if status == http.StatusNotModified {
-				g.peerNotModified.Add(1)
-				g.fedBytesSaved.Add(int64(len(snap.blob)))
-				res[i] = scatterResult{ok: true, validator: snap.validator(), epoch: snap.epoch, degraded: snap.degraded}
 				return
 			}
 			tDeser := time.Now()
@@ -757,35 +703,19 @@ func (g *Gateway) scatter(ctx context.Context) error {
 			telemetry.Observe(g.tel.deserialize, nil, "", time.Since(tDeser))
 			if err != nil {
 				errs[i] = fmt.Errorf("cluster: peer %s sketch: %w", p.url, err)
-				res[i].validator = "down"
 				return
 			}
 			g.peerDeserializes.Add(1)
-			etag := hdr.Get("ETag")
-			*snap = peerSnap{
-				etag:     etag,
-				blob:     blob,
-				sk:       sk,
-				epoch:    peerEpoch(hdr),
-				degraded: hdr.Get(partialHeader) == "true",
-			}
-			v := snap.validator()
-			if etag == "" {
-				// The peer serves no validator: this snapshot can never be
-				// revalidated, so key it uniquely — a warm hit would risk
-				// serving a stale fold.
-				v = fmt.Sprintf("nocache-%d", g.nonce.Add(1))
-			}
-			res[i] = scatterResult{ok: true, validator: v, epoch: snap.epoch, degraded: snap.degraded}
+			res[i] = scatterResult{sk: sk, epoch: peerEpoch(hdr), degraded: hdr.Get(partialHeader) == "true"}
 		}(i, p)
 	}
 	wg.Wait()
 
 	fo := fanout{replicas: g.cfg.Replicas}
-	parts := make([]string, len(res))
+	epochs := make([]int64, len(res))
 	for i, r := range res {
-		parts[i] = r.validator
-		if !r.ok {
+		epochs[i] = r.epoch
+		if r.sk == nil {
 			fo.failed = append(fo.failed, g.peers[i].url)
 			continue
 		}
@@ -802,92 +732,63 @@ func (g *Gateway) scatter(ctx context.Context) error {
 			errPartialRefused, PartialFail, len(fo.failed), len(fo.degraded), len(g.peers),
 			strings.Join(append(append([]string(nil), fo.failed...), fo.degraded...), ", "))
 	}
-	key := strings.Join(parts, "|")
-	epochs := make([]int64, len(res))
-	for i, r := range res {
-		epochs[i] = r.epoch
+	if fo.partial() {
+		// Decided before merging, so a round that will be refused does no
+		// merge work. The decision holds until the install below: only
+		// this round can install, and a fold's age only grows.
+		g.cacheMu.Lock()
+		keep := g.keepCompleteLocked()
+		g.cacheMu.Unlock()
+		if keep {
+			return errKeptComplete
+		}
 	}
-	// The fold and install mutate the cache read by the answer phase of
-	// the handlers — from here on the round holds cacheMu (in-memory
-	// work only; the network round above ran without it).
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	if g.merged != nil && key == g.mergedKey {
-		g.fedCacheHits.Add(1)
-		g.markFresh(startGen)
-		return nil
-	}
-	if fo.partial() && g.keepCompleteLocked() {
-		return errKeptComplete
-	}
-	g.fedCacheMisses.Add(1)
 	var merged sketch.Mergeable
 	for i, r := range res {
-		if !r.ok {
+		if r.sk == nil {
 			continue
 		}
 		if merged == nil {
-			// The cached per-peer sketches stay read-only across rounds, so
-			// the fold receiver is a fresh copy deserialized from the first
-			// contributor's cached envelope — one deserialization per
-			// re-fold, zero network.
-			tDeser := time.Now()
-			recv, err := sketch.Deserialize(g.peerSnaps[i].blob)
-			telemetry.Observe(g.tel.deserialize, nil, "", time.Since(tDeser))
-			if err != nil {
-				return fmt.Errorf("cluster: peer %s sketch: %w", g.peers[i].url, err)
-			}
-			g.peerDeserializes.Add(1)
-			m, ok := recv.(sketch.Mergeable)
+			m, ok := r.sk.(sketch.Mergeable)
 			if !ok {
-				return fmt.Errorf("cluster: %T is not mergeable; federation needs sketch.Mergeable", recv)
+				return fmt.Errorf("cluster: %T is not mergeable; federation needs sketch.Mergeable", r.sk)
 			}
 			merged = m
 			continue
 		}
 		tMerge := time.Now()
-		err := merged.Merge(g.peerSnaps[i].sk)
+		err := merged.Merge(r.sk)
 		telemetry.Observe(g.tel.merge, nil, "", time.Since(tMerge))
 		if err != nil {
 			return fmt.Errorf("cluster: merging peer %s: %w", g.peers[i].url, err)
 		}
 		g.sketchMerges.Add(1)
 	}
-	g.merged, g.mergedFo, g.mergedKey = merged, fo, key
-	g.mergedBlob = nil
-	g.mergedEpochs = epochs
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	g.merged, g.mergedFo, g.mergedEpochs = merged, fo, epochs
+	g.fedCacheMisses.Add(1)
 	g.markFresh(startGen)
 	g.exportGen.Bump()
 	return nil
 }
 
-// markFresh stamps a successfully installed (or revalidated) fold: the
-// cache now reflects every invalidation up to startGen, and its age
-// clock restarts.
+// markFresh stamps an installed fold: the cache now reflects every
+// invalidation up to startGen, and its age clock restarts.
 func (g *Gateway) markFresh(startGen int64) {
 	g.lastRoundGen.Store(startGen)
 	g.lastFresh.Store(time.Now().UnixNano())
 }
 
 // peerEpoch parses the peer's X-Sketch-Epoch response header; -1 when
-// absent or malformed (e.g. a stacked gateway, which serves validator
-// ETags but no single epoch).
+// absent or malformed (e.g. a stacked gateway, which serves no single
+// epoch).
 func peerEpoch(hdr http.Header) int64 {
 	v, err := strconv.ParseInt(hdr.Get(server.EpochHeader), 10, 64)
 	if err != nil || v < 0 {
 		return -1
 	}
 	return v
-}
-
-// validator is the peer's cache-key part: its ETag, suffixed when the
-// peer's own fold was partial (an upstream gateway's ETag already covers
-// its degradation, but the suffix keeps the key honest for any server).
-func (s *peerSnap) validator() string {
-	if s.degraded {
-		return s.etag + "+partial"
-	}
-	return s.etag
 }
 
 // servedPartial counts a degraded answer that actually went out the door
@@ -960,24 +861,20 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // exportETag is the strong validator of the gateway's own /sketch
-// export: the federated state is exactly the vector of peer validators,
-// so its hash (plus the gateway's start time, guarding restarts) changes
-// precisely when some peer's epoch, the down set, or the degraded set
-// does. This is what lets gateways stack with end-to-end caching — a
-// higher-tier gateway revalidates this one like any peer.
+// export: the export generation, which every install bumps, plus the
+// gateway's start time, guarding restarts. Clients revalidate the export
+// with it as they would a daemon's. Callers hold cacheMu, so the
+// generation is the installed fold's.
 func (g *Gateway) exportETag() string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(g.mergedKey))
-	return fmt.Sprintf("\"gw-%x-%x\"", g.start.UnixNano(), h.Sum64())
+	return fmt.Sprintf("\"gw-%x-%x\"", g.start.UnixNano(), g.exportGen.Load())
 }
 
 // handleSketch re-exports the federated merged sketch in the versioned
 // envelope, so gateways stack: a higher-tier gateway can treat this one
-// as a single peer. The response carries a strong ETag derived from the
-// peer-validator vector; a conditional GET that still matches answers
-// 304, and the serialized union is cached until the vector moves. A
-// partial fold is marked with X-Sketch-Partial: true (PartialDegrade)
-// rather than served silently.
+// as a single peer. The response carries a strong ETag that moves with
+// every installed fold; a conditional GET that still matches answers
+// 304. A partial fold is marked with X-Sketch-Partial: true
+// (PartialDegrade) rather than served silently.
 func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
@@ -1006,24 +903,20 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 		g.finishRequest(span, g.tel.reqSketch, slowE, t0)
 		return
 	}
-	if g.mergedBlob == nil {
-		blob, err := g.merged.Serialize()
-		if err != nil {
-			g.cacheMu.Unlock()
-			telemetry.Observe(g.tel.export, span, "export", time.Since(te))
-			status := http.StatusInternalServerError
-			if errors.Is(err, sketch.ErrNotSerializable) {
-				status = http.StatusNotImplemented
-			}
-			server.WriteError(w, status, err)
-			slowE.Status = status
-			g.finishRequest(span, g.tel.reqSketch, slowE, t0)
-			return
+	blob, err := g.merged.Serialize()
+	if err != nil {
+		g.cacheMu.Unlock()
+		telemetry.Observe(g.tel.export, span, "export", time.Since(te))
+		status := http.StatusInternalServerError
+		if errors.Is(err, sketch.ErrNotSerializable) {
+			status = http.StatusNotImplemented
 		}
-		g.mergedBlob = blob
+		server.WriteError(w, status, err)
+		slowE.Status = status
+		g.finishRequest(span, g.tel.reqSketch, slowE, t0)
+		return
 	}
 	g.servedPartial(fo)
-	blob := g.mergedBlob
 	g.cacheMu.Unlock()
 	telemetry.Observe(g.tel.export, span, "export", time.Since(te))
 	server.WriteSketch(w, blob)
@@ -1140,7 +1033,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 				chunk := bucket[:n]
 				bucket = bucket[n:]
 				body := pointio.AppendBinaryBatch(getForwardBuf(), chunk)
-				blob, _, _, err := g.do(ctx, p, http.MethodPost, "/ingest",
+				blob, _, err := g.do(ctx, p, http.MethodPost, "/ingest",
 					pointio.BinaryContentType, body, stampHdr)
 				if err != nil {
 					// The buffer is NOT recycled on failure: a timed-out

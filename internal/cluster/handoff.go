@@ -151,7 +151,7 @@ func (g *Gateway) drainPeer(i int, p *peer) {
 		if !p.admit(time.Now(), g.cfg.DownCooldown) {
 			return
 		}
-		blob, _, _, err := g.do(g.stopCtx, p, http.MethodPost, "/ingest",
+		blob, _, err := g.do(g.stopCtx, p, http.MethodPost, "/ingest",
 			pointio.BinaryContentType, h.body, h.hdr)
 		if err != nil {
 			return
@@ -209,7 +209,7 @@ func (g *Gateway) readRepair(i int, p *peer) {
 	if err != nil {
 		return
 	}
-	if _, _, _, err := g.do(g.stopCtx, p, http.MethodPost, "/sketch",
+	if _, _, err := g.do(g.stopCtx, p, http.MethodPost, "/sketch",
 		pointio.BinaryContentType, blob, nil); err != nil {
 		return
 	}

@@ -117,15 +117,13 @@ func decodePeerError(resp *http.Response) error {
 
 // do issues one request to the peer with per-attempt timeouts and bounded
 // retries (network errors and 502–504 responses retry with linear
-// backoff; other statuses are deterministic and do not). On success it
-// returns the response status (2xx, or 304 for a conditional GET whose
-// validator still matched — the body is then nil by definition), the
-// response headers, and the body already fully read. Health is
-// recorded for outcomes attributable to the peer — a failure caused by
-// the caller's own context being canceled (client disconnect, gateway
-// request deadline) charges nothing, so aborted fan-outs cannot open
-// breakers on healthy peers.
-func (g *Gateway) do(ctx context.Context, p *peer, method, path, contentType string, body []byte, extra http.Header) ([]byte, http.Header, int, error) {
+// backoff; other statuses are deterministic and do not). On a 2xx answer
+// it returns the body, already fully read, and the response headers.
+// Health is recorded for outcomes attributable to the peer — a failure
+// caused by the caller's own context being canceled (client disconnect,
+// gateway request deadline) charges nothing, so aborted fan-outs cannot
+// open breakers on healthy peers.
+func (g *Gateway) do(ctx context.Context, p *peer, method, path, contentType string, body []byte, extra http.Header) ([]byte, http.Header, error) {
 	p.requests.Add(1)
 	var lastErr error
 loop:
@@ -138,10 +136,10 @@ loop:
 			case <-time.After(g.cfg.RetryBackoff * time.Duration(attempt)):
 			}
 		}
-		blob, hdr, status, retriable, err := g.attempt(ctx, p, method, path, contentType, body, extra)
+		blob, hdr, retriable, err := g.attempt(ctx, p, method, path, contentType, body, extra)
 		if err == nil {
 			p.recordSuccess()
-			return blob, hdr, status, nil
+			return blob, hdr, nil
 		}
 		lastErr = err
 		if !retriable {
@@ -159,7 +157,7 @@ loop:
 	if ctx.Err() == nil && !alive {
 		p.recordFailure(err, g.cfg.DownAfter, g.cfg.DownCooldown)
 	}
-	return nil, nil, 0, err
+	return nil, nil, err
 }
 
 // transientStatus reports whether an HTTP status from a peer indicates a
@@ -172,11 +170,9 @@ func transientStatus(code int) bool {
 
 // attempt performs a single HTTP exchange; retriable reports whether a
 // failure is worth another attempt (network error or a transient 502–504
-// status — see transientStatus). A 304 Not Modified is a success with no
-// body (the caller's conditional GET still holds). extra headers (e.g.
-// the forwarded ingest stamp or an If-None-Match validator) are applied
-// after the content type.
-func (g *Gateway) attempt(ctx context.Context, p *peer, method, path, contentType string, body []byte, extra http.Header) (blob []byte, hdr http.Header, status int, retriable bool, err error) {
+// status — see transientStatus). extra headers (the forwarded ingest
+// stamp) are applied after the content type.
+func (g *Gateway) attempt(ctx context.Context, p *peer, method, path, contentType string, body []byte, extra http.Header) (blob []byte, hdr http.Header, retriable bool, err error) {
 	actx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -185,7 +181,7 @@ func (g *Gateway) attempt(ctx context.Context, p *peer, method, path, contentTyp
 	}
 	req, err := http.NewRequestWithContext(actx, method, p.url+path, rd)
 	if err != nil {
-		return nil, nil, 0, false, err
+		return nil, nil, false, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -204,18 +200,15 @@ func (g *Gateway) attempt(ctx context.Context, p *peer, method, path, contentTyp
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return nil, nil, 0, true, err
+		return nil, nil, true, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified {
-		return nil, resp.Header, resp.StatusCode, false, nil
-	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, nil, 0, transientStatus(resp.StatusCode), decodePeerError(resp)
+		return nil, nil, transientStatus(resp.StatusCode), decodePeerError(resp)
 	}
 	blob, err = io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, nil, 0, true, err
+		return nil, nil, true, err
 	}
-	return blob, resp.Header, resp.StatusCode, false, nil
+	return blob, resp.Header, false, nil
 }

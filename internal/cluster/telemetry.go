@@ -67,10 +67,7 @@ func (g *Gateway) initTelemetry() {
 	g.pointsRouted = st.Counter("points_routed", "Points forwarded to peers.")
 	g.queries = st.Counter("queries", "GET /query and GET /sketch requests served.")
 	g.partialQueries = st.Counter("partial_queries", "Answers folded from a strict peer subset.")
-	g.peerNotModified = st.Counter("peer_not_modified", "Peer fetches answered 304.")
-	g.fedBytesSaved = st.Counter("fed_bytes_saved", "Envelope bytes not re-transferred thanks to 304s.")
-	g.fedCacheHits = st.Counter("fed_cache_hits", "Scatter rounds that reused the merged union.")
-	g.fedCacheMisses = st.Counter("fed_cache_misses", "Scatter rounds that re-folded the union.")
+	g.fedCacheMisses = st.Counter("fed_cache_misses", "Scatter rounds that folded and installed the union.")
 	g.peerDeserializes = st.Counter("peer_deserializes", "Sketch envelope deserializations performed.")
 	g.sketchMerges = st.Counter("sketch_merges", "Mergeable.Merge folds performed.")
 	g.notModified = st.Counter("not_modified", "The gateway's own 304s served to clients.")

@@ -320,30 +320,7 @@ func (e *Engine) ProcessBatch(ps []geom.Point) {
 	if e.closed.Load() {
 		panic("engine: ProcessBatch after Close")
 	}
-	e.enqueued.Add(int64(len(ps)))
-	bk := e.getBuckets()
-	buckets := bk.pts
-	for _, p := range ps {
-		i := e.cfg.Router.Route(p) % uint64(len(e.shards))
-		b := buckets[i]
-		if b == nil {
-			b = e.getBuf()
-		}
-		b = append(b, p)
-		if len(b) >= e.cfg.BatchSize {
-			e.shards[i].ch <- batch{pts: b}
-			b = e.getBuf()
-		}
-		buckets[i] = b
-	}
-	for i, b := range buckets {
-		if len(b) > 0 {
-			e.shards[i].ch <- batch{pts: b}
-		} else if b != nil {
-			e.putBuf(b)
-		}
-	}
-	e.putBuckets(bk)
+	e.route(ps, nil)
 	// Bumped after enqueueing, for the reason documented in Process.
 	e.epoch.Bump()
 }
@@ -380,6 +357,18 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 			break
 		}
 	}
+	e.route(ps, stamps)
+	// Bumped after enqueueing, for the reason documented in Process.
+	e.epoch.Bump()
+}
+
+// route partitions a batch by the router into per-shard sub-batches of
+// at most BatchSize points and ships each to its worker as it fills.
+// stamps, when non-nil, stamps ps point for point and travels with the
+// sub-batches; nil routes an unstamped batch.
+//
+//sketch:hotpath
+func (e *Engine) route(ps []geom.Point, stamps []int64) {
 	e.enqueued.Add(int64(len(ps)))
 	bk := e.getBuckets()
 	buckets, stampBuckets := bk.pts, bk.stamps
@@ -390,7 +379,9 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 			b = e.getBuf()
 		}
 		b = append(b, p)
-		stampBuckets[i] = append(stampBuckets[i], stamps[k])
+		if stamps != nil {
+			stampBuckets[i] = append(stampBuckets[i], stamps[k])
+		}
 		if len(b) >= e.cfg.BatchSize {
 			e.shards[i].ch <- batch{pts: b, stamps: stampBuckets[i]}
 			b = e.getBuf()
@@ -406,8 +397,6 @@ func (e *Engine) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 		}
 	}
 	e.putBuckets(bk)
-	// Bumped after enqueueing, for the reason documented in Process.
-	e.epoch.Bump()
 }
 
 // ProcessAt feeds one explicitly stamped point to a time-windowed engine.
@@ -533,6 +522,11 @@ func (e *Engine) Enqueued() int64 { return e.enqueued.Load() }
 
 // Shards returns the number of worker shards.
 func (e *Engine) Shards() int { return len(e.shards) }
+
+// Stamped reports whether the engine's sketches are time-windowed
+// (sketch.Stamped): ingest into such an engine is stamped, and
+// ProcessStampedBatch accepts it.
+func (e *Engine) Stamped() bool { return e.stamped }
 
 // Processed returns the number of points fully folded into shard
 // sketches — the lock-free subset of Stats for metric scrapes.

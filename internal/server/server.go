@@ -13,11 +13,11 @@
 // fetches the serialized snapshots of many sketchd peers, Deserializes
 // them, and folds them with Mergeable.Merge into one logical sketch.
 //
-// A Windowed server fronts a time-windowed engine: ingest batches are
-// stamped (X-Sketch-Stamp header, or the server clock in Unix seconds)
-// and queries answer over the current sliding window. Windowed snapshots
-// serialize and merge like every other family, so windowed daemons
-// federate through the gateway unchanged.
+// A server over a time-windowed engine (Engine.Stamped) stamps ingest
+// batches (X-Sketch-Stamp header, or the server clock in Unix seconds)
+// and answers queries over the current sliding window. Windowed
+// snapshots serialize and merge like every other family, so windowed
+// daemons federate through the gateway unchanged.
 //
 // The handler is an http.Handler; the caller owns the http.Server and the
 // engine's lifecycle (cmd/sketchd wires up graceful shutdown and startup
@@ -72,19 +72,17 @@ type Config struct {
 	// tell a restore from a cold start.
 	Restored bool
 
-	// Windowed marks the engine's sketches as time-windowed: every ingest
-	// batch is stamped — with the X-Sketch-Stamp request header when the
-	// client provides one, with Clock otherwise — and handed to
-	// Engine.ProcessStampedBatch. Client stamps may arrive late: a point
-	// stamped the window width or more behind the latest stamp is dropped,
-	// and a later one keeps its group in the window until the group's
-	// newest point leaves it (docs/server.md, "Windowed serving").
-	Windowed bool
-
 	// Clock returns the stamp assigned to ingest requests without an
 	// explicit X-Sketch-Stamp header. Defaults to Unix seconds — the
 	// window width is then a duration in seconds over ingest time. Only
-	// consulted when Windowed.
+	// consulted when the engine is time-windowed (Engine.Stamped): every
+	// ingest batch is then stamped — with the X-Sketch-Stamp request
+	// header when the client provides one, with Clock otherwise — and
+	// handed to Engine.ProcessStampedBatch. Client stamps may arrive
+	// late: a point stamped the window width or more behind the latest
+	// stamp is dropped, and a later one keeps its group in the window
+	// until the group's newest point leaves it (docs/server.md,
+	// "Windowed serving").
 	Clock func() int64
 
 	// WatchTimeout bounds how long a GET /watch long-poll may block before
@@ -119,7 +117,7 @@ const StampHeader = "X-Sketch-Stamp"
 // start time, so a restart never revalidates stale state) it is the
 // cache token behind conditional GETs: a client that re-sends the ETag
 // in If-None-Match gets 304 Not Modified while no ingest has landed.
-// The cluster gateway keys its federated cache on exactly this.
+// The cluster gateway reports it per peer in X-Sketch-Epoch-Vector.
 const EpochHeader = "X-Sketch-Epoch"
 
 // Server is the HTTP front end. All handlers are safe for concurrent use;
@@ -324,7 +322,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ti := time.Now()
-	if s.cfg.Windowed {
+	if s.cfg.Engine.Stamped() {
 		stamp, err := ingestStamp(r, s.cfg.Clock)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err)

@@ -51,7 +51,7 @@ func newWindowedServer(t *testing.T, opts core.Options, win window.Window, shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Engine: eng, Dim: opts.Dim, CheckpointPath: ckpt, Windowed: true})
+	srv, err := New(Config{Engine: eng, Dim: opts.Dim, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestWindowedServerClockStamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Engine: eng, Dim: 2, Windowed: true, Clock: func() int64 { return now }})
+	srv, err := New(Config{Engine: eng, Dim: 2, Clock: func() int64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,4 +250,44 @@ func TestWindowedServerClockStamping(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad stamp header status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestServerStampingFollowsEngine builds a daemon over each engine kind
+// with no windowed setting: the server asks the engine whether to stamp.
+// The windowed daemon honors X-Sketch-Stamp — its snapshot's clock is
+// the latest stamp, and the group stamped a window behind drops out —
+// while the plain daemon ingests a stamped batch like any other.
+func TestServerStampingFollowsEngine(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: 1 << 10, Kappa: 64}
+	ts, eng := newWindowedServer(t, opts, window.Window{Kind: window.Time, W: 100}, 2, "")
+	ingestStamped(t, ts.URL, []geom.Point{{0, 0}}, 0)
+	ingestStamped(t, ts.URL, []geom.Point{{50, 0}}, 1000)
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := snap.(interface{ Now() int64 }).Now(); now != 1000 {
+		t.Fatalf("windowed snapshot clock %d, want the ingest stamp 1000", now)
+	}
+	for i := 0; i < 20; i++ {
+		res, err := snap.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sample[0] != 50 {
+			t.Fatalf("group stamped a window behind was sampled: %v", res.Sample)
+		}
+	}
+
+	plain, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Engine: plain, Dim: opts.Dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainTS := httptest.NewServer(srv)
+	defer func() { plainTS.Close(); plain.Close() }()
+	ingestStamped(t, plainTS.URL, []geom.Point{{0, 0}}, 1000)
 }

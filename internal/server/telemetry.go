@@ -45,8 +45,7 @@ func (s *Server) initTelemetry() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	st.Flag("restored_from_checkpoint", "1 if the engine was restored from a checkpoint.",
 		func() bool { return s.cfg.Restored })
-	st.Flag("windowed", "1 if this daemon serves time-windowed sketches.",
-		func() bool { return s.cfg.Windowed })
+	st.Flag("windowed", "1 if this daemon serves time-windowed sketches.", s.cfg.Engine.Stamped)
 	s.ingestRequests = st.Counter("ingest_requests", "POST /ingest calls served.")
 	s.pointsIngested = st.Counter("points_ingested", "Points accepted over HTTP.")
 	s.sketchCacheHits = st.Counter("sketch_cache_hits", "GET /sketch served from the cached marshal.")
