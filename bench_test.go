@@ -160,9 +160,10 @@ func BenchmarkAdj(b *testing.B) {
 			pts[i] = p
 		}
 		b.Run(fmt.Sprintf("dfs/d=%d", d), func(b *testing.B) {
+			var adj []grid.CellKey
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.Adj(pts[i%len(pts)], 1)
+				adj = g.AppendAdj(adj[:0], pts[i%len(pts)], 1)
 			}
 		})
 		// The naive enumeration is exponential in d; skip it where it
@@ -304,20 +305,49 @@ func BenchmarkSerialize(b *testing.B) {
 // streaming engine across shard counts (ns/op is per point). The
 // workload has a high distinct-group rate, so per-point sketch work
 // dominates the router. The sweep committed in BENCH_engine.json was
-// measured under GOMAXPROCS=1 on a 2-CPU host: 487k pts/s at 1 shard,
-// 514k at 2, 300k at 4 and 244k at 8; multi-core scaling has not been
-// measured.
+// measured under GOMAXPROCS=1 on a 2-CPU host: 329k pts/s at 1 shard,
+// 225k at 2, 189k at 4 and 163k at 8. Those rows time 25 points each,
+// mostly per-batch engine overhead, and repeat runs of the same binary
+// spread 3–8.5 µs per point; at -benchtime 200000x one shard ingests
+// about 1M pts/s on that host. Multi-core scaling has not been measured.
 func BenchmarkEngineProcess(b *testing.B) {
-	const chunk = 512
-	rng := rand.New(rand.NewPCG(41, 43))
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 21, HighDim: true}
+	benchEngine(b, []int{1, 2, 4, 8}, uniformPoints(41, 43, 2), opts, engine.NewSamplerEngine)
+}
+
+// BenchmarkF0EngineProcess is the ingest path of an f0 daemon at
+// sketchd's defaults: every point goes through the 9 infinite-window
+// sampler copies of an ε = 0.25 estimator. The points are 3-dimensional,
+// like bench/'s daemon-f0 workload, and uniform, so nearly every point is
+// a new group.
+func BenchmarkF0EngineProcess(b *testing.B) {
+	opts := core.Options{Alpha: 1, Dim: 3, Seed: 9, StreamBound: 1 << 23, HighDim: true}
+	benchEngine(b, []int{1, 2}, uniformPoints(47, 53, 3), opts, func(opts core.Options, cfg engine.Config) (*engine.Engine, error) {
+		return engine.NewF0Engine(opts, 0.25, 9, cfg)
+	})
+}
+
+// uniformPoints returns 2^16 points drawn uniformly from [0, 4096)^dim.
+func uniformPoints(seed1, seed2 uint64, dim int) []geom.Point {
+	rng := rand.New(rand.NewPCG(seed1, seed2))
 	pts := make([]geom.Point, 1<<16)
 	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 4096, rng.Float64() * 4096}
+		p := make(geom.Point, dim)
+		for j := range p {
+			p[j] = rng.Float64() * 4096
+		}
+		pts[i] = p
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	return pts
+}
+
+// benchEngine feeds pts in unstamped chunks to the engine newEngine
+// builds from opts, once per shard count; ns/op is per point.
+func benchEngine(b *testing.B, shardCounts []int, pts []geom.Point, opts core.Options, newEngine func(core.Options, engine.Config) (*engine.Engine, error)) {
+	const chunk = 512
+	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 21, HighDim: true}
-			eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: shards, BatchSize: chunk})
+			eng, err := newEngine(opts, engine.Config{Shards: shards, BatchSize: chunk})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,11 +392,7 @@ func BenchmarkWindowF0EngineProcess(b *testing.B) {
 // engine newEngine builds, once per shard count; ns/op is per point.
 func benchStampedEngine(b *testing.B, shardCounts []int, newEngine func(core.Options, engine.Config) (*engine.Engine, error)) {
 	const chunk = 512
-	rng := rand.New(rand.NewPCG(47, 53))
-	pts := make([]geom.Point, 1<<16)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 4096, rng.Float64() * 4096}
-	}
+	pts := uniformPoints(47, 53, 2)
 	stamps := make([]int64, len(pts))
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -43,6 +43,12 @@ type binReader struct {
 	data []byte
 	off  int
 	err  error
+
+	// slab backs the slices coords returns while it has room, so a
+	// decoder allocates one array for its points instead of one per
+	// point. Decoders size it by an entry count already checked against
+	// the input (count), so it stays proportional to the bytes read.
+	slab []float64
 }
 
 func (r *binReader) fail(err error) {
@@ -111,7 +117,12 @@ func (r *binReader) coords(n int) []float64 {
 		r.fail(errTruncated)
 		return nil
 	}
-	out := make([]float64, n)
+	var out []float64
+	if n <= len(r.slab) {
+		out, r.slab = r.slab[:n:n], r.slab[n:]
+	} else {
+		out = make([]float64, n)
+	}
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off+8*i:]))
 	}

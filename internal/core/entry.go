@@ -75,13 +75,22 @@ func (e *entry) ownLevel(ls *hash.LevelSampler) uint8 {
 // exactly when sampledAt(nearLevel, r).
 func (e *entry) nearLevel(ls *hash.LevelSampler) uint8 {
 	if e.adjLvl == 0 {
-		var m uint8
-		for _, c := range e.adj {
-			m = max(m, hashLevel(ls, c))
-		}
-		e.adjLvl = m + 1
+		e.adjLvl = adjLevel(ls, e.adj, e.cell, e.ownLevel(ls)) + 1
 	}
 	return e.adjLvl - 1
+}
+
+// adjLevel returns the maximum hash level over adj and cell, given
+// cell's level cellLvl. Adjacent lists include the point's own cell, so
+// this is the maximum over adj; the cell is not hashed a second time.
+func adjLevel(ls *hash.LevelSampler, adj []grid.CellKey, cell grid.CellKey, cellLvl uint8) uint8 {
+	m := cellLvl
+	for _, c := range adj {
+		if c != cell {
+			m = max(m, hashLevel(ls, c))
+		}
+	}
+	return m
 }
 
 // classify re-classifies e at rate 1/r per Definition 2.2 and reports

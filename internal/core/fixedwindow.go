@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -45,6 +46,10 @@ type FixedWindow struct {
 	// above 0 — higher levels are populated exclusively by promotion (see
 	// the fidelity note on WindowSampler).
 	matchOnly bool
+
+	// adjBuf is Process's adjacency scratch (a WindowSampler searches
+	// into its own and hands the result to observe).
+	adjBuf []grid.CellKey
 }
 
 // NewFixedWindow constructs a standalone Algorithm 2 instance with sample
@@ -114,7 +119,8 @@ func (fw *FixedWindow) Process(p geom.Point, stamp int64) bool {
 	if fw.win.Expired(stamp, fw.now) {
 		return false
 	}
-	return fw.observe(p, stamp, fw.spc.Adjacent(p))
+	fw.adjBuf = fw.spc.Adjacent(fw.adjBuf[:0], p)
+	return fw.observe(p, stamp, fw.adjBuf)
 }
 
 // Expire advances the clock to now, unless it is already later, and
@@ -136,7 +142,8 @@ func (fw *FixedWindow) Expire(now int64) {
 }
 
 // observe implements lines 4–10 of Algorithm 2 for one point with
-// adjacency list adjKeys = adj(p).
+// adjacency list adjKeys = adj(p), which a stored entry copies (adjKeys
+// is the caller's scratch).
 func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey) bool {
 	// Lines 5–6: a stored representative of p's group exists; p becomes the
 	// group's latest point unless a later one is already stored.
@@ -176,6 +183,7 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 	}
 	e := new(entry)
 	*e = c
+	e.adj = slices.Clone(adjKeys)
 	if fw.opts.RandomRepresentative {
 		e.observeWindowPick(p, stamp, fw.rng.Uint64())
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -49,6 +50,10 @@ type Sampler struct {
 	// Adjacent/findGroup grid hashing entirely; see Process. Invalidated
 	// whenever entries can be dropped (doubleR).
 	lastHit *entry
+
+	// adjBuf is Process's adjacency scratch: each point's search reuses
+	// it, and only a stored entry gets a copy.
+	adjBuf []grid.CellKey
 }
 
 // NewSampler constructs an infinite-window robust ℓ0-sampler.
@@ -132,7 +137,8 @@ func (s *Sampler) Process(p geom.Point) {
 	if e := s.lastHit; e != nil && !s.opts.RandomRepresentative && s.spc.SameGroup(e.rep, p) {
 		return
 	}
-	adjKeys := s.spc.Adjacent(p)
+	s.adjBuf = s.spc.Adjacent(s.adjBuf[:0], p)
+	adjKeys := s.adjBuf
 
 	// Line 4: if p belongs to a known candidate group it is not the first
 	// point of that group; update the group's auxiliary state and move on.
@@ -145,20 +151,25 @@ func (s *Sampler) Process(p geom.Point) {
 	}
 
 	// p is the first point of its group among groups we can still see.
-	// Lines 6–9: classify the group by its first point's cell.
+	// Lines 6–9: classify the group by its first point's cell. The
+	// maximum level over adj(p) decides "∃C ∈ adj(p) s.t. h_R(C) = 0";
+	// an ignored point has to hash every cell of adj(p) for that anyway,
+	// and a stored entry caches the level, so rate doublings, snapshots
+	// and merges never hash its neighbourhood again.
 	cp := s.spc.Cell(p)
 	lvl := hashLevel(s.ls, cp)
-	accepted := sampledAt(lvl, s.r)
-	if !accepted && !s.anySampled(adjKeys) {
+	near := adjLevel(s.ls, adjKeys, cp, lvl)
+	if !sampledAt(near, s.r) {
 		return // ignored group: no cell of adj(p) is sampled
 	}
 	e := newEntry()
 	*e = entry{
 		rep:      p,
 		cell:     cp,
-		adj:      adjKeys,
-		accepted: accepted,
+		adj:      slices.Clone(adjKeys),
+		accepted: sampledAt(lvl, s.r),
 		cellLvl:  lvl + 1,
+		adjLvl:   near + 1,
 		stamp:    s.n,
 		count:    1,
 		pick:     p,
@@ -181,17 +192,6 @@ func (s *Sampler) store(e *entry) {
 		s.acc = append(s.acc, e)
 	}
 	s.space.add(e.words(s.opts.RandomRepresentative, false))
-}
-
-// anySampled reports whether any of the cells is sampled at the current
-// rate — the "∃C ∈ adj(p) s.t. h_R(C) = 0" test.
-func (s *Sampler) anySampled(cells []grid.CellKey) bool {
-	for _, c := range cells {
-		if s.ls.SampledAt(uint64(c), s.r) {
-			return true
-		}
-	}
-	return false
 }
 
 // doubleR doubles R and re-classifies every stored entry per

@@ -7,8 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/hash"
 )
+
+// anySampled reports whether any of the cells is sampled at the current
+// rate, hashing each afresh: the reference the entries' cached levels are
+// checked against.
+func (s *Sampler) anySampled(cells []grid.CellKey) bool {
+	for _, c := range cells {
+		if s.ls.SampledAt(uint64(c), s.r) {
+			return true
+		}
+	}
+	return false
+}
 
 // clusters builds k well-separated clusters with sizes[i] points each,
 // intra-cluster radius ≤ alpha/2 around the center (so group diameter ≤ α),

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/grid"
 )
 
 // ErrNotSerializable is wrapped by MarshalBinary when the sketch has no
@@ -114,7 +117,12 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 // decoding every entry straight into the sampler. The options are
 // validated before anything sized by them is allocated, and each entry's
 // accept/reject classification is re-validated against the re-derived
-// hash, so a blob from different options fails instead of mis-sampling.
+// hash per Definition 2.2 — accepted exactly when its cell is sampled,
+// and a rejected entry only when some cell of adj(rep) is — so a blob
+// from different options fails instead of mis-sampling. The levels that
+// check computes stay cached on the entries. Points come from one slab
+// sized by the checked entry count, adjacency lists from one slab of
+// their total size (packAdj).
 // The query RNG is re-derived from the seed, so a restored sketch gives
 // statistically equivalent (not bit-identical) query randomness.
 // Payloads without the binary magic fail with ErrRetiredFormat.
@@ -146,6 +154,8 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 	}
 	s.entries = make([]*entry, 0, n)
 	s.acc = make([]*entry, 0, min(s.opts.acceptThreshold()+1, n))
+	r.slab = make([]float64, 2*n*dim)    // rep and pick
+	keys := make([]grid.CellKey, 0, 4*n) // grows when lists average more than 4 cells
 	for range n {
 		flags := r.u8()
 		e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
@@ -155,15 +165,38 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 		}
-		e.cell = s.spc.Cell(e.rep)
-		if e.accepted != sampledAt(e.ownLevel(s.ls), s.r) {
+		keys = decodeAdj(s.spc, e, keys)
+		if accepted := e.accepted; !e.classify(s.ls, s.r) || e.accepted != accepted {
 			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", e.rep)
 		}
-		e.adj = s.spc.Adjacent(e.rep)
 		s.store(e)
 	}
+	packAdj(s.entries, keys)
 	if peak > s.space.peak {
 		s.space.peak = peak
 	}
 	return s, nil
+}
+
+// decodeAdj sets a decoded entry's cell and adjacency list, appending the
+// list to keys, the decoder's buffer of the lists decoded so far, and
+// returns the extended buffer. e.adj views keys until packAdj moves it.
+func decodeAdj(spc Space, e *entry, keys []grid.CellKey) []grid.CellKey {
+	e.cell = spc.Cell(e.rep)
+	start := len(keys)
+	keys = spc.Adjacent(keys, e.rep)
+	e.adj = keys[start:len(keys):len(keys)]
+	return keys
+}
+
+// packAdj moves the adjacency lists of es, which decodeAdj appended to
+// keys back to back in es order, into one slab of exactly their total
+// size, so the decoder's buffer (and its spare capacity) can be dropped
+// or reused. Every entry's list is a view of the slab.
+func packAdj(es []*entry, keys []grid.CellKey) {
+	slab := slices.Clone(keys)
+	for _, e := range es {
+		n := len(e.adj)
+		e.adj, slab = slab[:n:n], slab[n:]
+	}
 }

@@ -117,6 +117,34 @@ func pointSet(pts []geom.Point) map[string]bool {
 	return out
 }
 
+// TestUnmarshalRefusesUnsampledReject: Definition 2.2 keeps a rejected
+// group only while some cell of adj(rep) is sampled, so a blob holding a
+// rejected entry with no sampled adjacent cell at its R is refused, as
+// the window decoder refuses one.
+func TestUnmarshalRefusesUnsampledReject(t *testing.T) {
+	const r = 1024
+	s, err := NewSampler(Options{Alpha: 1, Dim: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.r = r
+	var p geom.Point
+	for i := 0; p == nil; i++ {
+		q := geom.Point{10.3 * float64(i), 7}
+		if adj := s.spc.Adjacent(nil, q); !s.anySampled(adj) {
+			p = q
+		}
+	}
+	s.store(&entry{rep: p, cell: s.spc.Cell(p), adj: s.spc.Adjacent(nil, p), stamp: 1, count: 1, pick: p})
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalSampler(blob); err == nil {
+		t.Fatalf("decoded a rejected entry with no sampled adjacent cell at R=%d: RejectSize %d", r, got.RejectSize())
+	}
+}
+
 func TestMergeDisjointShards(t *testing.T) {
 	// Shard A holds groups 0..9, shard B groups 10..19: the merge must
 	// know all 20 and sample uniformly.

@@ -18,13 +18,16 @@ type Space interface {
 	// Cell returns the bucket containing p.
 	Cell(p geom.Point) grid.CellKey
 
-	// Adjacent returns every bucket that may contain the representative
-	// of p's group — in the Euclidean case, all cells within distance α
-	// of p. It must include Cell(p). Completeness of this set is what
-	// keeps the reject-set bookkeeping (and hence uniformity) exact; an
-	// approximate LSH implementation trades a little uniformity for
-	// generality.
-	Adjacent(p geom.Point) []grid.CellKey
+	// Adjacent appends to dst every bucket that may contain the
+	// representative of p's group — in the Euclidean case, all cells
+	// within distance α of p — and returns the extended slice, like the
+	// built-in append: the samplers pass a scratch buffer and copy the
+	// result only into an entry they store, so a search into a buffer
+	// with room should not allocate. The set must include Cell(p).
+	// Completeness of this set is what keeps the reject-set bookkeeping
+	// (and hence uniformity) exact; an approximate LSH implementation
+	// trades a little uniformity for generality.
+	Adjacent(dst []grid.CellKey, p geom.Point) []grid.CellKey
 
 	// SameGroup reports whether two points are near-duplicates (in the
 	// Euclidean case, d(u,v) ≤ α).
@@ -46,8 +49,8 @@ func NewEuclideanSpace(dim int, side, alpha float64, seed uint64) Space {
 
 func (s *euclideanSpace) Cell(p geom.Point) grid.CellKey { return s.g.CellOf(p) }
 
-func (s *euclideanSpace) Adjacent(p geom.Point) []grid.CellKey {
-	return s.g.Adj(p, s.alpha)
+func (s *euclideanSpace) Adjacent(dst []grid.CellKey, p geom.Point) []grid.CellKey {
+	return s.g.AppendAdj(dst, p, s.alpha)
 }
 
 func (s *euclideanSpace) SameGroup(u, v geom.Point) bool {

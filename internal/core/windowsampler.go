@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/hash"
 	"repro/internal/window"
 )
@@ -89,6 +90,10 @@ type WindowSampler struct {
 
 	overflowErrors int // times the split cascade ran past level L (paper's "error")
 	splitFailures  int // times Split found no next-rate-sampled accepted point
+
+	// adjBuf is ProcessAt's adjacency scratch: each point's search reuses
+	// it, and only an entry a level stores gets a copy.
+	adjBuf []grid.CellKey
 }
 
 // NewWindowSampler constructs the hierarchical sliding-window sampler.
@@ -215,9 +220,9 @@ func (ws *WindowSampler) ProcessAt(p geom.Point, stamp int64) {
 	// fresh at level 0 (match-only is off there and R=1 accepts every
 	// cell), after which the split cascade restores the size invariant.
 	// The levels share one grid, so one adjacency search serves them all.
-	adjKeys := ws.spc.Adjacent(p)
+	ws.adjBuf = ws.spc.Adjacent(ws.adjBuf[:0], p)
 	for l := len(ws.levels) - 1; l >= 0; l-- {
-		if ws.levels[l].observe(p, stamp, adjKeys) {
+		if ws.levels[l].observe(p, stamp, ws.adjBuf) {
 			ws.rebalance(l)
 			break
 		}

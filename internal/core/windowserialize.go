@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/grid"
 	"repro/internal/window"
 )
 
@@ -128,7 +129,8 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		return nil, fmt.Errorf("core: corrupt window sketch: %d levels for window width %d (want %d)",
 			levels, win.W, len(ws.levels))
 	}
-	var es []*entry // one level's entries, reused across levels
+	var es []*entry         // one level's entries, reused across levels
+	var keys []grid.CellKey // one level's adjacency lists, reused likewise
 	for l, lv := range ws.levels {
 		lv.now = ws.now
 		n, err := r.count(1 + 1 + 1 + 8*dim)
@@ -136,6 +138,8 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 			return nil, err
 		}
 		es = slices.Grow(es[:0], n)
+		keys = slices.Grow(keys[:0], 4*n) // grows when lists average more than 4 cells
+		r.slab = make([]float64, 3*n*dim) // rep, pick and last; skyline points use what is left
 		for range n {
 			flags := r.u8()
 			e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
@@ -159,13 +163,13 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 			if r.err != nil {
 				return nil, fmt.Errorf("core: decoding window sketch: %w", r.err)
 			}
-			e.cell = ws.spc.Cell(e.rep)
-			e.adj = ws.spc.Adjacent(e.rep)
+			keys = decodeAdj(ws.spc, e, keys)
 			if accepted := e.accepted; !e.classify(ws.ls, lv.r) || e.accepted != accepted {
 				return nil, fmt.Errorf("core: window sketch inconsistent with options (level %d entry %v)", l, e.rep)
 			}
 			es = append(es, e)
 		}
+		packAdj(es, keys)
 		// MarshalBinary writes each level in expiry order, so this sort
 		// leaves its output as it is. A checkpoint written before late
 		// points kept that order sorted, or a crafted blob, may hold an

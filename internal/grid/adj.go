@@ -1,14 +1,16 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/hash"
 )
 
-// Adj returns the keys of all cells C with d(p, C) ≤ radius, computed by a
-// pruned depth-first search generalizing the paper's Algorithms 6–7
-// (Section 6.2).
+// AppendAdj appends to dst the keys of all cells C with d(p, C) ≤ radius,
+// computed by a pruned depth-first search generalizing the paper's
+// Algorithms 6–7 (Section 6.2), and returns the extended slice.
 //
 // The paper's DFS considers three moves per dimension (snap to the lower
 // cell boundary, stay, snap to the upper boundary), which is exact when the
@@ -23,19 +25,22 @@ import (
 // pruned, so for the separation ratios the algorithms require the expected
 // number of explored leaves stays O(1) per point (paper Lemma 4.2).
 //
-// The returned slice includes cell(p) itself and contains no duplicates.
-func (g *Grid) Adj(p geom.Point, radius float64) []CellKey {
-	st := g.newAdjSearch(p, radius, false)
-	st.walk(0, 0)
-	return st.result
-}
-
-// AdjCoords is Adj but returns integer cell coordinates instead of keys;
-// used by tests to compare against the naive enumeration.
-func (g *Grid) AdjCoords(p geom.Point, radius float64) []Coord {
-	st := g.newAdjSearch(p, radius, true)
-	st.walk(0, 0)
-	return st.coords
+// Each node of the search extends its parent's partial key by one
+// coordinate, the chain Coord.Key computes, so no coordinate vector is
+// built and the search allocates only when dst has to grow. Cells come in
+// DFS order — cell(p) first, then per dimension offset 0, the negative
+// offsets, the positive ones — and contain no duplicates.
+func (g *Grid) AppendAdj(dst []CellKey, p geom.Point, radius float64) []CellKey {
+	if len(p) != g.dim {
+		panic(fmt.Sprintf("grid: point dimension %d does not match grid dimension %d", len(p), g.dim))
+	}
+	maxOff := int64(math.Ceil(radius / g.side))
+	if maxOff < 1 {
+		maxOff = 1
+	}
+	s := adjSearch{g: g, p: p, r2: radius * radius, maxOff: maxOff, dst: dst}
+	s.walk(0, 0, uint64(g.dim)*0x9e3779b97f4a7c15)
+	return s.dst
 }
 
 type adjSearch struct {
@@ -43,87 +48,53 @@ type adjSearch struct {
 	p      geom.Point
 	r2     float64
 	maxOff int64 // ⌈radius/side⌉
-	coord  Coord // current candidate coordinates, mutated along the DFS
-	base   Coord // coordinates of cell(p)
-	result []CellKey
-	coords []Coord
-	keep   bool // collect coords instead of keys
+	dst    []CellKey
 }
 
-func (g *Grid) newAdjSearch(p geom.Point, radius float64, keepCoords bool) *adjSearch {
-	base := g.CoordOf(p)
-	maxOff := int64(math.Ceil(radius / g.side))
-	if maxOff < 1 {
-		maxOff = 1
-	}
-	st := &adjSearch{
-		g:      g,
-		p:      p,
-		r2:     radius * radius,
-		maxOff: maxOff,
-		coord:  base.Clone(),
-		base:   base,
-		keep:   keepCoords,
-	}
-	if keepCoords {
-		st.coords = make([]Coord, 0, 8)
-	} else {
-		st.result = make([]CellKey, 0, 8)
-	}
-	return st
-}
-
-// walk explores dimension i having accumulated squared moved distance acc.
-func (s *adjSearch) walk(i int, acc float64) {
+// walk explores dimension i having accumulated squared moved distance acc
+// and the partial cell key key over dimensions 0..i−1.
+func (s *adjSearch) walk(i int, acc float64, key uint64) {
 	if acc > s.r2 {
 		return
 	}
 	if i == len(s.p) {
-		if s.keep {
-			s.coords = append(s.coords, s.coord.Clone())
-		} else {
-			s.result = append(s.result, s.coord.Key())
-		}
+		s.dst = append(s.dst, CellKey(key))
 		return
 	}
+	g := s.g
 	x := s.p[i]
-	lo := s.g.shift[i] + float64(s.base[i])*s.g.side
-	dLo := x - lo         // distance down to the lower boundary of cell(p)
-	dHi := s.g.side - dLo // distance up to the upper boundary
+	base := int64(math.Floor((x - g.shift[i]) / g.side))
+	dLo := x - (g.shift[i] + float64(base)*g.side) // distance down to the lower boundary of cell(p)
+	dHi := g.side - dLo                            // distance up to the upper boundary
 
 	// Offset 0: stay in this cell row at no cost.
-	s.coord[i] = s.base[i]
-	s.walk(i+1, acc)
+	s.walk(i+1, acc, hash.Mix64(key^uint64(base)))
 
 	// Negative offsets: −1, −2, ... each adds one more full side of travel.
 	for o := int64(1); o <= s.maxOff; o++ {
-		d := dLo + float64(o-1)*s.g.side
+		d := dLo + float64(o-1)*g.side
 		dd := acc + d*d
 		if dd > s.r2 {
 			break
 		}
-		s.coord[i] = s.base[i] - o
-		s.walk(i+1, dd)
+		s.walk(i+1, dd, hash.Mix64(key^uint64(base-o)))
 	}
 
 	// Positive offsets.
 	for o := int64(1); o <= s.maxOff; o++ {
-		d := dHi + float64(o-1)*s.g.side
+		d := dHi + float64(o-1)*g.side
 		dd := acc + d*d
 		if dd > s.r2 {
 			break
 		}
-		s.coord[i] = s.base[i] + o
-		s.walk(i+1, dd)
+		s.walk(i+1, dd, hash.Mix64(key^uint64(base+o)))
 	}
-
-	s.coord[i] = s.base[i]
 }
 
 // AdjNaive enumerates all (2K+1)^d cells with coordinate offsets in
 // [−K, K], K = ⌈radius/side⌉, and filters by d(p, C) ≤ radius. It is the
 // reference implementation for differential tests and the Section 6.2
-// ablation benchmark; use Adj in production code.
+// ablation benchmark; use AppendAdj in production code.
 func (g *Grid) AdjNaive(p geom.Point, radius float64) []CellKey {
 	coords := g.AdjNaiveCoords(p, radius)
 	keys := make([]CellKey, len(coords))

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -9,9 +10,58 @@ import (
 	"repro/internal/geom"
 )
 
+// AdjCoords runs AppendAdj's pruned DFS over coordinate vectors: it
+// starts from CoordOf(p) and materializes every cell it reaches, so it
+// is the reference for AppendAdj's cell order and keys.
+func (g *Grid) AdjCoords(p geom.Point, radius float64) []Coord {
+	base := g.CoordOf(p)
+	maxOff := int64(math.Ceil(radius / g.side))
+	if maxOff < 1 {
+		maxOff = 1
+	}
+	r2 := radius * radius
+	coord := base.Clone()
+	var out []Coord
+	var walk func(i int, acc float64)
+	walk = func(i int, acc float64) {
+		if acc > r2 {
+			return
+		}
+		if i == len(p) {
+			out = append(out, coord.Clone())
+			return
+		}
+		dLo := p[i] - (g.shift[i] + float64(base[i])*g.side)
+		dHi := g.side - dLo
+		coord[i] = base[i]
+		walk(i+1, acc)
+		for o := int64(1); o <= maxOff; o++ {
+			d := dLo + float64(o-1)*g.side
+			if acc+d*d > r2 {
+				break
+			}
+			coord[i] = base[i] - o
+			walk(i+1, acc+d*d)
+		}
+		for o := int64(1); o <= maxOff; o++ {
+			d := dHi + float64(o-1)*g.side
+			if acc+d*d > r2 {
+				break
+			}
+			coord[i] = base[i] + o
+			walk(i+1, acc+d*d)
+		}
+		coord[i] = base[i]
+	}
+	walk(0, 0)
+	return out
+}
+
 // TestAdjMatchesNaive is the differential test: the pruned DFS must return
 // exactly the cells the exhaustive enumeration finds, across dimensions,
 // side/radius regimes (side ≥ radius and side < radius) and random shifts.
+// AppendAdj must return the keys of AdjCoords's cells in AdjCoords's
+// order, and AdjNaive's keys as a set.
 func TestAdjMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	cases := []struct {
@@ -33,10 +83,26 @@ func TestAdjMatchesNaive(t *testing.T) {
 			g := New(c.dim, c.side, seed)
 			for i := 0; i < 40; i++ {
 				p := randPoint(rng, c.dim, 4)
-				got := coordSet(g.AdjCoords(p, c.radius))
+				coords := g.AdjCoords(p, c.radius)
+				got := coordSet(coords)
 				want := coordSet(g.AdjNaiveCoords(p, c.radius))
 				if !sameSet(got, want) {
 					t.Fatalf("dim=%d side=%g radius=%g seed=%d p=%v:\n got %v\nwant %v",
+						c.dim, c.side, c.radius, seed, p, got, want)
+				}
+				keys := g.AppendAdj(nil, p, c.radius)
+				if len(keys) != len(coords) {
+					t.Fatalf("dim=%d side=%g radius=%g seed=%d p=%v: AppendAdj gave %d keys, AdjCoords %d cells",
+						c.dim, c.side, c.radius, seed, p, len(keys), len(coords))
+				}
+				for j, k := range keys {
+					if k != coords[j].Key() {
+						t.Fatalf("dim=%d side=%g radius=%g seed=%d p=%v: key %d is %x, want Key(%v) = %x",
+							c.dim, c.side, c.radius, seed, p, j, k, coords[j], coords[j].Key())
+					}
+				}
+				if got, want := keySet(keys), keySet(g.AdjNaive(p, c.radius)); !sameSet(got, want) {
+					t.Fatalf("dim=%d side=%g radius=%g seed=%d p=%v: AppendAdj keys\n got %v\nwant %v",
 						c.dim, c.side, c.radius, seed, p, got, want)
 				}
 			}
@@ -51,14 +117,14 @@ func TestAdjIncludesOwnCell(t *testing.T) {
 		p := randPoint(rng, 4, 10)
 		own := g.CellOf(p)
 		found := false
-		for _, c := range g.Adj(p, 0.5) {
+		for _, c := range g.AppendAdj(nil, p, 0.5) {
 			if c == own {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("Adj(%v) does not include cell(p)", p)
+			t.Fatalf("AppendAdj(%v) does not include cell(p)", p)
 		}
 	}
 }
@@ -68,11 +134,11 @@ func TestAdjNoDuplicates(t *testing.T) {
 	g := New(3, 0.6, 21)
 	for i := 0; i < 100; i++ {
 		p := randPoint(rng, 3, 5)
-		keys := g.Adj(p, 1.1)
+		keys := g.AppendAdj(nil, p, 1.1)
 		seen := make(map[CellKey]bool, len(keys))
 		for _, k := range keys {
 			if seen[k] {
-				t.Fatalf("duplicate cell key in Adj(%v)", p)
+				t.Fatalf("duplicate cell key in AppendAdj(%v)", p)
 			}
 			seen[k] = true
 		}
@@ -122,7 +188,7 @@ func TestAdjSizeConstantHighDim(t *testing.T) {
 		const trials = 200
 		for i := 0; i < trials; i++ {
 			p := randPoint(rng, d, 20)
-			total += len(g.Adj(p, alpha))
+			total += len(g.AppendAdj(nil, p, alpha))
 		}
 		avg := float64(total) / trials
 		if avg > 9 { // e² ≈ 7.39 plus slack
@@ -138,11 +204,39 @@ func TestAdj2DRegimeSize(t *testing.T) {
 	g := New(2, 0.5, 51)
 	for i := 0; i < 300; i++ {
 		p := randPoint(rng, 2, 5)
-		n := len(g.Adj(p, 1))
+		n := len(g.AppendAdj(nil, p, 1))
 		if n < 9 || n > 25 {
 			t.Fatalf("2D |adj| = %d, want within [9, 25]", n)
 		}
 	}
+}
+
+// TestAppendAdjAllocs pins the allocation-free search: appending into a
+// buffer with room allocates nothing and keeps the buffer's prefix.
+func TestAppendAdjAllocs(t *testing.T) {
+	g := New(3, 0.7, 5)
+	p := geom.Point{1.3, -2.6, 0.45}
+	buf := make([]CellKey, 1, 256)
+	buf[0] = 42
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		n = len(g.AppendAdj(buf[:1], p, 1.5))
+	})
+	if allocs != 0 {
+		t.Errorf("AppendAdj into a buffer with room: %v allocs/op, want 0", allocs)
+	}
+	if want := len(g.AppendAdj(nil, p, 1.5)) + 1; n != want || buf[0] != 42 {
+		t.Errorf("AppendAdj appended %d keys after the prefix %d, want %d after 42", n-1, buf[0], want-1)
+	}
+}
+
+func keySet(ks []CellKey) []string {
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = fmt.Sprint(uint64(k))
+	}
+	sort.Strings(out)
+	return out
 }
 
 func coordSet(cs []Coord) []string {

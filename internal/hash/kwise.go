@@ -65,27 +65,27 @@ func NewKWise(k int, seed uint64) *KWise {
 func (h *KWise) K() int { return len(h.coef) }
 
 // Hash evaluates the polynomial at x by Horner's rule in GF(2^61−1).
+//
+// The accumulator stays below 2^62 but is not kept canonical: each step
+// folds the 128-bit product acc·x at bit 61 (2^61 ≡ 1), adds the next
+// coefficient and folds the sum once more, with no conditional
+// subtraction; one modMersenne at the end makes the result canonical.
+// With acc < 2^62 and x, a_i < 2^61 the product is below 2^123, so the
+// folded sum is below 2^61 + 2^62 + 2^61 = 2^63 and its fold below
+// 2^61 + 4. Every step keeps the residue the reduce-every-step Horner
+// rule computes, so the canonical output is bit-identical to that rule's
+// (TestKWiseMatchesCanonicalHorner pins it).
 func (h *KWise) Hash(x uint64) uint64 {
 	xr := modMersenne(x)
-	acc := uint64(0)
-	for i := len(h.coef) - 1; i >= 0; i-- {
-		acc = addMod(mulMod(acc, xr), h.coef[i])
+	k := len(h.coef)
+	acc := h.coef[k-1]
+	for i := k - 2; i >= 0; i-- {
+		hi, lo := bits.Mul64(acc, xr)
+		// acc·x = hi·2^64 + lo, and (acc·x) >> 61 = hi<<3 | lo>>61.
+		t := (lo & mersenne61) + (hi<<3 | lo>>61) + h.coef[i]
+		acc = (t & mersenne61) + (t >> 61)
 	}
-	return acc
-}
-
-// mulMod returns a·b mod 2^61−1 using 128-bit intermediate arithmetic.
-func mulMod(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a·b = hi·2^64 + lo. With p = 2^61−1 we have 2^61 ≡ 1, hence
-	// 2^64 ≡ 8. Split lo into low 61 bits and the top 3 bits.
-	res := (lo & mersenne61) + (lo >> 61) + hi*8
-	return modMersenne(res)
-}
-
-// addMod returns a+b mod 2^61−1 for a,b < 2^61.
-func addMod(a, b uint64) uint64 {
-	return modMersenne(a + b)
+	return modMersenne(acc)
 }
 
 // modMersenne reduces any uint64 modulo 2^61−1.

@@ -47,6 +47,58 @@ func TestMulModMatchesBigArithmetic(t *testing.T) {
 	}
 }
 
+// mulMod returns a·b mod 2^61−1 using 128-bit intermediate arithmetic:
+// the canonical Horner multiply the lazy KWise.Hash is pinned to.
+func mulMod(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	// a·b = hi·2^64 + lo. With p = 2^61−1 we have 2^61 ≡ 1, hence
+	// 2^64 ≡ 8. Split lo into low 61 bits and the top 3 bits.
+	res := (lo & mersenne61) + (lo >> 61) + hi*8
+	return modMersenne(res)
+}
+
+// addMod returns a+b mod 2^61−1 for a,b < 2^61.
+func addMod(a, b uint64) uint64 {
+	return modMersenne(a + b)
+}
+
+// referenceHash is KWise.Hash by the canonical Horner rule, reducing
+// after every multiply and every add.
+func referenceHash(coef []uint64, x uint64) uint64 {
+	xr := modMersenne(x)
+	acc := uint64(0)
+	for i := len(coef) - 1; i >= 0; i-- {
+		acc = addMod(mulMod(acc, xr), coef[i])
+	}
+	return acc
+}
+
+// TestKWiseMatchesCanonicalHorner pins the lazily reduced KWise.Hash to
+// the canonical Horner rule, bit for bit: for every independence
+// k = 1…64, on seeded coefficients and on coefficients all p−1 (which
+// maximize every intermediate sum), at the edge keys 0, p−1, p and
+// 2^64−1 and at random keys.
+func TestKWiseMatchesCanonicalHorner(t *testing.T) {
+	keys := []uint64{0, 1, mersenne61 - 1, mersenne61, mersenne61 + 1, 1<<61 + 5, 1<<64 - 1}
+	sm := NewSplitMix(77)
+	for range 64 {
+		keys = append(keys, sm.Next())
+	}
+	for k := 1; k <= 64; k++ {
+		top := &KWise{coef: make([]uint64, k)}
+		for i := range top.coef {
+			top.coef[i] = mersenne61 - 1
+		}
+		for _, h := range []*KWise{NewKWise(k, uint64(k)), top} {
+			for _, x := range keys {
+				if got, want := h.Hash(x), referenceHash(h.coef, x); got != want {
+					t.Fatalf("k=%d coef[0]=%d: Hash(%d) = %d, canonical Horner %d", k, h.coef[0], x, got, want)
+				}
+			}
+		}
+	}
+}
+
 // mod128 reduces a 128-bit value modulo 2^61−1 by repeated splitting,
 // independent of the production implementation.
 func mod128(hi, lo uint64) uint64 {

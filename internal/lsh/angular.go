@@ -112,15 +112,15 @@ func (a *Angular) Cell(p geom.Point) grid.CellKey {
 	return grid.CellKey(hash.Mix64(a.signature(p) ^ 0x5197a7)) // fixed domain tag
 }
 
-// Adjacent returns the own bucket plus every bucket at Hamming distance 1.
-func (a *Angular) Adjacent(p geom.Point) []grid.CellKey {
+// Adjacent appends to dst the own bucket plus every bucket at Hamming
+// distance 1, and returns the extended slice.
+func (a *Angular) Adjacent(dst []grid.CellKey, p geom.Point) []grid.CellKey {
 	sig := a.signature(p)
-	out := make([]grid.CellKey, 0, len(a.planes)+1)
-	out = append(out, grid.CellKey(hash.Mix64(sig^0x5197a7)))
+	dst = append(dst, grid.CellKey(hash.Mix64(sig^0x5197a7)))
 	for i := 0; i < len(a.planes); i++ {
-		out = append(out, grid.CellKey(hash.Mix64((sig^(1<<uint(i)))^0x5197a7)))
+		dst = append(dst, grid.CellKey(hash.Mix64((sig^(1<<uint(i)))^0x5197a7)))
 	}
-	return out
+	return dst
 }
 
 // SameGroup reports whether the angle between u and v is at most MaxAngle,

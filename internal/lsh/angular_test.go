@@ -124,7 +124,7 @@ func TestAdjacentContainsCellAndNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	for i := 0; i < 100; i++ {
 		p := unitVector(rng, 8)
-		adj := a.Adjacent(p)
+		adj := a.Adjacent(nil, p)
 		if len(adj) != 13 { // own + 12 single-bit flips
 			t.Fatalf("|Adjacent| = %d, want 13", len(adj))
 		}

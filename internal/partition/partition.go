@@ -56,8 +56,10 @@ func Natural(ds geom.Dataset, alpha float64) Partition {
 		for i, p := range ds {
 			buckets[g.CellOf(p)] = append(buckets[g.CellOf(p)], i)
 		}
+		var adj []grid.CellKey
 		for i, p := range ds {
-			for _, c := range g.Adj(p, alpha) {
+			adj = g.AppendAdj(adj[:0], p, alpha)
+			for _, c := range adj {
 				for _, j := range buckets[c] {
 					if j < i && geom.WithinBall(p, ds[j], alpha) {
 						uf.union(i, j)
@@ -97,6 +99,7 @@ func Greedy(ds geom.Dataset, alpha float64, order []int) Partition {
 		for i, p := range ds {
 			buckets[g.CellOf(p)] = append(buckets[g.CellOf(p)], i)
 		}
+		var adj []grid.CellKey
 		for _, i := range order {
 			if assign[i] != -1 {
 				continue
@@ -104,7 +107,8 @@ func Greedy(ds geom.Dataset, alpha float64, order []int) Partition {
 			id := groups
 			groups++
 			p := ds[i]
-			for _, c := range g.Adj(p, alpha) {
+			adj = g.AppendAdj(adj[:0], p, alpha)
+			for _, c := range adj {
 				for _, j := range buckets[c] {
 					if assign[j] == -1 && geom.WithinBall(p, ds[j], alpha) {
 						assign[j] = id
