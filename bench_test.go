@@ -179,25 +179,29 @@ func BenchmarkAdj(b *testing.B) {
 	}
 }
 
-// BenchmarkHash compares the Θ(log m)-wise polynomial hash with the PRF.
+// BenchmarkHash compares the Θ(log m)-wise polynomial hash with the PRF,
+// at the independences in use: k = 6 is an f0 estimator's copies
+// (StreamBound 4, 2·log2 4 + 2), below the four-lane cut-off of
+// KWise.Hash; k = 42 is -m 2^20; k = 48 is bench/'s -m 8388608.
 func BenchmarkHash(b *testing.B) {
-	kw := hash.NewKWise(42, 1) // 2·log2(2^20)+2
+	for _, k := range []int{6, 42, 48} {
+		kw := hash.NewKWise(k, 1)
+		b.Run(fmt.Sprintf("kwise%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				hashSink ^= kw.Hash(uint64(i))
+			}
+		})
+	}
 	prf := hash.NewPRF(1)
-	b.Run("kwise42", func(b *testing.B) {
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			sink ^= kw.Hash(uint64(i))
-		}
-		_ = sink
-	})
 	b.Run("prf", func(b *testing.B) {
-		var sink uint64
 		for i := 0; i < b.N; i++ {
-			sink ^= prf.Hash(uint64(i))
+			hashSink ^= prf.Hash(uint64(i))
 		}
-		_ = sink
 	})
 }
+
+// hashSink keeps BenchmarkHash's calls from being optimized away.
+var hashSink uint64
 
 // BenchmarkWindowProcess measures per-item cost of the hierarchical
 // sliding-window sampler (Theorem 2.7's O(log w log m) amortized time).
@@ -305,11 +309,11 @@ func BenchmarkSerialize(b *testing.B) {
 // streaming engine across shard counts (ns/op is per point). The
 // workload has a high distinct-group rate, so per-point sketch work
 // dominates the router. The sweep committed in BENCH_engine.json was
-// measured under GOMAXPROCS=1 on a 2-CPU host: 329k pts/s at 1 shard,
-// 225k at 2, 189k at 4 and 163k at 8. Those rows time 25 points each,
+// measured under GOMAXPROCS=1 on a 2-CPU host: 387k pts/s at 1 shard,
+// 244k at 2, 281k at 4 and 176k at 8. Those rows time 25 points each,
 // mostly per-batch engine overhead, and repeat runs of the same binary
-// spread 3–8.5 µs per point; at -benchtime 200000x one shard ingests
-// about 1M pts/s on that host. Multi-core scaling has not been measured.
+// spread 1.9–6.6 µs per point; at -benchtime 200000x one shard ingests
+// 1.3–1.4M pts/s on that host. Multi-core scaling has not been measured.
 func BenchmarkEngineProcess(b *testing.B) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 21, HighDim: true}
 	benchEngine(b, []int{1, 2, 4, 8}, uniformPoints(41, 43, 2), opts, engine.NewSamplerEngine)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/window"
 )
 
@@ -90,5 +92,36 @@ func TestWindowRefreshAllocs(t *testing.T) {
 	}
 	if ws.SpaceWords() != words || ws.Now() != stamp {
 		t.Fatalf("refresh changed the sketch size (%d → %d words) or missed the clock", words, ws.SpaceWords())
+	}
+}
+
+// TestCellIndexAllocs: filing and unfiling entries of distinct cells in
+// a cell index with room allocates nothing, also when their probe runs
+// collide. (A cell's second entry allocates its overflow.)
+func TestCellIndexAllocs(t *testing.T) {
+	var ix cellIndex
+	ix.reserve(64)
+	es := make([]*entry, 48)
+	rng := rand.New(rand.NewPCG(3, 9))
+	for i := range es {
+		c := grid.CellKey(rng.Uint64())
+		if i < len(indexPool) {
+			c = indexPool[i] // shared homes and runs wrapping past the last slot
+		}
+		es[i] = &entry{cell: c, rep: geom.Point{float64(i)}}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, e := range es {
+			ix.add(e)
+		}
+		for _, e := range es {
+			ix.remove(e)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("add and remove on a cell index with room: %v allocs/op, want 0", allocs)
+	}
+	if ix.n != 0 || len(ix.slots) != 128 {
+		t.Fatalf("index holds %d cells in %d slots after the runs, want 0 in 128", ix.n, len(ix.slots))
 	}
 }

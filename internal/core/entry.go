@@ -25,6 +25,10 @@ type entry struct {
 	// padding after accepted and share its word in words.
 	cellLvl uint8
 	adjLvl  uint8
+	// at is the entry's place in its cell in the cellIndex that last
+	// filed it (0: the cell's slot, j > 0: its overflow's element j−1),
+	// so remove need not scan a crowded cell. It sits in the same padding.
+	at uint32
 
 	stamp int64 // arrival index (or timestamp) of rep
 
@@ -179,48 +183,6 @@ func (e *entry) observeDuplicate(p geom.Point, stamp int64, rng *rand.Rand, wind
 		e.last = p
 		e.lastStamp = stamp
 	}
-}
-
-// cellIndex maps cell keys to the entries whose representative lies in
-// that cell. Because each cell intersects at most one group for
-// well-separated data (Fact 1a), buckets almost always hold one entry; the
-// slice form keeps general datasets correct.
-type cellIndex map[grid.CellKey][]*entry
-
-func (ix cellIndex) add(e *entry) {
-	ix[e.cell] = append(ix[e.cell], e)
-}
-
-func (ix cellIndex) remove(e *entry) {
-	bucket := ix[e.cell]
-	for i, x := range bucket {
-		if x == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(ix, e.cell)
-	} else {
-		ix[e.cell] = bucket
-	}
-}
-
-// findGroup returns the stored entry whose representative is a
-// near-duplicate of p, or nil. Only the buckets of adjKeys — adj(p) — are
-// probed: in the Euclidean space any u with d(u,p) ≤ α satisfies
-// d(p, cell(u)) ≤ α, so cell(u) ∈ adj(p); custom Spaces must provide the
-// analogous completeness in Adjacent.
-func (ix cellIndex) findGroup(p geom.Point, adjKeys []grid.CellKey, spc Space) *entry {
-	for _, c := range adjKeys {
-		for _, e := range ix[c] {
-			if spc.SameGroup(e.rep, p) {
-				return e
-			}
-		}
-	}
-	return nil
 }
 
 // spaceMeter tracks live sketch words and their peak, reproducing the

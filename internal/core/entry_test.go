@@ -11,7 +11,7 @@ import (
 )
 
 // TestEntrySize pins entry at 160 bytes on 64-bit platforms: the cached
-// hash levels fill the padding after accepted.
+// hash levels and the cell-index place fill the padding after accepted.
 func TestEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")

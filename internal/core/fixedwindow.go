@@ -85,7 +85,6 @@ func newFixedWindow(opts Options, win window.Window, r uint64, spc Space, ls *ha
 		ls:    ls,
 		rng:   rng,
 		r:     r,
-		index: make(cellIndex),
 		order: list.New(),
 		elem:  make(map[*entry]*list.Element),
 	}
@@ -170,7 +169,7 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 	// becomes the representative if the group is sampled or rejected.
 	c := entry{
 		rep:       p,
-		cell:      fw.spc.Cell(p),
+		cell:      adjKeys[0], // Adjacent lists cell(p) first
 		adj:       adjKeys,
 		stamp:     stamp,
 		count:     1,
@@ -247,7 +246,7 @@ func (fw *FixedWindow) drop(e *entry) {
 // Reset clears all state, keeping the sample rate — the "ALG_j ← (⊥,⊥,⊥,R_j)"
 // of Algorithm 3.
 func (fw *FixedWindow) Reset() {
-	fw.index = make(cellIndex)
+	fw.index.clear()
 	fw.order = list.New()
 	fw.elem = make(map[*entry]*list.Element)
 	fw.numAcc = 0

@@ -38,6 +38,7 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	}
 	out.n = a.n + b.n
 	out.rehash = a.rehash + b.rehash
+	out.index.reserve(len(a.entries) + len(b.entries))
 
 	// Insert shard a's entries first (their representatives win ties),
 	// then shard b's; entries are re-classified at the merged rate and
@@ -85,6 +86,7 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 		s.doubleR()
 		raised++
 	}
+	s.index.reserve(len(s.entries) + len(b.entries))
 	offset := s.n
 	entries := append([]*entry(nil), b.entries...)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].stamp < entries[j].stamp })

@@ -83,13 +83,12 @@ func newSampler(opts Options, accCap int) (*Sampler, error) {
 		spc = NewEuclideanSpace(opts.Dim, opts.GridSide, opts.Alpha, gridSeed)
 	}
 	return &Sampler{
-		opts:  opts,
-		spc:   spc,
-		ls:    hash.NewLevelSampler(opts.newHash(hashSeed)),
-		rng:   rand.New(rand.NewPCG(rngSeed1, rngSeed2)),
-		r:     1,
-		index: make(cellIndex),
-		acc:   make([]*entry, 0, min(opts.acceptThreshold()+1, accCap)),
+		opts: opts,
+		spc:  spc,
+		ls:   hash.NewLevelSampler(opts.newHash(hashSeed)),
+		rng:  rand.New(rand.NewPCG(rngSeed1, rngSeed2)),
+		r:    1,
+		acc:  make([]*entry, 0, min(opts.acceptThreshold()+1, accCap)),
 	}, nil
 }
 
@@ -155,8 +154,9 @@ func (s *Sampler) Process(p geom.Point) {
 	// maximum level over adj(p) decides "∃C ∈ adj(p) s.t. h_R(C) = 0";
 	// an ignored point has to hash every cell of adj(p) for that anyway,
 	// and a stored entry caches the level, so rate doublings, snapshots
-	// and merges never hash its neighbourhood again.
-	cp := s.spc.Cell(p)
+	// and merges never hash its neighbourhood again. Adjacent lists
+	// cell(p) first.
+	cp := adjKeys[0]
 	lvl := hashLevel(s.ls, cp)
 	near := adjLevel(s.ls, adjKeys, cp, lvl)
 	if !sampledAt(near, s.r) {

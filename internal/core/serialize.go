@@ -154,6 +154,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 	}
 	s.entries = make([]*entry, 0, n)
 	s.acc = make([]*entry, 0, min(s.opts.acceptThreshold()+1, n))
+	s.index.reserve(n)
 	r.slab = make([]float64, 2*n*dim)    // rep and pick
 	keys := make([]grid.CellKey, 0, 4*n) // grows when lists average more than 4 cells
 	for range n {
@@ -178,14 +179,15 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 	return s, nil
 }
 
-// decodeAdj sets a decoded entry's cell and adjacency list, appending the
-// list to keys, the decoder's buffer of the lists decoded so far, and
-// returns the extended buffer. e.adj views keys until packAdj moves it.
+// decodeAdj sets a decoded entry's adjacency list and cell, its first
+// cell, appending the list to keys, the decoder's buffer of the lists
+// decoded so far, and returns the extended buffer. e.adj views keys until
+// packAdj moves it.
 func decodeAdj(spc Space, e *entry, keys []grid.CellKey) []grid.CellKey {
-	e.cell = spc.Cell(e.rep)
 	start := len(keys)
 	keys = spc.Adjacent(keys, e.rep)
 	e.adj = keys[start:len(keys):len(keys)]
+	e.cell = e.adj[0]
 	return keys
 }
 

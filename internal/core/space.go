@@ -23,7 +23,9 @@ type Space interface {
 	// within distance α of p — and returns the extended slice, like the
 	// built-in append: the samplers pass a scratch buffer and copy the
 	// result only into an entry they store, so a search into a buffer
-	// with room should not allocate. The set must include Cell(p).
+	// with room should not allocate. The first bucket appended must be
+	// Cell(p): the samplers and decoders read p's own bucket from there
+	// instead of calling Cell, which would locate p a second time.
 	// Completeness of this set is what keeps the reject-set bookkeeping
 	// (and hence uniformity) exact; an approximate LSH implementation
 	// trades a little uniformity for generality.

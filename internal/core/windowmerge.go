@@ -134,7 +134,8 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 	// keeps the earlier representative (what one pass over the interleaved
 	// streams would have stored).
 	sort.Slice(all, func(i, j int) bool { return all[i].e.stamp < all[j].e.stamp })
-	idx := make(cellIndex)
+	var idx cellIndex
+	idx.reserve(len(all))
 	keptAt := make(map[*entry]int) // entry → index in kept
 	var kept []mergedEntry
 	expired := func(stamp int64) bool { return ws.win.Expired(stamp, now) }

@@ -140,6 +140,7 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		es = slices.Grow(es[:0], n)
 		keys = slices.Grow(keys[:0], 4*n) // grows when lists average more than 4 cells
 		r.slab = make([]float64, 3*n*dim) // rep, pick and last; skyline points use what is left
+		lv.index.reserve(n)
 		for range n {
 			flags := r.u8()
 			e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}

@@ -64,28 +64,76 @@ func NewKWise(k int, seed uint64) *KWise {
 // K returns the independence of the family (the number of coefficients).
 func (h *KWise) K() int { return len(h.coef) }
 
-// Hash evaluates the polynomial at x by Horner's rule in GF(2^61−1).
+// Hash evaluates the polynomial at x in GF(2^61−1).
 //
-// The accumulator stays below 2^62 but is not kept canonical: each step
-// folds the 128-bit product acc·x at bit 61 (2^61 ≡ 1), adds the next
-// coefficient and folds the sum once more, with no conditional
+// Accumulators stay below 2^62 but are not kept canonical: each Horner
+// step folds the 128-bit product acc·y at bit 61 (2^61 ≡ 1), adds the
+// next coefficient and folds the sum once more, with no conditional
 // subtraction; one modMersenne at the end makes the result canonical.
-// With acc < 2^62 and x, a_i < 2^61 the product is below 2^123, so the
-// folded sum is below 2^61 + 2^62 + 2^61 = 2^63 and its fold below
-// 2^61 + 4. Every step keeps the residue the reduce-every-step Horner
-// rule computes, so the canonical output is bit-identical to that rule's
-// (TestKWiseMatchesCanonicalHorner pins it).
+// With acc < 2^62, y < 2^61 and an addend below 2^61 + 4 the product is
+// below 2^123, so the folded sum is below 2^61 + 2^62 + 2^61 + 4 < 2^64
+// and its fold below 2^61 + 4.
+//
+// For k < 8 that is Horner's rule in x: at k = 6, the f0 copies'
+// independence, the four-lane evaluation below measured 36 ns against
+// the single chain's 22 ns (BenchmarkHash/kwise6, medians of 6
+// alternations, GOMAXPROCS=1), its x⁴ and combining steps outweighing
+// the overlap. From k = 8 on, a single chain would spend most of its time
+// waiting on the previous multiply, so the polynomial is split by
+// exponent mod 4,
+//
+//	h(x) = P0(x⁴) + x·P1(x⁴) + x²·P2(x⁴) + x³·P3(x⁴),
+//
+// and the four chains Pj run interleaved by Horner's rule in x⁴; three
+// steps in x, ((P3·x + P2)·x + P1)·x + P0, then combine them. Every step
+// keeps the residue of the polynomial's value, so the canonical output is
+// bit-identical to the reduce-every-step Horner rule
+// (TestKWiseMatchesCanonicalHorner pins it for k = 1…64).
 func (h *KWise) Hash(x uint64) uint64 {
 	xr := modMersenne(x)
-	k := len(h.coef)
-	acc := h.coef[k-1]
-	for i := k - 2; i >= 0; i-- {
-		hi, lo := bits.Mul64(acc, xr)
-		// acc·x = hi·2^64 + lo, and (acc·x) >> 61 = hi<<3 | lo>>61.
-		t := (lo & mersenne61) + (hi<<3 | lo>>61) + h.coef[i]
-		acc = (t & mersenne61) + (t >> 61)
+	c := h.coef
+	k := len(c)
+	if k < 8 {
+		acc := c[k-1]
+		for i := k - 2; i >= 0; i-- {
+			acc = hornerStep(acc, xr, c[i])
+		}
+		return modMersenne(acc)
 	}
+	x4 := mulMersenne(xr, xr)
+	x4 = mulMersenne(x4, x4)
+	// The top k mod 4 coefficients start their chains; the chains of the
+	// exponents above k−1 start at zero.
+	top := k &^ 3
+	var a [4]uint64
+	copy(a[:], c[top:])
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	for i := top - 4; i >= 0; i -= 4 {
+		b := c[i : i+4 : i+4]
+		a0 = hornerStep(a0, x4, b[0])
+		a1 = hornerStep(a1, x4, b[1])
+		a2 = hornerStep(a2, x4, b[2])
+		a3 = hornerStep(a3, x4, b[3])
+	}
+	acc := hornerStep(a3, xr, a2)
+	acc = hornerStep(acc, xr, a1)
+	acc = hornerStep(acc, xr, a0)
 	return modMersenne(acc)
+}
+
+// hornerStep returns acc·y + a folded once at bit 61: congruent to it
+// modulo 2^61−1 and below 2^61 + 4, for acc < 2^62, y < 2^61 and
+// a < 2^61 + 4.
+func hornerStep(acc, y, a uint64) uint64 {
+	hi, lo := bits.Mul64(acc, y)
+	// acc·y = hi·2^64 + lo, and (acc·y) >> 61 = hi<<3 | lo>>61.
+	t := (lo & mersenne61) + (hi<<3 | lo>>61) + a
+	return (t & mersenne61) + (t >> 61)
+}
+
+// mulMersenne returns a·b mod 2^61−1, canonical, for a, b < 2^61.
+func mulMersenne(a, b uint64) uint64 {
+	return modMersenne(hornerStep(a, b, 0))
 }
 
 // modMersenne reduces any uint64 modulo 2^61−1.

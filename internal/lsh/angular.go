@@ -112,8 +112,9 @@ func (a *Angular) Cell(p geom.Point) grid.CellKey {
 	return grid.CellKey(hash.Mix64(a.signature(p) ^ 0x5197a7)) // fixed domain tag
 }
 
-// Adjacent appends to dst the own bucket plus every bucket at Hamming
-// distance 1, and returns the extended slice.
+// Adjacent appends to dst the own bucket, first as core.Space requires,
+// then every bucket at Hamming distance 1, and returns the extended
+// slice.
 func (a *Angular) Adjacent(dst []grid.CellKey, p geom.Point) []grid.CellKey {
 	sig := a.signature(p)
 	dst = append(dst, grid.CellKey(hash.Mix64(sig^0x5197a7)))

@@ -142,6 +142,27 @@ func TestAdjacentContainsCellAndNeighbors(t *testing.T) {
 	}
 }
 
+// TestAdjacentStartsWithCell pins the core.Space contract the samplers
+// and decoders read p's bucket from: Adjacent appends Cell(p) first, at
+// every signature width and dimension.
+func TestAdjacentStartsWithCell(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for _, dim := range []int{1, 2, 8, 20} {
+		for _, bits := range []int{1, 12, 64} {
+			a, err := NewAngular(dim, bits, 0.1, uint64(dim*bits))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 20 {
+				p := unitVector(rng, dim)
+				if adj := a.Adjacent(nil, p); adj[0] != a.Cell(p) {
+					t.Fatalf("dim %d, %d bits: Adjacent does not start with Cell(p)", dim, bits)
+				}
+			}
+		}
+	}
+}
+
 func TestExpectedProbeRecall(t *testing.T) {
 	a, _ := NewAngular(16, 12, 0.1, 11)
 	// µ = 12·0.1/π ≈ 0.382 → recall ≈ (1+µ)e^{-µ} ≈ 0.943.
