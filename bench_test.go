@@ -1,5 +1,5 @@
 // Benchmark harness regenerating the paper's evaluation (one benchmark per
-// figure) plus the ablations called out in DESIGN.md. Run:
+// figure) plus ablations of the design's choices. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,8 +15,8 @@
 //	BenchmarkWindowProcess/* → sliding-window throughput (extension)
 //	BenchmarkF0/*            → Section 5 estimator (rel_err reported)
 //
-// Absolute numbers depend on hardware; EXPERIMENTS.md records the shape
-// comparison against the paper.
+// Absolute numbers depend on hardware: compare shapes against the paper's
+// figures, not values.
 package repro
 
 import (

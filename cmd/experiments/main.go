@@ -1,7 +1,8 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Section 6) plus this repository's extensions, printing one
-// text table per experiment. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// text table per experiment. Package internal/experiments maps the
+// experiments to the paper's figures; docs/f0-accuracy.md records the
+// Section 5 estimators' error distributions.
 //
 // Usage:
 //
@@ -11,38 +12,44 @@
 //	experiments -exp bias  [-runs N]                              §1 motivation
 //	experiments -exp swdist [-window W] [-groups G] [-runs N]     Theorem 2.7 extension
 //	experiments -exp swspace [-window W]                          Theorem 2.7 extension
-//	experiments -exp f0     [-eps E]                              Section 5
-//	experiments -exp f0win  [-window W] [-groups G] [-eps E]      Section 5
+//	experiments -exp f0     [-eps E] [-runs N]                    Section 5
+//	experiments -exp f0win  [-window W] [-groups G] [-eps E] [-runs N]  Section 5
+//	experiments -exp f0general [-eps E] [-runs N]                  Section 5 on Section 3's general data
 //	experiments -exp ablate [-runs N]                             design ablations
 //	experiments -exp engine [-shards P] [-runs scans]             sharded engine scaling
 //	experiments -exp all                                          everything above
 //
 // Paper-scale run counts (200k–500k) reproduce Figure 15's headline
 // numbers but take hours; the defaults are sized for minutes. All
-// randomness derives from -seed.
+// randomness derives from -seed. With -runs N > 1, f0 and f0win run seeds
+// -seed … -seed+N−1 and print each dataset's relative-error distribution
+// (docs/f0-accuracy.md records one); -csv then receives every run's error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: dist|time|space|bias|swdist|swspace|f0|f0win|ablate|general|all")
+		exp     = flag.String("exp", "all", "experiment: dist|time|space|bias|swdist|swspace|f0|f0win|f0general|ablate|general|all")
 		ds      = flag.String("dataset", "", "restrict to one dataset (rand5, rand20, yacht, seeds, rand5-pl, ...)")
 		runs    = flag.Int("runs", 0, "number of runs (0 = per-experiment default)")
 		seed    = flag.Uint64("seed", 1, "root random seed")
 		windowW = flag.Int64("window", 1024, "sliding window size")
 		groups  = flag.Int("groups", 64, "live groups for sliding-window experiments")
 		eps     = flag.Float64("eps", 0.25, "accuracy parameter for F0 experiments")
-		csvOut  = flag.String("csv", "", "for -exp dist: write per-group frequencies (the Figures 5–12 series) to this CSV file")
+		csvOut  = flag.String("csv", "", "for -exp dist: write per-group frequencies (the Figures 5–12 series) to this CSV file; for -exp f0/f0win with -runs > 1: every run's relative error")
 		shards  = flag.Int("shards", 0, "for -exp engine: max shard count to sweep (0 = scale with cores)")
 	)
 	flag.Parse()
@@ -65,7 +72,7 @@ func main() {
 		}
 	}
 	known := map[string]bool{"dist": true, "time": true, "space": true, "bias": true,
-		"swdist": true, "swspace": true, "f0": true, "f0win": true, "ablate": true,
+		"swdist": true, "swspace": true, "f0": true, "f0win": true, "f0general": true, "ablate": true,
 		"general": true, "engine": true, "all": true}
 	if !known[*exp] {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
@@ -77,8 +84,9 @@ func main() {
 	run("bias", func() error { return biasExp(specs, orDefault(*runs, 1000), *seed) })
 	run("swdist", func() error { return swDistExp(specs, orDefault(*runs, 500), *windowW, *groups, *seed) })
 	run("swspace", func() error { return swSpaceExp(specs, *windowW, *seed) })
-	run("f0", func() error { return f0Exp(specs, *eps, *seed) })
-	run("f0win", func() error { return f0WinExp(specs, *windowW, *groups, *eps, *seed) })
+	run("f0", func() error { return f0Exp(specs, *eps, orDefault(*runs, 1), *seed, *csvOut) })
+	run("f0win", func() error { return f0WinExp(specs, *windowW, *groups, *eps, orDefault(*runs, 1), *seed, *csvOut) })
+	run("f0general", func() error { return f0GeneralExp(*eps, orDefault(*runs, 100), *seed, *csvOut) })
 	run("ablate", func() error { return ablateExp(specs, orDefault(*runs, 300), *seed) })
 	run("general", func() error { return generalExp(orDefault(*runs, 2000), *seed) })
 	run("engine", func() error { return engineExp(specs, *shards, orDefault(*runs, 10), *seed) })
@@ -102,6 +110,23 @@ func engineExp(specs []dataset.Spec, maxShards, scans int, seed uint64) error {
 		}
 	}
 	return w.Flush()
+}
+
+// createCSV creates path and writes the header line, or returns nil when
+// path is empty (no CSV requested).
+func createCSV(path, header string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fmt.Fprintln(f, header); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 func orDefault(v, def int) int {
@@ -130,15 +155,12 @@ func table(header string, cols ...string) *tabwriter.Writer {
 }
 
 func distExp(specs []dataset.Spec, runs int, seed uint64, csvOut string) error {
-	var csv *os.File
-	if csvOut != "" {
-		var err error
-		csv, err = os.Create(csvOut)
-		if err != nil {
-			return err
-		}
+	csv, err := createCSV(csvOut, "dataset,group,frequency")
+	if err != nil {
+		return err
+	}
+	if csv != nil {
 		defer csv.Close()
-		fmt.Fprintln(csv, "dataset,group,frequency")
 	}
 	w := table("Figures 5–12 & 15: empirical sampling distribution (paper: stdDevNm ≤ 0.1, maxDevNm ≤ 0.2 at 200k–500k runs)",
 		"dataset", "runs", "groups", "stream", "stdDevNm", "noiseFloor", "maxDevNm", "minFreq", "maxFreq", "misses")
@@ -227,7 +249,14 @@ func swSpaceExp(specs []dataset.Spec, windowW int64, seed uint64) error {
 	return w.Flush()
 }
 
-func f0Exp(specs []dataset.Spec, eps float64, seed uint64) error {
+func f0Exp(specs []dataset.Spec, eps float64, runs int, seed uint64, csvOut string) error {
+	if runs > 1 {
+		return relErrDist("Section 5: robust F0 relative error over seeds", specs, runs, seed, csvOut,
+			func(s dataset.Spec, seed uint64) (float64, float64, error) {
+				r, err := experiments.F0Infinite(s, eps, 9, seed)
+				return r.RobustEstimate, float64(r.Truth), err
+			})
+	}
 	w := table("Section 5: robust F0 vs classic estimators on noisy streams",
 		"dataset", "groups(truth)", "stream", "robust est", "relErr", "KMV", "HLL")
 	for _, s := range specs {
@@ -241,7 +270,14 @@ func f0Exp(specs []dataset.Spec, eps float64, seed uint64) error {
 	return w.Flush()
 }
 
-func f0WinExp(specs []dataset.Spec, windowW int64, groups int, eps float64, seed uint64) error {
+func f0WinExp(specs []dataset.Spec, windowW int64, groups int, eps float64, runs int, seed uint64, csvOut string) error {
+	if runs > 1 {
+		return relErrDist("Section 5: sliding-window robust F0 relative error over seeds", specs, runs, seed, csvOut,
+			func(s dataset.Spec, seed uint64) (float64, float64, error) {
+				r, err := experiments.F0Window(s, windowW, groups, eps, seed)
+				return r.Estimate, float64(r.LiveGroups), err
+			})
+	}
 	w := table("Section 5: sliding-window robust F0",
 		"dataset", "window", "liveGroups", "estimate", "relErr", "copies")
 	for _, s := range specs {
@@ -251,6 +287,89 @@ func f0WinExp(specs []dataset.Spec, windowW int64, groups int, eps float64, seed
 		}
 		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.3f\t%d\n",
 			r.Dataset, r.WindowSize, r.LiveGroups, r.Estimate, r.RelErr, r.Copies)
+	}
+	return w.Flush()
+}
+
+// relErrDist runs estimate for every dataset at seeds seed … seed+runs−1
+// and prints one row per dataset: the mean, median, p90 and maximum of
+// the relative error, and the mean of estimate/truth (the bias). csvOut,
+// when set, receives every run.
+func relErrDist(title string, specs []dataset.Spec, runs int, seed uint64, csvOut string,
+	estimate func(dataset.Spec, uint64) (est, truth float64, err error)) error {
+	csv, err := createCSV(csvOut, "dataset,seed,estimate,truth,relErr")
+	if err != nil {
+		return err
+	}
+	if csv != nil {
+		defer csv.Close()
+	}
+	w := table(title, "dataset", "runs", "mean", "p50", "p90", "max", "est/truth")
+	for _, s := range specs {
+		errs := make([]float64, runs)
+		var bias float64
+		for i := range errs {
+			est, truth, err := estimate(s, seed+uint64(i))
+			if err != nil {
+				return err
+			}
+			errs[i] = metrics.RelErr(est, truth)
+			bias += est / truth
+			if csv != nil {
+				fmt.Fprintf(csv, "%s,%d,%g,%g,%.6f\n", s.Name(), seed+uint64(i), est, truth, errs[i])
+			}
+		}
+		slices.Sort(errs)
+		var sum float64
+		for _, e := range errs {
+			sum += e
+		}
+		q := func(f float64) float64 { return errs[int(f*float64(runs-1))] }
+		fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\n", s.Name(), runs, sum/float64(runs),
+			q(0.5), q(0.9), errs[runs-1], bias/float64(runs))
+	}
+	return w.Flush()
+}
+
+// f0GeneralExp runs the estimator on general (non-separated) data at
+// seeds seed … seed+runs−1 and prints the distribution of the estimate
+// over the greedy partition's group count: its mean, coefficient of
+// variation and deciles. csvOut, when set, receives every run's ratio.
+func f0GeneralExp(eps float64, runs int, seed uint64, csvOut string) error {
+	csv, err := createCSV(csvOut, "points,seed,greedyGroups,estimate,ratio")
+	if err != nil {
+		return err
+	}
+	if csv != nil {
+		defer csv.Close()
+	}
+	w := table("Section 5 on general (non-separated) data: estimate / greedy groups over seeds",
+		"points", "runs", "greedy", "mean", "cv", "p10", "p50", "p90")
+	for _, points := range []int{2000, 6000, 20000} {
+		ratios := make([]float64, runs)
+		greedy := 0
+		for i := range ratios {
+			r, err := experiments.F0General(points, eps, seed+uint64(i))
+			if err != nil {
+				return err
+			}
+			ratios[i], greedy = r.Ratio, r.GreedyGroups
+			if csv != nil {
+				fmt.Fprintf(csv, "%d,%d,%d,%.0f,%.6f\n", points, seed+uint64(i), r.GreedyGroups, r.Estimate, r.Ratio)
+			}
+		}
+		slices.Sort(ratios)
+		var sum, sq float64
+		for _, v := range ratios {
+			sum += v
+		}
+		mean := sum / float64(runs)
+		for _, v := range ratios {
+			sq += (v - mean) * (v - mean)
+		}
+		q := func(f float64) float64 { return ratios[int(f*float64(runs-1))] }
+		fmt.Fprintf(w, "%d\t%d\t~%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\n", points, runs, greedy, mean,
+			math.Sqrt(sq/float64(max(1, runs-1)))/mean, q(0.1), q(0.5), q(0.9))
 	}
 	return w.Flush()
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -62,16 +61,8 @@ func NewFixedWindow(opts Options, win window.Window, r uint64) (*FixedWindow, er
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}
-	sm := hash.NewSplitMix(opts.Seed)
-	gridSeed, hashSeed, rngSeed1, rngSeed2 := sm.Next(), sm.Next(), sm.Next(), sm.Next()
-	spc := opts.Space
-	if spc == nil {
-		spc = NewEuclideanSpace(opts.Dim, opts.GridSide, opts.Alpha, gridSeed)
-	}
-	fw := newFixedWindow(opts, win, r, spc,
-		hash.NewLevelSampler(opts.newHash(hashSeed)),
-		rand.New(rand.NewPCG(rngSeed1, rngSeed2)))
-	return fw, nil
+	spc, ls, rng := opts.derive()
+	return newFixedWindow(opts, win, r, spc, ls, rng), nil
 }
 
 // newFixedWindow wires an instance onto shared infrastructure. Levels of a
@@ -291,6 +282,6 @@ func (fw *FixedWindow) entriesByStamp() []*entry {
 	for el := fw.order.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*entry))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].stamp < out[j].stamp })
+	slices.SortFunc(out, byStamp)
 	return out
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 )
 
 // ErrMergeOptions is returned by Merge when the two sketches were not
@@ -45,7 +46,7 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	// groups present in both shards are coalesced.
 	addAll := func(src *Sampler, offset int64) error {
 		entries := append([]*entry(nil), src.entries...)
-		sort.Slice(entries, func(i, j int) bool { return entries[i].stamp < entries[j].stamp })
+		slices.SortFunc(entries, byStamp)
 		for _, e := range entries {
 			if err := out.mergeEntry(e, offset); err != nil {
 				return err
@@ -89,7 +90,7 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	s.index.reserve(len(s.entries) + len(b.entries))
 	offset := s.n
 	entries := append([]*entry(nil), b.entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].stamp < entries[j].stamp })
+	slices.SortFunc(entries, byStamp)
 	for _, e := range entries {
 		if err := s.mergeEntry(e, offset); err != nil {
 			return err
@@ -103,20 +104,29 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	return nil
 }
 
+// byStamp orders entries by their representatives' arrival stamps, for
+// the merges and Split. Entries with tied stamps keep pdqsort's
+// deterministic order, which the pinned sketch digests fix.
+func byStamp(a, b *entry) int { return cmp.Compare(a.stamp, b.stamp) }
+
 // mergeCompatible reports whether two option sets describe the same
-// sketch configuration. The Space field is compared by instance identity
-// (merging requires literally the same bucketing), via reflection so that
-// an uncomparable custom Space type cannot panic the comparison.
+// sketch configuration, down to the grid a copy shares with its stack
+// (Copy). The Space field is compared by instance identity (sameSpace).
 func mergeCompatible(a, b Options) bool {
 	sa, sb := a.Space, b.Space
 	a.Space, b.Space = nil, nil
-	if a != b {
-		return false
+	return a == b && sameSpace(sa, sb)
+}
+
+// sameSpace reports whether two Space fields name literally the same
+// bucketing: both nil (the seed-derived grid), or one instance, compared
+// via reflection so that an uncomparable custom Space type cannot panic
+// the comparison.
+func sameSpace(a, b Space) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
 	}
-	if sa == nil || sb == nil {
-		return sa == nil && sb == nil
-	}
-	va, vb := reflect.ValueOf(sa), reflect.ValueOf(sb)
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	if va.Kind() != reflect.Pointer || vb.Kind() != reflect.Pointer {
 		return false
 	}

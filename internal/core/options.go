@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand/v2"
 
 	"repro/internal/hash"
 )
@@ -104,8 +105,60 @@ type Options struct {
 	// a custom Space are not serializable.
 	Space Space
 
+	// gridSeed, when gridShared is set, seeds the grid shift in place of
+	// Seed: the copies of an estimator stack (Copy) search one grid and
+	// keep their own hash functions and RNGs. Unexported, so callers
+	// cannot pick a grid apart from the root seed; the wire carries it
+	// for copies only.
+	gridSeed   uint64
+	gridShared bool
+
 	// Window configures the sliding-window samplers; ignored by Sampler.
 	// See NewFixedWindow and NewWindowSampler.
+}
+
+// Copy returns the options of one copy in a stack of independent copies
+// over o, such as the Section 5 estimators' median and average copies.
+// The copy draws its hash function and query RNG from seed, like a
+// sampler with Options.Seed = seed, but its grid is the one o.Seed
+// derives, shared by every copy made from o; a copy of a copy keeps the
+// stack's grid. So the copies of one stack search adj(p) once per point
+// (SharedAdj) while their hashes stay independent. A copy merges only
+// with a copy made from equal options and the same seed: any other sits
+// on another hash or another grid (ErrMergeOptions).
+func (o Options) Copy(seed uint64) Options {
+	if !o.gridShared {
+		o.gridSeed, o.gridShared = hash.NewSplitMix(o.Seed).Next(), true
+	}
+	o.Seed = seed
+	return o
+}
+
+// SharesGrid reports whether o and p are options of copies on one grid
+// (see Copy), whose adjacency lists are interchangeable: every point
+// lands in the same cells under both.
+func (o Options) SharesGrid(p Options) bool {
+	return o.gridShared && p.gridShared && o.gridSeed == p.gridSeed &&
+		o.Alpha == p.Alpha && o.Dim == p.Dim && o.GridSide == p.GridSide &&
+		sameSpace(o.Space, p.Space)
+}
+
+// derive builds what a sampler derives from its seeds: the space (the
+// custom Space, or the randomly shifted grid), the level sampler over the
+// hash function, and the query RNG. Options.Seed seeds all of them, except
+// that a copy's grid comes from its stack's root seed (Copy). A copy
+// therefore draws the same hash and RNG as a sampler seeded like it.
+func (o Options) derive() (Space, *hash.LevelSampler, *rand.Rand) {
+	sm := hash.NewSplitMix(o.Seed)
+	gridSeed, hashSeed, rngSeed1, rngSeed2 := sm.Next(), sm.Next(), sm.Next(), sm.Next()
+	if o.gridShared {
+		gridSeed = o.gridSeed
+	}
+	spc := o.Space
+	if spc == nil {
+		spc = NewEuclideanSpace(o.Dim, o.GridSide, o.Alpha, gridSeed)
+	}
+	return spc, hash.NewLevelSampler(o.newHash(hashSeed)), rand.New(rand.NewPCG(rngSeed1, rngSeed2))
 }
 
 // Bounds on Options, checked by normalize. Every constructor and every

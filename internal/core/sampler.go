@@ -76,17 +76,12 @@ func newSampler(opts Options, accCap int) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	sm := hash.NewSplitMix(opts.Seed)
-	gridSeed, hashSeed, rngSeed1, rngSeed2 := sm.Next(), sm.Next(), sm.Next(), sm.Next()
-	spc := opts.Space
-	if spc == nil {
-		spc = NewEuclideanSpace(opts.Dim, opts.GridSide, opts.Alpha, gridSeed)
-	}
+	spc, ls, rng := opts.derive()
 	return &Sampler{
 		opts: opts,
 		spc:  spc,
-		ls:   hash.NewLevelSampler(opts.newHash(hashSeed)),
-		rng:  rand.New(rand.NewPCG(rngSeed1, rngSeed2)),
+		ls:   ls,
+		rng:  rng,
 		r:    1,
 		acc:  make([]*entry, 0, min(opts.acceptThreshold()+1, accCap)),
 	}, nil
@@ -121,24 +116,36 @@ func (s *Sampler) PeakSpaceWords() int { return s.space.Peak() }
 // of the wrong dimension or with non-finite coordinates — both indicate a
 // caller bug that would silently corrupt the grid arithmetic.
 func (s *Sampler) Process(p geom.Point) {
-	validatePoint(p, s.opts.Dim)
-	s.n++
-
-	// Fast path: if p is a near-duplicate of the group matched by the
-	// previous point, the Line 4 membership test succeeds without touching
-	// the grid — one distance computation instead of the Adjacent DFS plus
-	// hash lookups. This amortizes the hashing cost across duplicate runs
-	// and is what makes ProcessBatch on bursty streams cheap. It is
-	// disabled under RandomRepresentative: on non-separated data p can lie
-	// within α of several stored representatives, and the reservoir
-	// bookkeeping must credit the same entry findGroup's adjacency order
-	// would, not the most recent match.
-	if e := s.lastHit; e != nil && !s.opts.RandomRepresentative && s.spc.SameGroup(e.rep, p) {
+	if s.matchLast(p) {
 		return
 	}
 	s.adjBuf = s.spc.Adjacent(s.adjBuf[:0], p)
-	adjKeys := s.adjBuf
+	s.observe(p, s.adjBuf)
+}
 
+// matchLast counts p in and reports whether the duplicate fast path
+// absorbed it, so that it needs no adjacency list.
+//
+// Fast path: if p is a near-duplicate of the group matched by the
+// previous point, the Line 4 membership test succeeds without touching
+// the grid — one distance computation instead of the Adjacent DFS plus
+// hash lookups. This amortizes the hashing cost across duplicate runs
+// and is what makes ProcessBatch on bursty streams cheap. It is
+// disabled under RandomRepresentative: on non-separated data p can lie
+// within α of several stored representatives, and the reservoir
+// bookkeeping must credit the same entry findGroup's adjacency order
+// would, not the most recent match.
+func (s *Sampler) matchLast(p geom.Point) bool {
+	validatePoint(p, s.opts.Dim)
+	s.n++
+	e := s.lastHit
+	return e != nil && !s.opts.RandomRepresentative && s.spc.SameGroup(e.rep, p)
+}
+
+// observe implements lines 4–12 of Algorithm 1 for a point that missed
+// the fast path, with adjacency list adjKeys = adj(p), which a stored
+// entry copies (adjKeys is the caller's scratch).
+func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 	// Line 4: if p belongs to a known candidate group it is not the first
 	// point of that group; update the group's auxiliary state and move on.
 	if e := s.index.findGroup(p, adjKeys, s.spc); e != nil {

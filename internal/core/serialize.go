@@ -38,7 +38,9 @@ func trimMagic(data []byte, magic string) ([]byte, error) {
 }
 
 // options writes the serializable subset of Options. Space is excluded
-// by the callers' ErrNotSerializable guard.
+// by the callers' ErrNotSerializable guard. A copy's grid seed (Copy)
+// follows GridSide under flag bit 4, so a sketch that is not a copy keeps
+// its bytes.
 func (w *binWriter) options(o Options) {
 	w.f64(o.Alpha)
 	w.uvarint(uint64(o.Dim))
@@ -54,8 +56,14 @@ func (w *binWriter) options(o Options) {
 	if o.RandomRepresentative {
 		flags |= 2
 	}
+	if o.gridShared {
+		flags |= 4
+	}
 	w.u8(flags)
 	w.f64(o.GridSide)
+	if o.gridShared {
+		w.u64(o.gridSeed)
+	}
 }
 
 // options reads the counterpart of binWriter.options.
@@ -72,6 +80,9 @@ func (r *binReader) options() Options {
 	o.HighDim = flags&1 != 0
 	o.RandomRepresentative = flags&2 != 0
 	o.GridSide = r.f64()
+	if flags&4 != 0 {
+		o.gridSeed, o.gridShared = r.u64(), true
+	}
 	return o
 }
 

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/window"
 )
@@ -92,7 +93,7 @@ func (ws *WindowSampler) MergeFrom(b *WindowSampler) error {
 	}
 	// Insert in ascending latest-stamp order either way, keeping each
 	// level's expiry list append-ordered.
-	sort.Slice(kept, func(i, j int) bool { return kept[i].e.lastStamp < kept[j].e.lastStamp })
+	slices.SortFunc(kept, func(a, b mergedEntry) int { return cmp.Compare(a.e.lastStamp, b.e.lastStamp) })
 	if valid {
 		for _, m := range kept {
 			ws.levels[m.level].insert(m.e)
@@ -133,7 +134,7 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 	// Dedup in representative-arrival order, so a group seen on both sides
 	// keeps the earlier representative (what one pass over the interleaved
 	// streams would have stored).
-	sort.Slice(all, func(i, j int) bool { return all[i].e.stamp < all[j].e.stamp })
+	slices.SortFunc(all, func(a, b mergedEntry) int { return byStamp(a.e, b.e) })
 	var idx cellIndex
 	idx.reserve(len(all))
 	keptAt := make(map[*entry]int) // entry → index in kept

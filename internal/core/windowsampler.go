@@ -105,15 +105,7 @@ func NewWindowSampler(opts Options, win window.Window) (*WindowSampler, error) {
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}
-	sm := hash.NewSplitMix(opts.Seed)
-	gridSeed, hashSeed, rngSeed1, rngSeed2 := sm.Next(), sm.Next(), sm.Next(), sm.Next()
-	spc := opts.Space
-	if spc == nil {
-		spc = NewEuclideanSpace(opts.Dim, opts.GridSide, opts.Alpha, gridSeed)
-	}
-	ls := hash.NewLevelSampler(opts.newHash(hashSeed))
-	rng := rand.New(rand.NewPCG(rngSeed1, rngSeed2))
-
+	spc, ls, rng := opts.derive()
 	l := bits.Len64(uint64(win.W) - 1) // ⌈log2 w⌉
 	levels := make([]*FixedWindow, l+1)
 	for i := range levels {
@@ -201,6 +193,17 @@ func (ws *WindowSampler) nextStamp() int64 {
 // fallback point) backwards. It panics on wrong-dimension or non-finite
 // points, before any state changes.
 func (ws *WindowSampler) ProcessAt(p geom.Point, stamp int64) {
+	if !ws.advance(p, stamp) {
+		return
+	}
+	ws.adjBuf = ws.spc.Adjacent(ws.adjBuf[:0], p)
+	ws.observe(p, stamp, ws.adjBuf)
+}
+
+// advance counts p in, moves the clock to stamp if it is later, and
+// reports whether p is still in the window, so that it needs its
+// adjacency list.
+func (ws *WindowSampler) advance(p geom.Point, stamp int64) bool {
 	validatePoint(p, ws.opts.Dim)
 	ws.n++
 	if stamp > ws.now {
@@ -210,19 +213,23 @@ func (ws *WindowSampler) ProcessAt(p geom.Point, stamp int64) {
 		}
 	}
 	if ws.win.Expired(stamp, ws.now) {
-		return
+		return false
 	}
 	if ws.latest == nil || stamp >= ws.latestStamp {
 		ws.latest, ws.latestStamp = p, stamp
 	}
-	// Offer p from the top level down; the first level already tracking
-	// p's group refreshes its entry. If none does, the group registers
-	// fresh at level 0 (match-only is off there and R=1 accepts every
-	// cell), after which the split cascade restores the size invariant.
-	// The levels share one grid, so one adjacency search serves them all.
-	ws.adjBuf = ws.spc.Adjacent(ws.adjBuf[:0], p)
+	return true
+}
+
+// observe offers an in-window point with adjacency list adjKeys = adj(p)
+// from the top level down; the first level already tracking p's group
+// refreshes its entry. If none does, the group registers fresh at level
+// 0 (match-only is off there and R=1 accepts every cell), after which
+// the split cascade restores the size invariant. The levels share one
+// grid, so one adjacency search serves them all.
+func (ws *WindowSampler) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey) {
 	for l := len(ws.levels) - 1; l >= 0; l-- {
-		if ws.levels[l].observe(p, stamp, ws.adjBuf) {
+		if ws.levels[l].observe(p, stamp, adjKeys) {
 			ws.rebalance(l)
 			break
 		}

@@ -1,6 +1,6 @@
 // Package dataset reproduces the experimental workloads of Section 6.1:
 // the base datasets (Rand5, Rand20 exactly as described; Yacht and Seeds as
-// synthetic stand-ins for the UCI sets, see DESIGN.md), the two
+// synthetic stand-ins for the UCI sets, see Yacht), the two
 // near-duplicate transformations (uniform k ∈ {1..100} and power-law
 // ⌈n·i⁻¹⌉), rescaling to minimum pairwise distance 1, and seeded shuffling.
 //
@@ -26,10 +26,18 @@ const (
 	// Rand20 is 500 uniform random points in (0,1)^20.
 	Rand20
 	// Yacht is a 308-point, 7-dimensional stand-in for the UCI yacht
-	// hydrodynamics dataset (see DESIGN.md, Substitutions).
+	// hydrodynamics dataset. The repository ships no data files and
+	// fetches none, so Yacht and Seeds are generated: Gaussian mixtures
+	// with the real sets' sizes and dimensions and a cluster structure in
+	// their spirit (Generate). The experiments depend on the size, the
+	// dimension and the well-separated instance Build makes after
+	// rescaling, which the substitution keeps; the real coordinates are
+	// not kept, so absolute numbers on these two can differ from the
+	// paper's.
 	Yacht
 	// Seeds is a 210-point, 8-dimensional stand-in for the UCI seeds
-	// dataset: three wheat-variety clusters (see DESIGN.md).
+	// dataset: three wheat-variety clusters (the substitution is described
+	// under Yacht).
 	Seeds
 )
 

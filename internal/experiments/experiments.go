@@ -1,9 +1,9 @@
 // Package experiments implements the paper's Section 6 evaluation and this
 // repository's extensions as reusable measurement functions. The
 // cmd/experiments CLI and the root benchmark suite are thin wrappers around
-// this package; EXPERIMENTS.md records the outputs.
+// this package; docs/f0-accuracy.md records the F0 experiments' outputs.
 //
-// Experiment identifiers follow DESIGN.md's experiment index:
+// The experiments map to the paper's figures as follows:
 //
 //	Figures 5–12 — empirical sampling distributions (Dist)
 //	Figure 13    — pTime (PTime)

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/f0"
+	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/window"
 )
 
@@ -106,5 +110,46 @@ func F0Window(spec dataset.Spec, w int64, liveGroups int, eps float64, seed uint
 		Estimate:   est,
 		RelErr:     metrics.RelErr(est, float64(liveGroups)),
 		Copies:     we.Copies(),
+	}, nil
+}
+
+// F0GeneralResult measures the infinite-window estimator on data that is
+// not well-separated (Section 3), where groups chain and F0(S, α) is only
+// defined up to constant factors: the estimate is compared with the
+// greedy partition's group count (Definition 3.2, Lemma 3.3).
+type F0GeneralResult struct {
+	Points       int
+	GreedyGroups int
+	Estimate     float64
+	Ratio        float64 // Estimate / GreedyGroups
+}
+
+// F0General runs the median-of-copies estimator (ε = eps, 9 copies, grid
+// side α/2) over points drawn uniformly from a square sized like
+// GeneralBall's (about 11 points per unit area), so that balls of radius
+// α = 0.3 overlap in chains.
+func F0General(points int, eps float64, seed uint64) (F0GeneralResult, error) {
+	const alpha = 0.3
+	side := 3 * math.Sqrt(float64(points)/100)
+	rng := rand.New(rand.NewPCG(seed, 0xf06e))
+	pts := make(geom.Dataset, points)
+	for i := range pts {
+		pts[i] = geom.Point{rng.Float64() * side, rng.Float64() * side}
+	}
+	gdy := partition.Greedy(pts, alpha, nil)
+	m, err := f0.NewMedian(core.Options{Alpha: alpha, Dim: 2, StreamBound: points + 1, Seed: seed ^ 0xf06e11}, eps, 0, 9)
+	if err != nil {
+		return F0GeneralResult{}, err
+	}
+	m.ProcessBatch(pts)
+	est, err := m.Estimate()
+	if err != nil {
+		return F0GeneralResult{}, err
+	}
+	return F0GeneralResult{
+		Points:       points,
+		GreedyGroups: gdy.Groups,
+		Estimate:     est,
+		Ratio:        est / float64(gdy.Groups),
 	}, nil
 }

@@ -78,13 +78,19 @@ func (e *InfiniteEstimator) PeakSpaceWords() int { return e.s.PeakSpaceWords() }
 
 // Median runs several independent copies of an estimator and returns the
 // median estimate, boosting constant success probability to high
-// probability (Section 5 runs Θ(log m) copies).
+// probability (Section 5 runs Θ(log m) copies). The copies' hash
+// functions are independent; they share one grid (core.Options.Copy), so
+// each point is searched once for all of them (see docs/engine.md, "One
+// grid for an estimator's copies").
 type Median struct {
 	copies []*InfiniteEstimator
+
+	adj core.SharedAdj // the current batch's adjacency lists
+	one [1]geom.Point  // Process's one-point batch
 }
 
 // NewMedian builds c independent InfiniteEstimator copies with seeds
-// derived from opts.Seed.
+// derived from opts.Seed, on the grid opts.Seed derives.
 func NewMedian(opts core.Options, eps float64, kappaB, c int) (*Median, error) {
 	if c < 1 {
 		c = 1
@@ -92,9 +98,7 @@ func NewMedian(opts core.Options, eps float64, kappaB, c int) (*Median, error) {
 	sm := hash.NewSplitMix(opts.Seed ^ 0x663066306630)
 	copies := make([]*InfiniteEstimator, c)
 	for i := range copies {
-		o := opts
-		o.Seed = sm.Next()
-		est, err := NewInfiniteEstimator(o, eps, kappaB)
+		est, err := NewInfiniteEstimator(opts.Copy(sm.Next()), eps, kappaB)
 		if err != nil {
 			return nil, err
 		}
@@ -103,11 +107,11 @@ func NewMedian(opts core.Options, eps float64, kappaB, c int) (*Median, error) {
 	return &Median{copies: copies}, nil
 }
 
-// Process feeds the point to every copy.
+// Process feeds the point to every copy, as a batch of one.
 func (m *Median) Process(p geom.Point) {
-	for _, c := range m.copies {
-		c.Process(p)
-	}
+	m.one[0] = p
+	m.ProcessBatch(m.one[:])
+	m.one[0] = nil
 }
 
 // Estimate returns the median of the per-copy estimates.

@@ -3,11 +3,21 @@ package f0
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
 )
+
+// ErrSeparateGrids is wrapped by the decoders when a stack's copies do
+// not share one grid (core.Options.Copy). Estimators wrote such state
+// before their copies shared a grid, when every copy derived its own from
+// its seed. It cannot be read: its copies would not merge with a current
+// stack's, so it could neither join a fold nor restore into an engine
+// (docs/engine.md "Wire format").
+var ErrSeparateGrids = errors.New(`f0: the estimator's copies are on separate grids, as written before copies shared one; ` +
+	`this state cannot be read (docs/engine.md "Wire format")`)
 
 // medianMagic and windowEstimatorMagic head the binary wire forms of the
 // estimator stacks (format 1). Payloads without them fail with
@@ -54,9 +64,9 @@ func readBlobs(data []byte) ([][]byte, error) {
 // MarshalBinary serializes the estimator stack for checkpointing, in the
 // length-prefixed binary format (magic "f0m1"); the counterpart is
 // UnmarshalMedian. The per-copy samplers carry their own options
-// (including the derived seeds), so only epsilon is stored alongside the
-// copy blobs. Estimators built over a custom Space are not serializable
-// (see core.Sampler.MarshalBinary).
+// (including the derived seeds and the stack's grid seed), so only
+// epsilon is stored alongside the copy blobs. Estimators built over a
+// custom Space are not serializable (see core.Sampler.MarshalBinary).
 func (m *Median) MarshalBinary() ([]byte, error) {
 	blobs := make([][]byte, len(m.copies))
 	for i, c := range m.copies {
@@ -90,7 +100,8 @@ func (we *WindowEstimator) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalWindowEstimator reconstructs a WindowEstimator from
-// MarshalBinary output; every copy must share copy 0's window.
+// MarshalBinary output; every copy must share copy 0's window and grid
+// (ErrSeparateGrids).
 func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
 	data, ok := bytes.CutPrefix(data, []byte(windowEstimatorMagic))
 	if !ok {
@@ -106,16 +117,21 @@ func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("f0: decoding window copy %d: %w", i, err)
 		}
-		if i > 0 && ws.Window() != we.copies[0].Window() {
-			return nil, fmt.Errorf("f0: corrupt window estimator: copy %d window %v != copy 0 window %v",
-				i, ws.Window(), we.copies[0].Window())
-		}
 		we.copies[i] = ws
+		c0 := we.copies[0]
+		if ws.Window() != c0.Window() {
+			return nil, fmt.Errorf("f0: corrupt window estimator: copy %d window %v != copy 0 window %v",
+				i, ws.Window(), c0.Window())
+		}
+		if !ws.Options().SharesGrid(c0.Options()) {
+			return nil, fmt.Errorf("f0: decoding window copy %d: %w", i, ErrSeparateGrids)
+		}
 	}
 	return we, nil
 }
 
-// UnmarshalMedian reconstructs a Median from MarshalBinary output.
+// UnmarshalMedian reconstructs a Median from MarshalBinary output; every
+// copy must share copy 0's grid (ErrSeparateGrids).
 func UnmarshalMedian(data []byte) (*Median, error) {
 	data, ok := bytes.CutPrefix(data, []byte(medianMagic))
 	if !ok {
@@ -139,6 +155,9 @@ func UnmarshalMedian(data []byte) (*Median, error) {
 			return nil, fmt.Errorf("f0: decoding copy %d: %w", i, err)
 		}
 		m.copies[i] = &InfiniteEstimator{s: s, eps: eps}
+		if !s.Options().SharesGrid(m.copies[0].s.Options()) {
+			return nil, fmt.Errorf("f0: decoding copy %d: %w", i, ErrSeparateGrids)
+		}
 	}
 	return m, nil
 }

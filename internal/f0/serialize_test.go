@@ -15,7 +15,7 @@ import (
 // accept threshold of 16384; a decoder that reserved Sacc by that
 // threshold would allocate about 32 KiB per copy of about 50 bytes.
 func TestUnmarshalMedianAllocatesByInput(t *testing.T) {
-	s, err := core.NewSampler(core.Options{Alpha: 1, Dim: 2, Kappa: 8192, StreamBound: 4, Seed: 1})
+	s, err := core.NewSampler(core.Options{Alpha: 1, Dim: 2, Kappa: 8192, StreamBound: 4}.Copy(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package sketch
 
 // Compat-policy suite: envelope version 1 (gob payloads) is retired.
-// The testdata fixtures were written by the version-1 code and are
+// The envelope_v1 fixtures were written by the version-1 code and are
 // immutable; every one of them, and every gob payload re-wrapped in a
 // current envelope, must be refused with core.ErrRetiredFormat, whose
-// message names envelope version 1 and the compat policy.
+// message names envelope version 1 and the compat policy. The
+// envelope_separate_grids fixtures hold f0 stacks whose copies each
+// derived their own grid; f0.ErrSeparateGrids refuses them.
 
 import (
 	"errors"
@@ -14,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/f0"
 )
 
 func readFixture(t testing.TB, name string) []byte {
@@ -74,6 +77,32 @@ func TestDeserializeV1Fixtures(t *testing.T) {
 // TestDeserializeV1WindowL0Fixture covers the sample-only window family.
 func TestDeserializeV1WindowL0Fixture(t *testing.T) {
 	requireV1Refused(t, "envelope_v1_windowl0.bin", KindWindowL0)
+}
+
+// TestDeserializeSeparateGridFixtures pins the refusal of f0 and
+// windowf0 state written before an estimator's copies shared one grid,
+// when every copy derived its own. The fixtures were written by that code
+// and are immutable: a current envelope whose copies sit on separate grids
+// must fail with f0.ErrSeparateGrids, which names the cause.
+func TestDeserializeSeparateGridFixtures(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		kind Kind
+	}{
+		{"envelope_separate_grids_f0.bin", KindF0},
+		{"envelope_separate_grids_windowf0.bin", KindWindowF0},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			blob := readFixture(t, tc.file)
+			if kind, err := KindOf(blob); err != nil || kind != tc.kind {
+				t.Fatalf("fixture kind %v (%v), want %v — fixtures must never be regenerated", kind, err, tc.kind)
+			}
+			_, err := Deserialize(blob)
+			if !errors.Is(err, f0.ErrSeparateGrids) || !strings.Contains(err.Error(), "separate grids") {
+				t.Fatalf("error = %v, want f0.ErrSeparateGrids", err)
+			}
+		})
+	}
 }
 
 // TestDeserializeFutureVersionRefused pins that only the current

@@ -22,8 +22,8 @@ var pinnedDigests = map[string]string{
 	"l0":            "c5aed636b11bf7c8012714cb2852021d245212bdadb3168c3ff0fa734debe622",
 	"l0/random-rep": "3a4d37d5a7deba946e41261ced3be95573f0f882c38ba11e84928dc97452f037",
 	"windowl0":      "6cfd2d5343d9e63288cd7ee8a0c627f8e0c1b07ada0146a70e5997f3bf5f010d",
-	"f0":            "3c4d8e815bdfede0ac5c01706a141e48bcf1c16e7424e04f7a121d0e786a3ef0",
-	"windowf0":      "274faa2407a17ea56780b4b53712208831447a933e159508f835d80891fd8c8a",
+	"f0":            "ca9a4f681f6e0a6ffc1b41f4be6c3f1bc502c48d1f128d2ec245d89103f89bb4",
+	"windowf0":      "c098e8f1e7b1a4b32cb485eeefdeec073eea6b1e609d6ef0d177d87bb2b7061a",
 
 	"windowl0/merge":                "59094ab3cccf400c3fdab7bdf2b681aad6af684d18b3b05cb4a35261daf67241",
 	"windowl0/partition":            "8059bca231fe1cbdc17e8fdf29277765e2edfdbf08e2540e86151dd09abae22e",
@@ -34,7 +34,7 @@ var pinnedDigests = map[string]string{
 	"windowl0/merge/highdim":        "b05f5d1ccc8c082e8bb69109ac35dca82f2bd27d6c579dd600c1710296507c5a",
 	"windowl0/partition/highdim":    "6dd7202c57646d84178d5d488388a8bad9a00dd995f5172ccc04b47035ce73f0",
 	"windowl0/restore/highdim":      "b05b5db3d4895cf36b13ae8fcf29c20132171ae6c5c76b5870cd09d373ec1da6",
-	"windowf0/merge":                "85777508a4ebaaac2d27a5ba876c0cee664d05854186de788a55f79e07b3b181",
+	"windowf0/merge":                "0c016d3f7745710a01724e12e8d32b0a54436a7cd95ad5e60cb7e566f30e94ff",
 }
 
 // digest accumulates a SHA-256 over a sketch's bytes and answers.

@@ -77,7 +77,7 @@ func TestDeserializeRefusesCraftedEnvelopes(t *testing.T) {
 }
 
 // fuzzSeedSketches returns one small loaded sketch of every serializable
-// Kind.
+// Kind; the f0 and windowf0 ones are stacks of copies on one grid.
 func fuzzSeedSketches(tb testing.TB) []Sketch {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 5, StreamBound: 64, RandomRepresentative: true}
 	win := window.Window{Kind: window.Time, W: 8}
@@ -123,6 +123,8 @@ func FuzzDeserialize(f *testing.F) {
 		f.Add(tc.blob)
 	}
 	f.Add(readFixture(f, "envelope_v1_l0.bin"))
+	f.Add(readFixture(f, "envelope_separate_grids_f0.bin"))
+	f.Add(readFixture(f, "envelope_separate_grids_windowf0.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Deserialize(data)
 		if err != nil {
