@@ -7,7 +7,7 @@
 //	sketchd -dim 2 -alpha 0.5 -shards 8 -checkpoint /var/lib/sketchd.ckpt
 //	sketchd -dim 2 -alpha 0.5 -shards 8 -checkpoint /var/lib/sketchd.ckpt -restore
 //	sketchd -dim 3 -sketch f0 -eps 0.2 -copies 9
-//	sketchd -dim 2 -alpha 0.5 -shards 8 -window 3600 -window-kind time
+//	sketchd -dim 2 -alpha 0.5 -shards 8 -window 3600
 //
 // Endpoints (full reference and a worked curl session in docs/server.md):
 //
@@ -19,13 +19,13 @@
 //	GET  /healthz     liveness
 //	GET  /metrics     Prometheus text exposition (disable with -metrics=false)
 //
-// With -window W (time-based windows only) the daemon serves the sliding
-// window of the last W time units instead of the whole stream: each
-// ingest batch is stamped with the client's X-Sketch-Stamp header or the
-// server clock in Unix seconds, expired points fall out of queries, and
-// windowed state checkpoints and federates like every other family.
-// Sequence windows cannot be sharded (run cmd/l0sample or cmd/f0est
-// single-threaded instead; see docs/engine.md "Limitations").
+// With -window W the daemon serves the time-based sliding window of the
+// last W time units instead of the whole stream: each ingest batch is
+// stamped with the client's X-Sketch-Stamp header or the server clock in
+// Unix seconds, expired points fall out of queries, and windowed state
+// checkpoints and federates like every other family. Sequence windows
+// cannot be sharded, so the daemon has none (run cmd/l0sample or
+// cmd/f0est single-threaded instead; see docs/engine.md "Limitations").
 //
 // With -checkpoint-every the daemon also checkpoints continuously in the
 // background (atomic writes, safe under live traffic), bounding data loss
@@ -78,26 +78,13 @@ func main() {
 		restore   = flag.Bool("restore", false, "restore engine state from -checkpoint at startup")
 		saveEnd   = flag.Bool("save-on-exit", false, "write a final checkpoint to -checkpoint on graceful shutdown")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "write a background checkpoint to -checkpoint at this interval (0 disables)")
-		windowW   = flag.Int64("window", 0, "serve a sliding window of the last W time units instead of the whole stream (0 = infinite window)")
-		windowK   = flag.String("window-kind", "time", "window semantics for -window: only \"time\" can be sharded (sequence windows: use cmd/l0sample or cmd/f0est single-threaded)")
+		windowW   = flag.Int64("window", 0, "serve a sliding time window of the last W time units instead of the whole stream (0 = infinite window; sequence windows: use cmd/l0sample or cmd/f0est single-threaded)")
 		metrics   = flag.Bool("metrics", true, "expose Prometheus metrics on GET /metrics")
 		slowQ     = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr (0 disables)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
 	)
 	flag.Parse()
 
-	var win window.Window
-	if *windowW > 0 {
-		kind, err := window.ParseKind(*windowK)
-		if err != nil {
-			fatal(err)
-		}
-		if kind != window.Time {
-			fatal(fmt.Errorf("%w; run cmd/l0sample or cmd/f0est without -shards for sequence-window queries",
-				engine.ErrWindowedSharding))
-		}
-		win = window.Window{Kind: kind, W: *windowW}
-	}
 	if *dim < 1 {
 		fatal(fmt.Errorf("-dim is required"))
 	}
@@ -123,6 +110,7 @@ func main() {
 	)
 	cfg := engine.Config{Shards: *shards, BatchSize: *batch, QueueDepth: *queue}
 	windowed := *windowW > 0
+	win := window.Window{Kind: window.Time, W: *windowW}
 	switch {
 	case *kind == "l0" && windowed:
 		eng, err = engine.NewWindowSamplerEngine(opts, win, cfg)

@@ -56,7 +56,6 @@ func (f *FM) Estimate() float64 { return math.Pow(2, float64(f.Z())) / fmPhi }
 // (stochastic averaging), the standard variance reduction.
 type FMGroup struct {
 	copies []*FM
-	seed   uint64
 }
 
 // NewFMGroup builds c independent counters.
@@ -69,7 +68,7 @@ func NewFMGroup(c int, seed uint64) *FMGroup {
 	for i := range copies {
 		copies[i] = NewFM(sm.Next())
 	}
-	return &FMGroup{copies: copies, seed: seed}
+	return &FMGroup{copies: copies}
 }
 
 // Process feeds the next point to every copy.
@@ -97,7 +96,6 @@ func (g *FMGroup) Estimate() float64 {
 type HyperLogLog struct {
 	h    hash.Func
 	b    uint // register index bits; m = 2^b registers
-	seed uint64
 	regs []uint8
 }
 
@@ -109,7 +107,7 @@ func NewHyperLogLog(b uint, seed uint64) *HyperLogLog {
 	if b > 16 {
 		b = 16
 	}
-	return &HyperLogLog{h: hash.NewPRF(seed), b: b, seed: seed, regs: make([]uint8, 1<<b)}
+	return &HyperLogLog{h: hash.NewPRF(seed), b: b, regs: make([]uint8, 1<<b)}
 }
 
 // Process feeds the next point.
@@ -166,7 +164,6 @@ func (h *HyperLogLog) Estimate() float64 {
 // estimate is m·ln(m/zeros). Accurate while the bitmap is sparse.
 type LinearCounting struct {
 	h    hash.Func
-	seed uint64
 	bits []uint64
 	m    uint64
 }
@@ -178,7 +175,7 @@ func NewLinearCounting(m int, seed uint64) *LinearCounting {
 		m = 64
 	}
 	words := (m + 63) / 64
-	return &LinearCounting{h: hash.NewPRF(seed), seed: seed, bits: make([]uint64, words), m: uint64(words * 64)}
+	return &LinearCounting{h: hash.NewPRF(seed), bits: make([]uint64, words), m: uint64(words * 64)}
 }
 
 // Process feeds the next point.

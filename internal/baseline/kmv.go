@@ -15,7 +15,6 @@ import (
 type KMV struct {
 	h    hash.Func
 	k    int
-	seed uint64
 	vals []uint64 // sorted ascending, at most k distinct hash values
 	n    int64
 }
@@ -25,7 +24,7 @@ func NewKMV(k int, seed uint64) *KMV {
 	if k < 2 {
 		k = 2
 	}
-	return &KMV{h: hash.NewPRF(seed), k: k, seed: seed}
+	return &KMV{h: hash.NewPRF(seed), k: k}
 }
 
 // Process feeds the next point.

@@ -13,8 +13,6 @@ import (
 // this standalone version backs tests and examples.
 type Reservoir struct {
 	k     int
-	seed  uint64
-	pcg   *rand.PCG // retained so the RNG state can be serialized
 	rng   *rand.Rand
 	items []geom.Point
 	n     int64
@@ -25,8 +23,7 @@ func NewReservoir(k int, seed uint64) *Reservoir {
 	if k < 1 {
 		k = 1
 	}
-	pcg := rand.NewPCG(seed, 0x7265737672)
-	return &Reservoir{k: k, seed: seed, pcg: pcg, rng: rand.New(pcg)}
+	return &Reservoir{k: k, rng: rand.New(rand.NewPCG(seed, 0x7265737672))}
 }
 
 // Process feeds the next item.

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/f0"
@@ -416,8 +415,7 @@ func QueryErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, errUnsupportedK):
 		return http.StatusBadRequest
-	case errors.Is(err, core.ErrEmptySketch), errors.Is(err, f0.ErrNoEstimate),
-		errors.Is(err, baseline.ErrEmpty):
+	case errors.Is(err, core.ErrEmptySketch), errors.Is(err, f0.ErrNoEstimate):
 		return http.StatusConflict
 	default:
 		return http.StatusInternalServerError

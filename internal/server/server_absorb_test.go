@@ -91,14 +91,26 @@ func TestAbsorbEndpoint(t *testing.T) {
 		t.Fatalf("sketch_absorbs %d, want 2", st.SketchAbsorbs)
 	}
 
-	// Garbage is a 400; an incompatible envelope (different α) is a 422.
-	resp, err = http.Post(ts.URL+"/sketch", "application/octet-stream", bytes.NewReader([]byte("not a sketch")))
-	if err != nil {
-		t.Fatal(err)
+	// Garbage is a 400, and so is a current envelope of a retired
+	// baseline kind (3), refused by kind: its payload is the l0 one just
+	// absorbed. Neither moves the epoch or the absorb count. An
+	// incompatible envelope (different α) is a 422.
+	retired := append([]byte(nil), blob...)
+	retired[5] = 3
+	epochBefore = eng.Epoch()
+	for _, body := range [][]byte{[]byte("not a sketch"), retired} {
+		resp, err = http.Post(ts.URL+"/sketch", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("garbage absorb of %q status %d, want 400", body[:6], resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage absorb status %d, want 400", resp.StatusCode)
+	st = mustJSON[StatsResponse](t, mustGetA(t, ts.URL+"/stats"), http.StatusOK)
+	if eng.Epoch() != epochBefore || st.SketchAbsorbs != 2 {
+		t.Fatalf("garbage absorbs moved epoch %d → %d, sketch_absorbs to %d", epochBefore, eng.Epoch(), st.SketchAbsorbs)
 	}
 	badOpts := opts
 	badOpts.Alpha = 2

@@ -10,8 +10,15 @@ import (
 // The duplicate-blind baselines behind the unified interface. They count
 // or sample exact distinct keys — every near-duplicate is a fresh element
 // — which is precisely the behavior the robust sketches fix; they are
-// here so that experiments and services can swap sketch families without
-// changing call sites.
+// here so that experiments can swap sketch families without changing
+// call sites. Callers build them in process, so they have no wire
+// format: only the α-aware families are served, shipped and
+// checkpointed.
+
+// errNoWireFormat is every baseline's Serialize error.
+func errNoWireFormat(s Sketch) error {
+	return fmt.Errorf("%w: %T is a duplicate-blind baseline with no wire format", ErrNotSerializable, s)
+}
 
 // KMV is the k-minimum-values distinct-count estimator.
 type KMV struct {
@@ -35,15 +42,8 @@ func (k *KMV) Query() (Result, error) { return Result{Estimate: k.s.Estimate()},
 // Space returns the live sketch words.
 func (k *KMV) Space() int { return k.s.SpaceWords() }
 
-// Serialize encodes the sketch in the versioned envelope format; restore
-// with Deserialize.
-func (k *KMV) Serialize() ([]byte, error) {
-	payload, err := k.s.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(KindKMV, payload), nil
-}
+// Serialize returns ErrNotSerializable: the baselines have no wire format.
+func (k *KMV) Serialize() ([]byte, error) { return nil, errNoWireFormat(k) }
 
 // Merge unions another KMV of the same size and seed into k.
 func (k *KMV) Merge(other Sketch) error {
@@ -76,15 +76,8 @@ func (f *FM) Query() (Result, error) { return Result{Estimate: f.g.Estimate()}, 
 // Space returns the live sketch words.
 func (f *FM) Space() int { return f.g.SpaceWords() }
 
-// Serialize encodes the sketch in the versioned envelope format; restore
-// with Deserialize.
-func (f *FM) Serialize() ([]byte, error) {
-	payload, err := f.g.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(KindFM, payload), nil
-}
+// Serialize returns ErrNotSerializable: the baselines have no wire format.
+func (f *FM) Serialize() ([]byte, error) { return nil, errNoWireFormat(f) }
 
 // Merge unions another FM with the same copy count and seed into f.
 func (f *FM) Merge(other Sketch) error {
@@ -119,15 +112,8 @@ func (h *HyperLogLog) Query() (Result, error) { return Result{Estimate: h.h.Esti
 // Space returns the live sketch words.
 func (h *HyperLogLog) Space() int { return h.h.SpaceWords() }
 
-// Serialize encodes the sketch in the versioned envelope format; restore
-// with Deserialize.
-func (h *HyperLogLog) Serialize() ([]byte, error) {
-	payload, err := h.h.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(KindHyperLogLog, payload), nil
-}
+// Serialize returns ErrNotSerializable: the baselines have no wire format.
+func (h *HyperLogLog) Serialize() ([]byte, error) { return nil, errNoWireFormat(h) }
 
 // Merge unions another HLL with the same register count and seed into h.
 func (h *HyperLogLog) Merge(other Sketch) error {
@@ -162,15 +148,8 @@ func (l *LinearCounting) Query() (Result, error) { return Result{Estimate: l.lc.
 // Space returns the live sketch words.
 func (l *LinearCounting) Space() int { return l.lc.SpaceWords() }
 
-// Serialize encodes the sketch in the versioned envelope format; restore
-// with Deserialize.
-func (l *LinearCounting) Serialize() ([]byte, error) {
-	payload, err := l.lc.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(KindLinearCounting, payload), nil
-}
+// Serialize returns ErrNotSerializable: the baselines have no wire format.
+func (l *LinearCounting) Serialize() ([]byte, error) { return nil, errNoWireFormat(l) }
 
 // Merge unions another linear counter with the same bitmap size and seed.
 func (l *LinearCounting) Merge(other Sketch) error {
@@ -217,13 +196,5 @@ func (r *Reservoir) Query() (Result, error) {
 // Space returns the live sketch words.
 func (r *Reservoir) Space() int { return r.r.SpaceWords() }
 
-// Serialize encodes the reservoir — including its RNG state, so restored
-// reservoirs continue the exact random sequence — in the versioned
-// envelope format; restore with Deserialize.
-func (r *Reservoir) Serialize() ([]byte, error) {
-	payload, err := r.r.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(KindReservoir, payload), nil
-}
+// Serialize returns ErrNotSerializable: the baselines have no wire format.
+func (r *Reservoir) Serialize() ([]byte, error) { return nil, errNoWireFormat(r) }

@@ -14,10 +14,13 @@ import (
 )
 
 // Pinned digests of one fixed stream through every α-aware family. Each
-// covers the bytes Serialize writes and the answers the sketch gives. A
-// change that claims byte-identical sketches or unchanged answers must
-// pass TestPinnedDigests without editing these values; a deliberate
-// format or answer change updates them and says so.
+// pinnedDigests value covers the bytes Serialize writes and the answers
+// the sketch gives; the pinnedAnswerDigests value of the same key covers
+// the answers alone (Query, QueryK, AcceptedReps, estimates). A change
+// that claims byte-identical sketches or unchanged answers must pass
+// TestPinnedDigests without editing these values. A deliberate format
+// change edits pinnedDigests only, and the unedited answer digests show
+// that no answer moved; an answer change updates both and says so.
 var pinnedDigests = map[string]string{
 	"l0":            "c5aed636b11bf7c8012714cb2852021d245212bdadb3168c3ff0fa734debe622",
 	"l0/random-rep": "3a4d37d5a7deba946e41261ced3be95573f0f882c38ba11e84928dc97452f037",
@@ -37,15 +40,37 @@ var pinnedDigests = map[string]string{
 	"windowf0/merge":                "0c016d3f7745710a01724e12e8d32b0a54436a7cd95ad5e60cb7e566f30e94ff",
 }
 
-// digest accumulates a SHA-256 over a sketch's bytes and answers.
-type digest struct{ h hash.Hash }
+var pinnedAnswerDigests = map[string]string{
+	"l0":            "4b7c208ef0877e74cf52c20be3f4c1ac4851fd00e03afed85a9b73509a9a5fd3",
+	"l0/random-rep": "f96b4d8678d5268debd01af3133373ae7c3fe69a6a4caaa8af2057dd72b83e4d",
+	"windowl0":      "71addc5f45ebf297f299419446c381a55228fe422fc24bbebb190059e7db4eb9",
+	"f0":            "a1cabdfd8cd0e2298a8e4d4aeec8d0812bc38e9b4e4e22f5f981f88bb59f33a6",
+	"windowf0":      "6a93759e9cd7c6889a0c9e9957158608c1faf077b79230c45c252ff16a87d588",
 
-func newDigest() *digest { return &digest{h: sha256.New()} }
+	"windowl0/merge":                "de8518d0ba7169b81f871b75aea3dc217340e76fa3aa57e56a374c1456df0a3c",
+	"windowl0/partition":            "01cbd6011564ee5f5e7d1108c3e710ba315722db0d5d18fbe025be5e2627a0ad",
+	"windowl0/restore":              "a7a3bb2b4acf2378a12b72547c8e9154a8e969f8eeed6d771b36296d837f08ef",
+	"windowl0/merge/random-rep":     "a1904180dd8afe510eeb58d17547df900b441f66384732bd69e6a94b1452ee15",
+	"windowl0/partition/random-rep": "1ff6cdb3305c6a553bd68d5ffff52d5618c894b7ff47a014bfe7f4163d477dec",
+	"windowl0/restore/random-rep":   "bed85f29a195ebf8a3d358be6df5bcc0492655d9f133af2b35318be7cae94dcb",
+	"windowl0/merge/highdim":        "7d5d455ab6c76f3937fd1a7a9f3b02da410bceb346530085432f2a23a37272a1",
+	"windowl0/partition/highdim":    "faea4ad6081f538ac19bfa383fc880ca4b8e0cf3d281f11d83bc5cd59823ebcc",
+	"windowl0/restore/highdim":      "67e9c3edf04ec09182630ec1f93ae5de1828479a0a381f71c9de691836a7c458",
+	"windowf0/merge":                "be81b88901d9e889b80678699bfd58850a0d96e4871a185e3fc4294bbc89838c",
+}
 
+// digest accumulates two SHA-256 sums: all over a sketch's bytes and
+// answers, answers over its answers alone.
+type digest struct{ all, answers hash.Hash }
+
+func newDigest() *digest { return &digest{all: sha256.New(), answers: sha256.New()} }
+
+// u64 hashes v into both sums; every answer is hashed through it.
 func (d *digest) u64(v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	d.h.Write(b[:])
+	d.all.Write(b[:])
+	d.answers.Write(b[:])
 }
 
 func (d *digest) f64(v float64) { d.u64(math.Float64bits(v)) }
@@ -57,15 +82,16 @@ func (d *digest) point(p geom.Point) {
 	}
 }
 
-// blob hashes s's Serialize output, length-prefixed.
+// blob hashes s's Serialize output, length-prefixed, into the all sum
+// only.
 func (d *digest) blob(t *testing.T, s Sketch) []byte {
 	t.Helper()
 	b, err := s.Serialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.u64(uint64(len(b)))
-	d.h.Write(b)
+	d.all.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(b))))
+	d.all.Write(b)
 	return b
 }
 
@@ -102,12 +128,14 @@ func (d *digest) l0Answers(l *L0) {
 	}
 }
 
-func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+func (d *digest) sum() string { return hex.EncodeToString(d.all.Sum(nil)) }
+
+func (d *digest) answerSum() string { return hex.EncodeToString(d.answers.Sum(nil)) }
 
 // l0Digest hashes an L0 after each way one is built: Process, Merge of
 // two halves, Deserialize of the processed sketch, and Partition into
 // three parts.
-func l0Digest(t *testing.T, randomRep bool) string {
+func l0Digest(t *testing.T, randomRep bool) *digest {
 	pts := testStream(300, 4, 21)
 	opts := testOpts(len(pts))
 	opts.RandomRepresentative = randomRep
@@ -149,12 +177,12 @@ func l0Digest(t *testing.T, randomRep bool) string {
 		d.blob(t, p)
 		d.l0Answers(p.(*L0))
 	}
-	return d.sum()
+	return d
 }
 
 // windowL0Digest hashes a time-window L0 over a stamped stream: its
 // bytes, its answers, and a restored copy's answers.
-func windowL0Digest(t *testing.T) string {
+func windowL0Digest(t *testing.T) *digest {
 	pts := testStream(300, 4, 22)
 	w, err := NewWindowL0(testOpts(len(pts)), window.Window{Kind: window.Time, W: 400})
 	if err != nil {
@@ -175,7 +203,7 @@ func windowL0Digest(t *testing.T) string {
 	for range 8 {
 		d.answer(r)
 	}
-	return d.sum()
+	return d
 }
 
 // groupShard routes a testStream point by its group: every point of a
@@ -192,7 +220,7 @@ func groupShard(n int) func(p geom.Point) int {
 //   - "partition": Partition into three parts and a MergeFrom back, in
 //     which every group keeps its level;
 //   - "restore": Partition of a deserialized copy.
-func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
+func windowL0PathDigests(t *testing.T, opts core.Options) map[string]*digest {
 	pts := testStream(300, 4, 27)
 	win := window.Window{Kind: window.Time, W: 400}
 	mk := func() *WindowL0 {
@@ -207,7 +235,7 @@ func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
 			d.answer(s)
 		}
 	}
-	out := make(map[string]string)
+	out := make(map[string]*digest)
 
 	a, b := mk(), mk()
 	halves := groupShard(2)
@@ -224,7 +252,7 @@ func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
 	d := newDigest()
 	d.blob(t, a)
 	answers(d, a)
-	out["merge"] = d.sum()
+	out["merge"] = d
 
 	w := mk()
 	for i, p := range pts {
@@ -243,7 +271,7 @@ func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
 	d = newDigest()
 	blob := d.blob(t, m)
 	answers(d, m)
-	out["partition"] = d.sum()
+	out["partition"] = d
 
 	r, err := Deserialize(blob)
 	if err != nil {
@@ -258,12 +286,12 @@ func windowL0PathDigests(t *testing.T, opts core.Options) map[string]string {
 		d.blob(t, p)
 		answers(d, p)
 	}
-	out["restore"] = d.sum()
+	out["restore"] = d
 	return out
 }
 
 // f0Digest hashes an F0 sketch's bytes and estimate.
-func f0Digest(t *testing.T) string {
+func f0Digest(t *testing.T) *digest {
 	pts := testStream(300, 4, 23)
 	e, err := NewF0(testOpts(len(pts)), 0.5, 5)
 	if err != nil {
@@ -273,11 +301,11 @@ func f0Digest(t *testing.T) string {
 	d := newDigest()
 	d.blob(t, e)
 	d.answer(e)
-	return d.sum()
+	return d
 }
 
 // windowF0Digest hashes a time-window F0 sketch's bytes and estimate.
-func windowF0Digest(t *testing.T) string {
+func windowF0Digest(t *testing.T) *digest {
 	pts := testStream(300, 4, 24)
 	e, err := NewWindowF0(testOpts(len(pts)), window.Window{Kind: window.Time, W: 400}, 0.5)
 	if err != nil {
@@ -289,12 +317,12 @@ func windowF0Digest(t *testing.T) string {
 	d := newDigest()
 	d.blob(t, e)
 	d.answer(e)
-	return d.sum()
+	return d
 }
 
 // windowF0MergeDigest hashes a time-window F0 sketch merged from two
 // halves fed independently, split by group, on in-order stamps.
-func windowF0MergeDigest(t *testing.T) string {
+func windowF0MergeDigest(t *testing.T) *digest {
 	pts := testStream(300, 4, 26)
 	win := window.Window{Kind: window.Time, W: 400}
 	a, err := NewWindowF0(testOpts(len(pts)), win, 0.5)
@@ -319,13 +347,14 @@ func windowF0MergeDigest(t *testing.T) string {
 	d := newDigest()
 	d.blob(t, a)
 	d.answer(a)
-	return d.sum()
+	return d
 }
 
 // TestPinnedDigests checks every family's bytes and answers on a fixed
-// stream against pinnedDigests.
+// stream against pinnedDigests, and its answers against
+// pinnedAnswerDigests.
 func TestPinnedDigests(t *testing.T) {
-	got := map[string]string{
+	got := map[string]*digest{
 		"l0":             l0Digest(t, false),
 		"l0/random-rep":  l0Digest(t, true),
 		"windowl0":       windowL0Digest(t),
@@ -342,14 +371,27 @@ func TestPinnedDigests(t *testing.T) {
 			got["windowl0/"+path+variant] = sum
 		}
 	}
-	for name := range got {
-		if _, ok := pinnedDigests[name]; !ok {
-			t.Errorf("%s digest = %s is not pinned", name, got[name])
+	checkDigests(t, "", got, (*digest).sum, pinnedDigests)
+	checkDigests(t, "answer ", got, (*digest).answerSum, pinnedAnswerDigests)
+}
+
+// checkDigests compares one sum of every digest in got against pinned,
+// key for key.
+func checkDigests(t *testing.T, what string, got map[string]*digest, sum func(*digest) string, pinned map[string]string) {
+	t.Helper()
+	for name, d := range got {
+		if _, ok := pinned[name]; !ok {
+			t.Errorf("%s %sdigest = %s is not pinned", name, what, sum(d))
 		}
 	}
-	for name, want := range pinnedDigests {
-		if got[name] != want {
-			t.Errorf("%s digest = %s, want %s", name, got[name], want)
+	for name, want := range pinned {
+		d, ok := got[name]
+		if !ok {
+			t.Errorf("%s %sdigest is pinned but not computed", name, what)
+			continue
+		}
+		if s := sum(d); s != want {
+			t.Errorf("%s %sdigest = %s, want %s", name, what, s, want)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (e *F0) Space() int { return e.m.SpaceWords() }
 func (e *F0) Serialize() ([]byte, error) {
 	payload, err := e.m.MarshalBinary()
 	if err != nil {
-		return nil, mapCoreSerializeErr(err)
+		return nil, err
 	}
 	return encodeEnvelope(KindF0, payload), nil
 }
@@ -165,7 +165,7 @@ func (e *WindowF0) Space() int { return e.we.SpaceWords() }
 func (e *WindowF0) Serialize() ([]byte, error) {
 	payload, err := e.we.MarshalBinary()
 	if err != nil {
-		return nil, mapCoreSerializeErr(err)
+		return nil, err
 	}
 	return encodeEnvelope(KindWindowF0, payload), nil
 }

@@ -87,7 +87,7 @@ func (l *L0) Space() int { return l.s.SpaceWords() }
 func (l *L0) Serialize() ([]byte, error) {
 	payload, err := l.s.MarshalBinary()
 	if err != nil {
-		return nil, mapCoreSerializeErr(err)
+		return nil, err
 	}
 	return encodeEnvelope(KindL0, payload), nil
 }
@@ -187,7 +187,7 @@ func (w *WindowL0) Space() int { return w.ws.SpaceWords() }
 func (w *WindowL0) Serialize() ([]byte, error) {
 	payload, err := w.ws.MarshalBinary()
 	if err != nil {
-		return nil, mapCoreSerializeErr(err)
+		return nil, err
 	}
 	return encodeEnvelope(KindWindowL0, payload), nil
 }

@@ -8,41 +8,27 @@ package sketch
 // checkpoint/restore path on exactly this property.
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/f0"
 )
 
-// mapCoreSerializeErr translates core's not-serializable sentinel into
-// this package's ErrNotSerializable so callers can rely on the one
-// documented sentinel across every adapter.
-func mapCoreSerializeErr(err error) error {
-	if errors.Is(err, core.ErrNotSerializable) {
-		return fmt.Errorf("%w: %v", ErrNotSerializable, err)
-	}
-	return err
-}
-
 // Kind identifies a serializable sketch family inside the envelope.
 type Kind uint8
 
-// The serializable sketch families. KindInvalid is never written;
-// sequence-window sketches have no Kind because they have no wire format
-// (time-window sketches serialize as KindWindowL0/KindWindowF0).
+// The serializable sketch families: the four α-aware ones. KindInvalid
+// is never written. Values 3–7 must stay unassigned: they tagged the
+// duplicate-blind baselines, which have no wire format, and Deserialize
+// refuses them as unknown kinds. Sequence-window sketches have no Kind
+// because they have no wire format (time-window sketches serialize as
+// KindWindowL0/KindWindowF0).
 const (
-	KindInvalid Kind = iota
-	KindL0
-	KindF0
-	KindKMV
-	KindFM
-	KindHyperLogLog
-	KindLinearCounting
-	KindReservoir
-	KindWindowL0
-	KindWindowF0
+	KindInvalid  Kind = 0
+	KindL0       Kind = 1
+	KindF0       Kind = 2
+	KindWindowL0 Kind = 8
+	KindWindowF0 Kind = 9
 )
 
 // String implements fmt.Stringer.
@@ -52,16 +38,6 @@ func (k Kind) String() string {
 		return "l0"
 	case KindF0:
 		return "f0"
-	case KindKMV:
-		return "kmv"
-	case KindFM:
-		return "fm"
-	case KindHyperLogLog:
-		return "hll"
-	case KindLinearCounting:
-		return "linearcounting"
-	case KindReservoir:
-		return "reservoir"
 	case KindWindowL0:
 		return "windowl0"
 	case KindWindowF0:
@@ -72,10 +48,9 @@ func (k Kind) String() string {
 }
 
 // envelopeVersion is the serialization format version: payloads use the
-// length-prefixed binary formats of internal/core and internal/f0 (the
-// baseline families keep their own encodings). Version 1, whose payloads
-// were gob, is retired: decodeEnvelope refuses it with
-// core.ErrRetiredFormat (see docs/engine.md "Wire format").
+// length-prefixed binary formats of internal/core and internal/f0.
+// Version 1, whose payloads were gob, is retired: decodeEnvelope refuses
+// it with core.ErrRetiredFormat (see docs/engine.md "Wire format").
 const envelopeVersion = 2
 
 // envelopeMagic tags serialized sketches so that foreign blobs fail fast
@@ -123,7 +98,9 @@ func KindOf(data []byte) (Kind, error) {
 // queries from the checkpointed state and keeps ingesting consistently
 // (hash functions and grids are re-derived from the serialized seeds).
 // Retired version-1 state, including a gob payload under a current
-// envelope, fails with an error wrapping core.ErrRetiredFormat.
+// envelope, fails with an error wrapping core.ErrRetiredFormat; a kind
+// with no decoder, such as a retired baseline kind, fails before its
+// payload is read.
 func Deserialize(data []byte) (Sketch, error) {
 	k, payload, err := decodeEnvelope(data)
 	if err != nil {
@@ -142,36 +119,6 @@ func Deserialize(data []byte) (Sketch, error) {
 			return nil, err
 		}
 		return &F0{m: m}, nil
-	case KindKMV:
-		s, err := baseline.UnmarshalKMV(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &KMV{s: s}, nil
-	case KindFM:
-		g, err := baseline.UnmarshalFMGroup(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &FM{g: g}, nil
-	case KindHyperLogLog:
-		h, err := baseline.UnmarshalHyperLogLog(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &HyperLogLog{h: h}, nil
-	case KindLinearCounting:
-		lc, err := baseline.UnmarshalLinearCounting(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &LinearCounting{lc: lc}, nil
-	case KindReservoir:
-		r, err := baseline.UnmarshalReservoir(payload)
-		if err != nil {
-			return nil, err
-		}
-		return &Reservoir{r: r}, nil
 	case KindWindowL0:
 		w, err := restoreWindowL0Payload(payload)
 		if err != nil {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -41,10 +42,11 @@ func estimateOf(t *testing.T, s Sketch) float64 {
 	return res.Estimate
 }
 
-// TestSerializeRoundTripAllAdapters checkpoints every serializable adapter
-// mid-stream, restores it, and requires (a) the restored estimate to equal
-// the original's exactly and (b) processing the identical stream suffix to
-// keep original and restored sketches in lockstep.
+// TestSerializeRoundTripAllAdapters checkpoints every serializable
+// infinite-window adapter mid-stream, restores it, and requires (a) the
+// restored estimate to equal the original's exactly and (b) processing
+// the identical stream suffix to keep original and restored sketches in
+// lockstep.
 func TestSerializeRoundTripAllAdapters(t *testing.T) {
 	pts := testStream(150, 4, 8)
 	half := len(pts) / 2
@@ -69,10 +71,6 @@ func TestSerializeRoundTripAllAdapters(t *testing.T) {
 			}
 			return s
 		}},
-		{"KMV", KindKMV, func(t *testing.T) Sketch { return NewKMV(64, 7) }},
-		{"FM", KindFM, func(t *testing.T) Sketch { return NewFM(16, 7) }},
-		{"HyperLogLog", KindHyperLogLog, func(t *testing.T) Sketch { return NewHyperLogLog(10, 7) }},
-		{"LinearCounting", KindLinearCounting, func(t *testing.T) Sketch { return NewLinearCounting(1<<12, 7) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,30 +195,10 @@ func TestSequenceWindowSketchesNotSerializable(t *testing.T) {
 	}
 }
 
-// TestSerializeRoundTripReservoir checks the reservoir separately: its
-// query draws no randomness, but future ingestion does, so the serialized
-// RNG state must make original and restored reservoirs evolve identically.
-func TestSerializeRoundTripReservoir(t *testing.T) {
-	pts := testStream(200, 2, 9)
-	half := len(pts) / 2
-	r := NewReservoir(16, 21)
-	r.ProcessBatch(pts[:half])
-	restored := roundTrip(t, r, KindReservoir).(*Reservoir)
-	r.ProcessBatch(pts[half:])
-	restored.ProcessBatch(pts[half:])
-	a, b := r.Items(), restored.Items()
-	if len(a) != len(b) {
-		t.Fatalf("reservoir sizes diverged: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("item %d diverged after restore: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestSerializeWindowAndCustomSpaceUnsupported pins down which sketches
-// refuse to serialize, and with which error.
+// refuse to serialize, and with which error: sequence windows, custom
+// Spaces (not part of the wire format) and the duplicate-blind
+// baselines.
 func TestSerializeWindowAndCustomSpaceUnsupported(t *testing.T) {
 	opts := testOpts(64)
 	win := window.Window{Kind: window.Sequence, W: 32}
@@ -228,27 +206,32 @@ func TestSerializeWindowAndCustomSpaceUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wl.Serialize(); !errors.Is(err, ErrNotSerializable) {
-		t.Fatalf("WindowL0 serialize error = %v, want ErrNotSerializable", err)
-	}
 	wf, err := NewWindowF0(core.Options{Alpha: 1, Dim: 2, Seed: 5, Kappa: 1, StreamBound: 16}, win, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wf.Serialize(); !errors.Is(err, ErrNotSerializable) {
-		t.Fatalf("WindowF0 serialize error = %v, want ErrNotSerializable", err)
-	}
-
-	// A custom Space is not part of the wire format: Serialize must
-	// surface this package's sentinel, not a bare core error.
 	custom := opts
 	custom.Space = core.NewEuclideanSpace(2, 0.5, 1, 99)
 	cl, err := NewL0(custom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Serialize(); !errors.Is(err, ErrNotSerializable) {
-		t.Fatalf("custom-Space L0 serialize error = %v, want ErrNotSerializable", err)
+	for _, tc := range []struct {
+		name string
+		s    Sketch
+	}{
+		{"WindowL0", wl},
+		{"WindowF0", wf},
+		{"custom-Space L0", cl},
+		{"KMV", NewKMV(64, 7)},
+		{"FM", NewFM(16, 7)},
+		{"HyperLogLog", NewHyperLogLog(10, 7)},
+		{"LinearCounting", NewLinearCounting(1<<12, 7)},
+		{"Reservoir", NewReservoir(16, 21)},
+	} {
+		if blob, err := tc.s.Serialize(); blob != nil || !errors.Is(err, ErrNotSerializable) {
+			t.Errorf("%s serialize: %d bytes, error %v; want ErrNotSerializable", tc.name, len(blob), err)
+		}
 	}
 }
 
@@ -273,6 +256,14 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 	bad[4] = 99 // unsupported version
 	if _, err := Deserialize(bad); err == nil {
 		t.Fatal("Deserialize accepted an unsupported version")
+	}
+	// The baselines' retired kinds are refused by kind, before the
+	// payload is read: this one would decode as an L0.
+	for k := Kind(3); k <= 7; k++ {
+		_, err := Deserialize(encodeEnvelope(k, blob[envelopeHeaderLen:]))
+		if err == nil || !strings.Contains(err.Error(), "unknown sketch kind") {
+			t.Fatalf("kind-%d envelope: error %v, want an unknown kind", k, err)
+		}
 	}
 	if _, err := RestoreF0(blob); err == nil {
 		t.Fatal("RestoreF0 accepted an L0 blob")

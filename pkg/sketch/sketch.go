@@ -5,20 +5,23 @@
 //   - WindowL0 — Algorithms 3–5, the sliding-window sampler (core.WindowSampler)
 //   - F0 / WindowF0 — the Section 5 robust distinct-count estimators
 //   - KMV, FM, HyperLogLog, LinearCounting, Reservoir — the duplicate-blind
-//     baselines (internal/baseline)
+//     baselines (internal/baseline), built in process only
 //
 // Every sketch ingests points one at a time (Process) or in batches
 // (ProcessBatch — the fast path used by the sharded engine), answers
 // queries with a Result carrying a distinct sample and/or a distinct-count
-// estimate, reports its live size in words, and serializes when the
-// underlying sketch supports it. Sketches whose union is well defined
-// additionally implement Mergeable, which is what lets internal/engine
-// shard a stream and answer queries from a merged snapshot.
+// estimate, reports its live size in words, and serializes when it has a
+// wire format: the α-aware families do, unless built over a sequence
+// window or a custom Space; the baselines do not. Sketches whose union is
+// well defined additionally implement Mergeable, which is what lets
+// internal/engine shard a stream and answer queries from a merged
+// snapshot.
 package sketch
 
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -27,11 +30,13 @@ import (
 const NoEstimate = -1
 
 // ErrNotSerializable is returned by Serialize on sketches with no wire
-// format: sequence-window sketches (whose expiry state is keyed to one
-// stream's arrival order — see docs/engine.md "Limitations") and sketches
-// over custom Spaces. Time-window sketches serialize like every other
-// family.
-var ErrNotSerializable = errors.New("sketch: not serializable")
+// format: the duplicate-blind baselines (built in process, never shipped
+// or checkpointed), sequence-window sketches (whose expiry state is keyed
+// to one stream's arrival order — see docs/engine.md "Limitations") and
+// sketches over custom Spaces. Time-window sketches serialize like every
+// other α-aware family. It is core.ErrNotSerializable, so the samplers'
+// own refusals match it unchanged.
+var ErrNotSerializable = core.ErrNotSerializable
 
 // ErrIncompatible is returned by Merge when the other sketch is of a
 // different type or was built with different parameters.
