@@ -1,9 +1,9 @@
 // Package chaosproxy is a TCP proxy that injects failures between an
-// HTTP client and one upstream peer: added latency, read stalls,
-// connection resets, hard-down periods, and automatic up/down flapping.
-// The load harness (cmd/sketchload) and the cluster chaos e2e tests put
-// one in front of a sketchd peer to prove the gateway's circuit-breaker
-// and serve-stale machinery degrade and recover as designed.
+// HTTP client and one upstream peer: added latency, connection resets,
+// hard-down periods, and automatic up/down flapping. The cluster chaos
+// tests put one in front of a sketchd peer to prove the gateway's
+// circuit-breaker and serve-stale machinery degrade and recover as
+// designed.
 package chaosproxy
 
 import (
@@ -23,11 +23,18 @@ type Proxy struct {
 	target string
 
 	latencyNS atomic.Int64 // added delay before each upstream-bound chunk
-	stallNS   atomic.Int64 // one-time delay before the first response chunk
 	down      atomic.Bool  // reject new conns with RST
 
+	// mu guards conns and orders serve's admission check against
+	// CutActive: a connection is either refused under mu or tracked
+	// under mu before a concurrent cut can sweep.
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
+
+	// afterDial, when non-nil, runs in serve between the upstream dial
+	// and the admission check; tests use it to land a down transition
+	// there.
+	afterDial func()
 
 	closed   atomic.Bool
 	flapStop chan struct{}
@@ -37,7 +44,11 @@ type Proxy struct {
 
 // New starts a proxy on a fresh loopback port forwarding to targetURL
 // (an http:// URL or host:port of the upstream peer).
-func New(targetURL string) (*Proxy, error) {
+func New(targetURL string) (*Proxy, error) { return newProxy(targetURL, nil) }
+
+// newProxy is New with the afterDial hook, set before the accept loop
+// starts so that no serve goroutine can race its write.
+func newProxy(targetURL string, afterDial func()) (*Proxy, error) {
 	addr := targetURL
 	if u, err := url.Parse(targetURL); err == nil && u.Host != "" {
 		addr = u.Host
@@ -47,10 +58,11 @@ func New(targetURL string) (*Proxy, error) {
 		return nil, fmt.Errorf("chaosproxy: listen: %w", err)
 	}
 	p := &Proxy{
-		ln:       ln,
-		target:   addr,
-		conns:    map[net.Conn]struct{}{},
-		flapStop: make(chan struct{}),
+		ln:        ln,
+		target:    addr,
+		conns:     map[net.Conn]struct{}{},
+		afterDial: afterDial,
+		flapStop:  make(chan struct{}),
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -61,20 +73,15 @@ func New(targetURL string) (*Proxy, error) {
 // clients point here instead of at the upstream peer.
 func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
 
-// Addr returns the proxy's listen address.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
 // SetLatency injects d of delay before every client→upstream chunk
 // (0 removes it).
 func (p *Proxy) SetLatency(d time.Duration) { p.latencyNS.Store(int64(d)) }
 
-// SetStall delays the first upstream→client chunk of each connection by
-// d, modelling a peer that accepts but is slow to answer (0 removes it).
-func (p *Proxy) SetStall(d time.Duration) { p.stallNS.Store(int64(d)) }
-
 // SetDown controls hard-down mode: while down, new connections are
 // reset immediately and, on the transition, every active connection is
 // cut — from the client's side indistinguishable from a crashed peer.
+// The flag flips before the cut, so a connection still dialing its
+// upstream is refused by serve's admission check if the cut misses it.
 func (p *Proxy) SetDown(down bool) {
 	was := p.down.Swap(down)
 	if down && !was {
@@ -171,19 +178,24 @@ func (p *Proxy) serve(client net.Conn) {
 		abort(client)
 		return
 	}
-	p.track(client)
-	p.track(upstream)
+	if p.afterDial != nil {
+		p.afterDial()
+	}
+	if !p.admit(client, upstream) {
+		abort(client)
+		abort(upstream)
+		return
+	}
 	defer p.untrack(client)
 	defer p.untrack(upstream)
 
 	done := make(chan struct{}, 2)
 	go func() { // client → upstream, with per-chunk latency
-		p.relay(upstream, client, &p.latencyNS, nil)
+		p.relay(upstream, client, &p.latencyNS)
 		done <- struct{}{}
 	}()
-	stalled := new(atomic.Bool)
-	go func() { // upstream → client, with a first-chunk stall
-		p.relay(client, upstream, nil, stalled)
+	go func() { // upstream → client
+		p.relay(client, upstream, nil)
 		done <- struct{}{}
 	}()
 	<-done
@@ -194,17 +206,27 @@ func (p *Proxy) serve(client net.Conn) {
 	<-done
 }
 
-// relay copies src → dst. latency (if non-nil) delays every chunk;
-// stallOnce (if non-nil) applies the configured stall before the first
-// chunk only.
-func (p *Proxy) relay(dst, src net.Conn, latency *atomic.Int64, stallOnce *atomic.Bool) {
+// admit tracks a freshly dialed pair unless the proxy went down or
+// closed while serve was dialing. The check and the tracking share mu
+// with CutActive, and SetDown and Close set their flags before they
+// cut, so every pair is either refused here or cut there.
+func (p *Proxy) admit(client, upstream net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down.Load() || p.closed.Load() {
+		return false
+	}
+	p.conns[client] = struct{}{}
+	p.conns[upstream] = struct{}{}
+	return true
+}
+
+// relay copies src → dst. latency (if non-nil) delays every chunk.
+func (p *Proxy) relay(dst, src net.Conn, latency *atomic.Int64) {
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			if stallOnce != nil && !stallOnce.Swap(true) {
-				p.sleep(time.Duration(p.stallNS.Load()))
-			}
 			if latency != nil {
 				p.sleep(time.Duration(latency.Load()))
 			}
@@ -229,12 +251,6 @@ func (p *Proxy) sleep(d time.Duration) {
 	case <-t.C:
 	case <-p.flapStop:
 	}
-}
-
-func (p *Proxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
 }
 
 func (p *Proxy) untrack(c net.Conn) {

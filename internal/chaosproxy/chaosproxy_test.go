@@ -5,18 +5,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// newBackend starts a trivial HTTP upstream and a proxy in front of it.
-func newBackend(t *testing.T) (*httptest.Server, *Proxy) {
+// newBackend starts a trivial HTTP upstream and a proxy in front of it,
+// with afterDial as the proxy's dial hook (nil for none).
+func newBackend(t *testing.T, afterDial func()) (*httptest.Server, *Proxy) {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "pong")
 	}))
 	t.Cleanup(ts.Close)
-	p, err := New(ts.URL)
+	p, err := newProxy(ts.URL, afterDial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func get(p *Proxy) (string, error) {
 }
 
 func TestProxyForwards(t *testing.T) {
-	_, p := newBackend(t)
+	_, p := newBackend(t, nil)
 	body, err := get(p)
 	if err != nil || body != "pong" {
 		t.Fatalf("through proxy: %q, %v", body, err)
@@ -49,7 +51,7 @@ func TestProxyForwards(t *testing.T) {
 }
 
 func TestProxyDownResetsAndRecovers(t *testing.T) {
-	_, p := newBackend(t)
+	_, p := newBackend(t, nil)
 	p.SetDown(true)
 	if _, err := get(p); err == nil {
 		t.Fatal("request succeeded through a down proxy")
@@ -62,7 +64,7 @@ func TestProxyDownResetsAndRecovers(t *testing.T) {
 }
 
 func TestProxyDownCutsActiveConnections(t *testing.T) {
-	ts, p := newBackend(t)
+	ts, p := newBackend(t, nil)
 	// A keep-alive client holds one connection through the proxy; the
 	// down transition must reset it, not leave it half-usable.
 	client := &http.Client{Timeout: 2 * time.Second}
@@ -77,8 +79,32 @@ func TestProxyDownCutsActiveConnections(t *testing.T) {
 	_ = ts
 }
 
+// TestProxyDownDuringDial lands a down transition while serve is still
+// dialing the upstream, before the pair is tracked where CutActive can
+// reach it. The connection must be refused: relayed, it would serve the
+// whole down phase, and a keep-alive pool would go on reusing it.
+func TestProxyDownDuringDial(t *testing.T) {
+	dialed, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	_, p := newBackend(t, func() {
+		once.Do(func() { close(dialed) })
+		<-release
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := get(p)
+		errc <- err
+	}()
+	<-dialed
+	p.SetDown(true)
+	close(release)
+	if err := <-errc; err == nil {
+		t.Fatal("a connection dialed across the down transition relayed through the down proxy")
+	}
+}
+
 func TestProxyLatency(t *testing.T) {
-	_, p := newBackend(t)
+	_, p := newBackend(t, nil)
 	p.SetLatency(60 * time.Millisecond)
 	start := time.Now()
 	if _, err := get(p); err != nil {
@@ -89,21 +115,8 @@ func TestProxyLatency(t *testing.T) {
 	}
 }
 
-func TestProxyStall(t *testing.T) {
-	_, p := newBackend(t)
-	p.SetStall(60 * time.Millisecond)
-	start := time.Now()
-	body, err := get(p)
-	if err != nil || body != "pong" {
-		t.Fatalf("stalled response: %q, %v", body, err)
-	}
-	if d := time.Since(start); d < 60*time.Millisecond {
-		t.Fatalf("60ms stall injected, round trip took %v", d)
-	}
-}
-
 func TestProxyFlap(t *testing.T) {
-	_, p := newBackend(t)
+	_, p := newBackend(t, nil)
 	p.Flap(80*time.Millisecond, 80*time.Millisecond)
 	// Across a few cycles both phases must be observable.
 	var sawUp, sawDown bool
@@ -122,7 +135,7 @@ func TestProxyFlap(t *testing.T) {
 }
 
 func TestProxyCloseIdempotent(t *testing.T) {
-	_, p := newBackend(t)
+	_, p := newBackend(t, nil)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

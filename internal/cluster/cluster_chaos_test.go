@@ -1,14 +1,21 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chaosproxy"
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/loadgen/chaosproxy"
+	"repro/internal/pointio"
 	"repro/internal/server"
 )
 
@@ -43,17 +50,15 @@ func holdStill(t *testing.T, url, what string, ok func(QueryResponse, http.Heade
 	return q
 }
 
-// TestChaosFlappingPeerGatewayStaysServing runs the failure scenario the
-// load harness automates, at e2e-test scale with a real TCP chaosproxy
-// (connection resets, not polite 503s) between the gateway and peer 0.
-// Three phases: from a quiesced clean cache, a hard-down peer must not
-// cost queries anything — the stale complete fold is served within the
-// -max-stale bound while watch failures open the breaker; under rapid
-// flapping every query must still be answered (degraded answers allowed
-// — a refresh round that straddles a down phase legitimately installs a
-// partial fold); and on recovery the watcher's reconnect must mark the
-// cache dirty so ingest that landed behind the gateway's back is
-// re-folded without any request forcing it.
+// TestChaosFlappingPeerGatewayStaysServing puts a real TCP chaosproxy
+// (connection resets, not polite 503s) between the gateway and peer 0
+// and checks the two transitions a flap is made of, one at a time. From
+// a quiesced clean cache, a hard-down peer must not cost queries
+// anything: the stale complete fold is served within the -max-stale
+// bound while watch failures open the breaker. On recovery the
+// watcher's reconnect must mark the cache dirty, so ingest that landed
+// behind the gateway's back is re-folded without any request forcing
+// it. The flap itself, under load, is TestChaosFlapUnderLoad's.
 func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 7, StreamBound: 1 << 12, Kappa: 512, K: 4}
 	peers := newTestCluster(t, opts, 3, 2)
@@ -64,10 +69,10 @@ func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
+	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
 		c.Peers[0] = proxy.URL()
-		// Wide enough that every flap-phase serve stays inside the
-		// bound — no query should ever pay a degraded sync refresh.
+		// Wide enough that every serve while the peer is down stays
+		// inside the bound: no query may pay a degraded sync refresh.
 		c.MaxStale = time.Minute
 		c.RequestTimeout = time.Second
 		c.DownAfter = 2
@@ -115,41 +120,12 @@ func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 		t.Fatal("a query inside the staleness bound paid a synchronous refresh")
 	}
 
-	// Phase 2 — rapid flapping: availability is the invariant. Every
-	// query must answer 200; partial answers are legitimate (a refresh
-	// round straddling a down phase folds the live subset).
-	proxy.SetDown(false)
-	stopFlap := proxy.Flap(60*time.Millisecond, 60*time.Millisecond)
-	deadline := time.Now().Add(1 * time.Second)
-	answered := 0
-	for time.Now().Before(deadline) {
-		r, err := http.Get(ts.URL + "/query?k=2")
-		if err != nil {
-			t.Fatalf("query %d errored during flap: %v", answered, err)
-		}
-		if r.StatusCode != http.StatusOK {
-			r.Body.Close()
-			t.Fatalf("query %d during flap: HTTP %d, want 100%% availability", answered, r.StatusCode)
-		}
-		r.Body.Close()
-		answered++
-		time.Sleep(10 * time.Millisecond)
-	}
-	if answered < 50 {
-		t.Fatalf("only %d queries issued during the flap window", answered)
-	}
-	stopFlap()
-
-	// Phase 3 — recovery marks the cache dirty. Land a far-away group
-	// directly on peer 0 while it is unreachable (the gateway cannot
-	// see the ingest: no watch, no push), then bring the proxy back.
-	// The reconnecting watcher must mark the fold dirty and the
+	// Phase 2 — recovery marks the cache dirty. Land a far-away group
+	// directly on peer 0 while it is still unreachable (the gateway
+	// cannot see the ingest: no watch, no push), then bring the proxy
+	// back. The reconnecting watcher must mark the fold dirty and the
 	// background refresher re-fold — the hidden group appears without
 	// any ingest or query forcing it.
-	proxy.SetDown(true)
-	waitFor(t, 10*time.Second, "breaker open before the hidden ingest", func() bool {
-		return !gwStats(t, ts.URL).Peers[0].Up
-	})
 	peers[0].eng.Process(geom.Point{0, 500})
 	peers[0].eng.Drain()
 	proxy.SetDown(false)
@@ -161,12 +137,190 @@ func TestChaosFlappingPeerGatewayStaysServing(t *testing.T) {
 		s := gwStats(t, ts.URL)
 		return s.PeersUp == 3 && s.Peers[0].WatchOK
 	})
-	_ = gw
+}
+
+// TestChaosFlapUnderLoad is the serving tier's chaos gate. Peer 0 flaps
+// behind a resetting TCP proxy through five down phases while two
+// writers post 200-point batches through the gateway and a reader
+// queries ?k=2 back to back. New batches are released evenly across the
+// flap and each is posted once, so groups first arrive during down
+// phases too; between releases the writers re-post the warm-up batch,
+// whose points collapse as duplicates. MaxStale is 100 ms, so a round
+// that comes back partial is installed rather than refused in favour of
+// an older complete fold.
+//
+// Every query must answer 200, at least 50 of them while the peer is
+// down; peer 0's breaker must be seen open; within 15 s of the flap
+// stopping every peer must be up and an answer complete at staleness
+// 0; and the settled estimate must be the exact group count. At
+// replicas 1 a batch whose post failed is re-posted after recovery. At
+// replicas 2 every cell keeps a live owner through the flap, so no
+// ingest may fail and no answer may be partial.
+func TestChaosFlapUnderLoad(t *testing.T) {
+	for _, tc := range []struct{ peers, replicas int }{{3, 1}, {4, 2}} {
+		t.Run(fmt.Sprintf("peers=%d,replicas=%d", tc.peers, tc.replicas), func(t *testing.T) {
+			chaosFlapUnderLoad(t, tc.peers, tc.replicas)
+		})
+	}
+}
+
+func chaosFlapUnderLoad(t *testing.T, n, replicas int) {
+	const (
+		groups  = 1024
+		upFor   = 200 * time.Millisecond
+		downFor = 200 * time.Millisecond
+		flapFor = 5*(upFor+downFor) + upFor // five down phases, ending up
+	)
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 7, StreamBound: 1 << 16, Kappa: 512, K: 4}
+	peers := newTestCluster(t, opts, n, 2)
+	proxy, err := chaosproxy.New(peers[0].ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers[0] = proxy.URL()
+		c.Replicas = replicas
+		c.MaxStale = 100 * time.Millisecond
+		c.RequestTimeout = time.Second
+		c.DownAfter = 2
+		c.DownCooldown = 100 * time.Millisecond
+	})
+	tr := &http.Transport{MaxIdleConnsPerHost: 4}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr, Timeout: 10 * time.Second} // a hung request fails the test, not the run
+
+	pts := stream(groups, 4, 11)
+	var batches [][]byte
+	for i := 0; i < len(pts); i += 200 {
+		batches = append(batches, pointio.AppendBinaryBatch(nil, pts[i:min(i+200, len(pts))]))
+	}
+	post := func(body []byte) error {
+		resp, err := client.Post(ts.URL+"/ingest", pointio.BinaryContentType, bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			var e server.ErrorResponse
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			return fmt.Errorf("HTTP %d: %s", resp.StatusCode, e.Error)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	// The warm-up batch goes in before the flap: the gateway needs a
+	// fold to serve from, and an empty one answers no query.
+	if err := post(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, ts.URL, peers)
+
+	var (
+		wg      sync.WaitGroup
+		stopped atomic.Bool
+		mu      sync.Mutex
+		failed  = map[int]error{} // batch → its last failed post
+		// Written by the reader alone, read after wg.Wait.
+		queries, downQueries, partials int
+		queryErr                       error
+		breakerOpen                    bool
+	)
+	start := time.Now()
+	release := flapFor / time.Duration(len(batches))
+	stopFlap := proxy.Flap(upFor, downFor)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			next := 1 + w // this writer's first batch not yet posted
+			for next < len(batches) || !stopped.Load() {
+				i := 0 // between releases, re-post the warm-up batch
+				if next < min(len(batches), int(time.Since(start)/release)+1) {
+					i, next = next, next+2
+				}
+				if err := post(batches[i]); err != nil {
+					mu.Lock()
+					failed[i] = err
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stopped.Load() && queryErr == nil {
+			if proxy.Down() {
+				downQueries++
+			}
+			breakerOpen = breakerOpen || !gw.peers[0].up()
+			queries++
+			resp, err := client.Get(ts.URL + "/query?k=2")
+			if err != nil {
+				queryErr = err
+				break
+			}
+			var q QueryResponse
+			err = json.NewDecoder(resp.Body).Decode(&q)
+			resp.Body.Close()
+			switch {
+			case resp.StatusCode != http.StatusOK:
+				queryErr = fmt.Errorf("HTTP %d", resp.StatusCode)
+			case err != nil:
+				queryErr = err
+			case q.Partial:
+				partials++
+			}
+		}
+	}()
+	time.Sleep(flapFor)
+	stopFlap()
+	stopAt := time.Now()
+	stopped.Store(true)
+	wg.Wait()
+
+	t.Logf("%d queries, %d while peer 0 was down, %d partial; %d batches failed a post",
+		queries, downQueries, partials, len(failed))
+	if queryErr != nil {
+		t.Fatalf("query %d during the flap: %v, want every query answered 200", queries, queryErr)
+	}
+	if downQueries < 50 {
+		t.Fatalf("only %d of %d queries were issued while peer 0 was down, want ≥ 50", downQueries, queries)
+	}
+	if !breakerOpen {
+		t.Fatal("peer 0's breaker was never seen open during the flap")
+	}
+	if replicas > 1 {
+		if partials > 0 {
+			t.Fatalf("%d partial answers at replicas %d with one peer flapping: quorum lost", partials, replicas)
+		}
+		for i, err := range failed {
+			t.Fatalf("batch %d failed at replicas %d with one peer flapping: %v", i, replicas, err)
+		}
+	}
+
+	waitFor(t, 15*time.Second-time.Since(stopAt), "every peer up and a complete answer at staleness 0", func() bool {
+		s := gwStats(t, ts.URL)
+		if s.PeersUp != n || !s.Peers[0].WatchOK {
+			return false
+		}
+		q, hdr := getQuery(t, ts.URL)
+		return !q.Partial && hdr.Get(StalenessHeader) == "0"
+	})
+	// Re-posting is safe: duplicates collapse.
+	for i := range failed {
+		if err := post(batches[i]); err != nil {
+			t.Fatalf("re-posting batch %d after recovery: %v", i, err)
+		}
+	}
+	if q := settle(t, ts.URL, peers); q.Estimate != groups {
+		t.Fatalf("settled estimate %.1f after the flap, want the exact %d groups", q.Estimate, groups)
+	}
 }
 
 // TestChaosProxyLatencyInjection drives a query through a latency-
-// injecting proxy and checks the delay lands on the wire path — the
-// scenario sketchload's -chaos latency runs, at unit scale.
+// injecting proxy and checks the delay lands on the wire path.
 func TestChaosProxyLatencyInjection(t *testing.T) {
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 9, StreamBound: 1 << 10}
 	peers := newTestCluster(t, opts, 1, 1)

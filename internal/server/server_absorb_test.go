@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/telemetry"
+	"repro/internal/window"
 	"repro/pkg/sketch"
 )
 
@@ -207,4 +209,97 @@ func TestAbsorbSkipsIngestMetrics(t *testing.T) {
 	if _, ok := e.Stages["ingest"]; e.Path != "/sketch" || !ok {
 		t.Errorf("absorb slow-query line %+v, want path /sketch with an ingest stage", e)
 	}
+}
+
+// FuzzAbsorb posts arbitrary bodies to POST /sketch on a 2-shard l0
+// daemon that already holds ingested points. No input may panic, and
+// the status must be 200, 400, 413 or 422. A refused absorb must leave
+// the epoch, sketch_absorbs and every shard's state as they were. The
+// shards are compared through a serialized Engine.Snapshot, because the
+// cached answer would hide a partial absorb: Engine.Absorb merges one
+// shard at a time and bumps the epoch only at the end.
+func FuzzAbsorb(f *testing.F) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 10}
+	pts := stream(60, 3, 13)
+	serialize := func(s sketch.Sketch) []byte {
+		blob, err := s.Serialize()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	own, err := sketch.NewL0(opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	own.ProcessBatch(stream(40, 2, 14))
+	otherOpts := opts
+	otherOpts.Seed = 38
+	other, err := sketch.NewL0(otherOpts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	other.ProcessBatch(stream(40, 2, 14))
+	windowed, err := sketch.NewWindowL0(opts, window.Window{Kind: window.Time, W: 100})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wpts := stream(20, 2, 15)
+	stamps := make([]int64, len(wpts))
+	for i := range stamps {
+		stamps[i] = int64(i + 1)
+	}
+	windowed.ProcessStampedBatch(wpts, stamps)
+	ownBlob := serialize(own)
+	kind3 := append([]byte(nil), ownBlob...)
+	kind3[5] = 3 // a retired baseline kind over an l0 payload
+	f.Add(ownBlob)
+	f.Add(serialize(other))
+	f.Add(serialize(windowed))
+	f.Add(ownBlob[:len(ownBlob)/2])
+	f.Add(kind3)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		eng, err := engine.NewSamplerEngine(opts, engine.Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		eng.ProcessBatch(pts)
+		srv, err := New(Config{Engine: eng, Dim: opts.Dim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := func() []byte {
+			snap, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := snap.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob
+		}
+		shards, epoch := state(), eng.Epoch()
+
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sketch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			return
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("absorb answered %d, want 200, 400, 413 or 422: %s", rec.Code, rec.Body)
+		}
+		if n := srv.sketchAbsorbs.Load(); n != 0 {
+			t.Fatalf("refused absorb (%d) counted in sketch_absorbs = %d", rec.Code, n)
+		}
+		if e := eng.Epoch(); e != epoch {
+			t.Fatalf("refused absorb (%d) moved the epoch %d → %d", rec.Code, epoch, e)
+		}
+		if !bytes.Equal(state(), shards) {
+			t.Fatalf("refused absorb (%d) changed the shards' state: %s", rec.Code, rec.Body)
+		}
+	})
 }

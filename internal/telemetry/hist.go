@@ -1,13 +1,12 @@
 package telemetry
 
 // HDR-style latency histogram: log-linear buckets (one octave per power
-// of two, histSubBuckets linear sub-buckets per octave), so quantiles are
-// accurate to ~1/histSubBuckets relative error across the full
+// of two, histSubBuckets linear sub-buckets per octave), so a bucket's
+// upper bound — the le label /metrics exposes — is within
+// 1/histSubBuckets of every sample it holds, across the full
 // nanosecond-to-minutes range in constant memory. All recording is
-// atomic — serving-path handlers and load workers share one histogram
-// per stage or operation class with no locks on the hot path. Extracted
-// from internal/loadgen (which now aliases these types) so the serving
-// tiers and the load harness measure latency with the same instrument.
+// atomic: concurrent handlers share one histogram per stage with no
+// locks on the hot path.
 
 import (
 	"math/bits"
@@ -16,7 +15,7 @@ import (
 )
 
 // histSubBits sets the linear resolution within one octave: 2^histSubBits
-// sub-buckets, i.e. ≤ 1/32 ≈ 3% relative quantile error.
+// sub-buckets, i.e. ≤ 1/32 ≈ 3% relative bucket width.
 const histSubBits = 5
 
 // histSubBuckets is the number of linear sub-buckets per octave.
@@ -32,7 +31,6 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
-	max     atomic.Int64
 }
 
 // bucketIndex maps a non-negative nanosecond value to its bucket.
@@ -45,9 +43,9 @@ func bucketIndex(v int64) int {
 	return (octave-histSubBits+1)*histSubBuckets + sub
 }
 
-// bucketUpper is the largest value mapping to bucket i — the value
-// quantiles report, so estimates err toward overstating latency rather
-// than hiding it.
+// bucketUpper is the largest value mapping to bucket i — the le bound
+// the exposition reports, so a bucket errs toward overstating latency
+// rather than hiding it.
 func bucketUpper(i int) int64 {
 	if i < histSubBuckets {
 		return int64(i)
@@ -66,12 +64,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Count returns the number of recorded samples.
@@ -95,91 +87,5 @@ func (h *Histogram) EachBucket(fn func(upperNS, cumulative int64)) {
 		}
 		cum += n
 		fn(bucketUpper(i), cum)
-	}
-}
-
-// Quantile returns an upper estimate of the q-quantile (0 < q ≤ 1) of the
-// recorded samples, or 0 with no samples. The true max is substituted at
-// the top so p100 (and a p99 that lands in the max's bucket) never
-// overshoots the largest observed value.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return time.Duration(min(bucketUpper(i), h.max.Load()))
-		}
-	}
-	return time.Duration(h.max.Load())
-}
-
-// Mean returns the mean recorded latency, or 0 with no samples.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Max returns the largest recorded sample.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Merge folds other's samples into h (bucket-wise; exact counts, the max
-// of maxes). Neither histogram may be recorded into concurrently.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	if om := other.max.Load(); om > h.max.Load() {
-		h.max.Store(om)
-	}
-}
-
-// HistSnapshot is a point-in-time summary of a Histogram — the per-class
-// latency block of a load report.
-type HistSnapshot struct {
-	// Count is the number of samples.
-	Count int64 `json:"count"`
-	// MeanNS, P50NS, P90NS, P99NS, P999NS, MaxNS are latencies in
-	// nanoseconds.
-	MeanNS int64 `json:"mean_ns"`
-	// P50NS is the median latency.
-	P50NS int64 `json:"p50_ns"`
-	// P90NS is the 90th-percentile latency.
-	P90NS int64 `json:"p90_ns"`
-	// P99NS is the 99th-percentile latency.
-	P99NS int64 `json:"p99_ns"`
-	// P999NS is the 99.9th-percentile latency.
-	P999NS int64 `json:"p999_ns"`
-	// MaxNS is the largest observed latency.
-	MaxNS int64 `json:"max_ns"`
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistSnapshot {
-	return HistSnapshot{
-		Count:  h.Count(),
-		MeanNS: int64(h.Mean()),
-		P50NS:  int64(h.Quantile(0.50)),
-		P90NS:  int64(h.Quantile(0.90)),
-		P99NS:  int64(h.Quantile(0.99)),
-		P999NS: int64(h.Quantile(0.999)),
-		MaxNS:  int64(h.Max()),
 	}
 }

@@ -1,11 +1,10 @@
 // Package telemetry is the dependency-free observability layer shared by
-// the daemon (internal/server), the gateway (internal/cluster), and the
-// load harness (internal/loadgen): a lock-free metrics registry with
-// Prometheus text exposition, the Stats declaration both serving tiers
-// render their GET /stats scalars and the matching families from,
-// log-linear latency histograms, request tracing with per-stage spans,
-// a structured slow-query log, build-info stamping, and a pprof
-// handler. Everything on the serving hot path — histogram recording,
+// the daemon (internal/server) and the gateway (internal/cluster): a
+// lock-free metrics registry with Prometheus text exposition, the Stats
+// declaration both serving tiers render their GET /stats scalars and
+// the matching families from, log-linear latency histograms, request
+// tracing with per-stage spans, a structured slow-query log, build-info
+// stamping, and a pprof handler. Everything on the serving hot path — histogram recording,
 // span collection, trace propagation — is allocation-free so
 // instrumentation never shows up in the allocs/op benchmarks it exists
 // to explain. See docs/observability.md.

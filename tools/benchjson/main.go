@@ -35,17 +35,6 @@
 //
 //	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -max-regress 20 -out /tmp/new.json
 //	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -fail-on-alloc-regress -out /tmp/new.json
-//
-// -in report.json skips running benchmarks and ingests an existing
-// report instead — the load harness (cmd/sketchload) emits its
-// BENCH_load.json in this same schema, so load runs diff with the same
-// regression math as microbenchmarks. Latency-distribution metrics
-// (p50-ns/p99-ns, as emitted by the harness) are compared under the
-// same -max-regress threshold as ns/op. In -in mode the report is not
-// rewritten unless -out is given explicitly, so an ingest-and-compare
-// run never clobbers the default BENCH_engine.json:
-//
-//	go run ./tools/benchjson -in BENCH_load.json -compare BENCH_load_old.json -max-regress 25
 package main
 
 import (
@@ -107,7 +96,6 @@ func main() {
 		failRegr    = flag.Bool("fail-on-regress", false, "exit non-zero when any benchmark exceeds -max-regress (default: warn only)")
 		maxAllocs   = flag.Float64("max-regress-allocs", 10, "percent allocs/op growth vs -compare above which a benchmark is flagged")
 		failAllocRg = flag.Bool("fail-on-alloc-regress", false, "exit non-zero when any benchmark exceeds -max-regress-allocs (default: warn only)")
-		in          = flag.String("in", "", "existing report JSON to ingest instead of running benchmarks (e.g. cmd/sketchload's BENCH_load.json)")
 	)
 	flag.Parse()
 	benchSet, requireSet := false, false
@@ -119,79 +107,48 @@ func main() {
 			requireSet = true
 		}
 	})
-	if (benchSet || *in != "") && !requireSet {
-		*require = "" // custom selection or ingested report: the baseline set does not apply
+	if benchSet && !requireSet {
+		*require = "" // custom selection: the baseline set does not apply
 	}
 
-	var (
-		results []Result
-		report  Report
-	)
-	if *in != "" {
-		loaded, err := loadReport(*in)
-		if err != nil {
-			fatal(err)
-		}
-		report = *loaded
-		results = report.Benchmarks
-		if len(results) == 0 {
-			fatal(fmt.Errorf("%s holds no benchmarks", *in))
-		}
-	} else {
-		cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench,
-			"-benchtime", *benchtime, "-benchmem", *pkg)
-		var stdout bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			fatal(fmt.Errorf("go test: %w", err))
-		}
-
-		var err error
-		results, err = parseBench(stdout.String())
-		if err != nil {
-			fatal(err)
-		}
-		if len(results) == 0 {
-			fatal(fmt.Errorf("no benchmark lines matched %q (output:\n%s)", *bench, stdout.String()))
-		}
-		report = Report{
-			GoVersion:   runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			NumCPU:      runtime.NumCPU(),
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			Bench:       *bench,
-			Benchtime:   *benchtime,
-			Benchmarks:  results,
-		}
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", *bench,
+		"-benchtime", *benchtime, "-benchmem", *pkg)
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		fatal(fmt.Errorf("go test: %w", err))
+	}
+	results, err := parseBench(stdout.String())
+	if err != nil {
+		fatal(err)
+	}
+	if len(results) == 0 {
+		fatal(fmt.Errorf("no benchmark lines matched %q (output:\n%s)", *bench, stdout.String()))
+	}
+	report := Report{
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Bench:       *bench,
+		Benchtime:   *benchtime,
+		Benchmarks:  results,
 	}
 	if missing := missingRequired(results, *require); len(missing) > 0 {
 		fatal(fmt.Errorf("expected benchmarks missing from the run: %s (renamed or deleted? update -require and the baseline)",
 			strings.Join(missing, ", ")))
 	}
-	outSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outSet = true
-		}
-	})
-	if *in == "" || outSet {
-		// In -in mode the report already exists on disk; only rewrite it
-		// somewhere when -out was asked for explicitly (never clobber the
-		// default BENCH_engine.json with a load report).
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchjson: %d benchmarks → %s\n", len(results), *out)
-	} else {
-		fmt.Printf("benchjson: %d benchmarks ← %s\n", len(results), *in)
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fatal(err)
 	}
+	blob = append(blob, '\n')
+	if err := os.WriteFile(*out, blob, 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("benchjson: %d benchmarks → %s\n", len(results), *out)
 	if *compare != "" {
 		nsRegr, allocRegr, err := compareReports(*compare, results, *maxRegress, *maxAllocs)
 		if err != nil {
@@ -229,21 +186,14 @@ func compareReports(path string, results []Result, maxRegress, maxAllocs float64
 			continue
 		}
 		matched++
-		// Latency metrics all regress under the same percentage
-		// threshold: mean (ns/op) for microbenchmarks, and the
-		// distribution quantiles load reports carry on top of it.
-		for _, unit := range []string{"ns/op", "p50-ns", "p99-ns"} {
-			was, now := prev.Metrics[unit], r.Metrics[unit]
-			if was <= 0 || now <= 0 {
-				continue
-			}
+		if was, now := prev.Metrics["ns/op"], r.Metrics["ns/op"]; was > 0 && now > 0 {
 			pct := (now - was) / was * 100
 			if pct > maxRegress {
 				nsRegressed++
-				fmt.Printf("benchjson: WARNING: %s regressed %+.1f%% %s (%.0f → %.0f, threshold %g%%)\n",
-					r.Name, pct, unit, was, now, maxRegress)
+				fmt.Printf("benchjson: WARNING: %s regressed %+.1f%% ns/op (%.0f → %.0f, threshold %g%%)\n",
+					r.Name, pct, was, now, maxRegress)
 			} else {
-				fmt.Printf("benchjson: %s %+.1f%% %s (%.0f → %.0f)\n", r.Name, pct, unit, was, now)
+				fmt.Printf("benchjson: %s %+.1f%% ns/op (%.0f → %.0f)\n", r.Name, pct, was, now)
 			}
 		}
 		was, wasOK := prev.Metrics["allocs/op"]
