@@ -554,8 +554,9 @@ func BenchmarkGatewayQueryWarm(b *testing.B) {
 }
 
 // BenchmarkFederatedFold is the background refresher's re-fold after
-// every peer's epoch moved, without HTTP: sketch.Deserialize of each of
-// three peers' /sketch blobs, then two Merges into the first.
+// every peer's epoch moved, without HTTP: sketch.Deserialize of the
+// first of three peers' /sketch blobs, then sketch.MergeSerialized of
+// the other two into it.
 // The peers hold the benchGatewayData points, routed as the gateway
 // routes them, so the blobs are the ones the warm benchmarks fold.
 func BenchmarkFederatedFold(b *testing.B) {
@@ -586,8 +587,8 @@ func BenchmarkFederatedFold(b *testing.B) {
 
 // benchFold closes the peers' engines and times the background
 // refresher's fold over their /sketch blobs, as the gateway folds them:
-// sketch.Deserialize of every blob, then a Merge of every other peer into
-// the first decoded sketch.
+// sketch.Deserialize of the first blob, then sketch.MergeSerialized of
+// every other into it.
 func benchFold(b *testing.B, peers []*engine.Engine) {
 	blobs := make([][]byte, len(peers))
 	for i, eng := range peers {
@@ -600,19 +601,16 @@ func benchFold(b *testing.B, peers []*engine.Engine) {
 			b.Fatal(err)
 		}
 	}
-	sks := make([]sketch.Sketch, len(blobs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		var err error
-		for i, blob := range blobs {
-			if sks[i], err = sketch.Deserialize(blob); err != nil {
-				b.Fatal(err)
-			}
+		sk, err := sketch.Deserialize(blobs[0])
+		if err != nil {
+			b.Fatal(err)
 		}
-		merged := sks[0].(sketch.Mergeable)
-		for _, sk := range sks[1:] {
-			if err := merged.Merge(sk); err != nil {
+		merged := sk.(sketch.Mergeable)
+		for _, blob := range blobs[1:] {
+			if err := sketch.MergeSerialized(merged, blob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,10 +9,10 @@
 //     peers shard by), so every point lands on exactly one peer and a
 //     near-duplicate group lands together with high probability.
 //   - Scatter-gather fold: a scatter round fetches the serialized merged
-//     snapshot of every live peer (GET /sketch) in parallel, decodes each
-//     once with sketch.Deserialize, and folds the others into the first
-//     with Mergeable.Merge; boundary groups are repaired by the merge's
-//     α-ball coalescing, exactly as between shards.
+//     snapshot of every live peer (GET /sketch) in parallel, decodes the
+//     first with sketch.Deserialize, and decodes each other one straight
+//     into it with sketch.MergeSerialized; boundary groups are repaired
+//     by the merge's α-ball coalescing, exactly as between shards.
 //   - Push propagation (push.go): one watcher per peer long-polls the
 //     peer's GET /watch, GET /query and GET /sketch answer from the last
 //     installed fold, and a background refresher runs the scatter rounds
@@ -23,8 +23,8 @@
 //   - Cached fold: the last installed union answers every query until a
 //     push marks it dirty, and each query draws fresh samples from it, as
 //     a daemon does from its snapshot. A round decodes every fetched peer
-//     once and holds the cache lock only to install; handlers hold it
-//     only to answer.
+//     once, as the fold receiver or into it, and holds the cache lock
+//     only to install; handlers hold it only to answer.
 //
 // The gateway exposes the same HTTP API as a single daemon (/ingest,
 // /query, /stats, /healthz — and /sketch and /watch, so gateways stack
@@ -538,12 +538,12 @@ type StatsResponse struct {
 	// FedCacheMisses counts scatter rounds that folded and installed the
 	// union.
 	FedCacheMisses int64 `json:"fed_cache_misses"`
-	// PeerDeserializes counts sketch envelope deserializations performed:
-	// one per peer fetched by a scatter round (zero across a warm-cache
-	// query).
+	// PeerDeserializes counts peer sketch envelopes decoded: one per peer
+	// whose /sketch a scatter round decoded, as the fold receiver or
+	// into it (zero across a warm-cache query).
 	PeerDeserializes int64 `json:"peer_deserializes"`
-	// SketchMerges counts Mergeable.Merge folds performed (zero across a
-	// warm-cache query).
+	// SketchMerges counts peer sketches folded into a fold receiver
+	// (sketch.MergeSerialized; zero across a warm-cache query).
 	SketchMerges int64 `json:"sketch_merges"`
 	// NotModified counts the gateway's own 304 responses to conditional
 	// GETs from its clients (e.g. a higher-tier gateway).
@@ -617,9 +617,10 @@ func (f fanout) partial() bool {
 
 // scatterResult is one peer's outcome in a refresh round.
 type scatterResult struct {
-	sk       sketch.Sketch // the peer's decoded /sketch; nil when the peer is down or failed
-	epoch    int64         // peer's ingest epoch; -1 when down or not served
-	degraded bool          // the peer (itself a gateway) flagged its fold partial
+	ok       bool   // the peer's /sketch was fetched (and, once folded, decoded)
+	blob     []byte // the peer's /sketch
+	epoch    int64  // peer's ingest epoch; -1 when down or not served
+	degraded bool   // the peer (itself a gateway) flagged its fold partial
 }
 
 // flight is one in-progress scatter round shared by concurrent queries.
@@ -662,16 +663,18 @@ func (g *Gateway) refresh(ctx context.Context) error {
 
 // scatter runs one fan-out round and installs its fold. Only the flight
 // leader runs it, so a round is the only installer while it runs. Every
-// live peer gets a GET /sketch whose answer is decoded once; the first
-// decoded sketch in peer order is the fold receiver, and the others are
-// merged into it. The round owns every sketch it decoded, so the fetch,
-// decode and merge run without cacheMu: the lock is taken to check the
-// installed fold before merging and again to install. Every install
-// bumps the export generation behind the gateway's own GET /sketch ETag
-// and GET /watch. The error is non-nil when no peer contributed, when
-// the round is partial under PartialFail, or when it is partial and a
-// complete fold within MaxStale stays (errKeptComplete) — the cache,
-// dirtiness included, is left untouched in every case.
+// live peer gets a GET /sketch; the first fetched blob in peer order
+// that decodes is the fold receiver, and every other blob is decoded
+// straight into it (sketch.MergeSerialized). A blob that does not decode
+// counts its peer as failed and leaves the fold as it was. The round
+// owns the receiver, so the fetch and fold run without cacheMu: the lock
+// is taken to check the installed fold before folding and again to
+// install. Every install bumps the export generation behind the
+// gateway's own GET /sketch ETag and GET /watch. The error is non-nil
+// when no peer contributed, when the round is partial under PartialFail,
+// or when it is partial and a complete fold within MaxStale stays
+// (errKeptComplete) — the cache, dirtiness included, is left untouched
+// in every case.
 func (g *Gateway) scatter(ctx context.Context) error {
 	// The generation read MUST precede the network round: an invalidation
 	// that lands while the round is in flight may or may not be reflected
@@ -698,24 +701,49 @@ func (g *Gateway) scatter(ctx context.Context) error {
 				errs[i] = err
 				return
 			}
-			tDeser := time.Now()
-			sk, err := sketch.Deserialize(blob)
-			telemetry.Observe(g.tel.deserialize, nil, "", time.Since(tDeser))
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: peer %s sketch: %w", p.url, err)
-				return
-			}
-			g.peerDeserializes.Add(1)
-			res[i] = scatterResult{sk: sk, epoch: peerEpoch(hdr), degraded: hdr.Get(partialHeader) == "true"}
+			res[i] = scatterResult{ok: true, blob: blob, epoch: peerEpoch(hdr), degraded: hdr.Get(partialHeader) == "true"}
 		}(i, p)
 	}
 	wg.Wait()
 
-	fo := fanout{replicas: g.cfg.Replicas}
+	// Decided before folding, so a round that will be refused or keep
+	// the complete fold does no fold work. The decision holds until the
+	// install below: only this round can install, and a fold's age only
+	// grows. A blob that fails to decode while folding fails its peer,
+	// and the round is decided again.
+	fo, err := g.decide(res, errs)
+	if err != nil {
+		return err
+	}
+	merged, failed, err := g.fold(res, errs)
+	if err != nil {
+		return err
+	}
+	if failed > 0 {
+		if fo, err = g.decide(res, errs); err != nil {
+			return err
+		}
+	}
 	epochs := make([]int64, len(res))
 	for i, r := range res {
 		epochs[i] = r.epoch
-		if r.sk == nil {
+	}
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	g.merged, g.mergedFo, g.mergedEpochs = merged, fo, epochs
+	g.fedCacheMisses.Add(1)
+	g.markFresh(startGen)
+	g.exportGen.Bump()
+	return nil
+}
+
+// decide tallies a round's peers and refuses the round when no peer
+// contributed, when it is partial under PartialFail, or when it is
+// partial and the installed complete fold stays (errKeptComplete).
+func (g *Gateway) decide(res []scatterResult, errs []error) (fanout, error) {
+	fo := fanout{replicas: g.cfg.Replicas}
+	for i, r := range res {
+		if !r.ok {
 			fo.failed = append(fo.failed, g.peers[i].url)
 			continue
 		}
@@ -725,52 +753,70 @@ func (g *Gateway) scatter(ctx context.Context) error {
 		}
 	}
 	if fo.ok == 0 {
-		return fmt.Errorf("%w: all %d peers failed (first: %v)", errNoPeers, len(g.peers), errs[firstError(errs)])
+		return fo, fmt.Errorf("%w: all %d peers failed (first: %v)", errNoPeers, len(g.peers), errs[firstError(errs)])
 	}
 	if fo.partial() && g.cfg.Partial == PartialFail {
-		return fmt.Errorf("%w under policy %q: %d unreachable, %d upstream-partial of %d peers: %s",
+		return fo, fmt.Errorf("%w under policy %q: %d unreachable, %d upstream-partial of %d peers: %s",
 			errPartialRefused, PartialFail, len(fo.failed), len(fo.degraded), len(g.peers),
 			strings.Join(append(append([]string(nil), fo.failed...), fo.degraded...), ", "))
 	}
 	if fo.partial() {
-		// Decided before merging, so a round that will be refused does no
-		// merge work. The decision holds until the install below: only
-		// this round can install, and a fold's age only grows.
 		g.cacheMu.Lock()
 		keep := g.keepCompleteLocked()
 		g.cacheMu.Unlock()
 		if keep {
-			return errKeptComplete
+			return fo, errKeptComplete
 		}
 	}
-	var merged sketch.Mergeable
-	for i, r := range res {
-		if r.sk == nil {
+	return fo, nil
+}
+
+// fold decodes the round's first fetched blob that decodes as the fold
+// receiver (sketch.Deserialize, the deserialize stage) and folds every
+// later one into it (sketch.MergeSerialized, the merge stage). A blob
+// that does not decode fails its peer: its result is cleared, its error
+// recorded, and it is counted in failed. A blob that decodes but does
+// not merge fails the round.
+func (g *Gateway) fold(res []scatterResult, errs []error) (merged sketch.Mergeable, failed int, err error) {
+	fail := func(i int, err error) {
+		res[i] = scatterResult{epoch: -1}
+		errs[i] = fmt.Errorf("cluster: peer %s sketch: %w", g.peers[i].url, err)
+		failed++
+	}
+	for i := range res {
+		if !res[i].ok {
 			continue
 		}
 		if merged == nil {
-			m, ok := r.sk.(sketch.Mergeable)
+			tDeser := time.Now()
+			sk, err := sketch.Deserialize(res[i].blob)
+			telemetry.Observe(g.tel.deserialize, nil, "", time.Since(tDeser))
+			if err != nil {
+				fail(i, err)
+				continue
+			}
+			g.peerDeserializes.Add(1)
+			m, ok := sk.(sketch.Mergeable)
 			if !ok {
-				return fmt.Errorf("cluster: %T is not mergeable; federation needs sketch.Mergeable", r.sk)
+				return nil, 0, fmt.Errorf("cluster: %T is not mergeable; federation needs sketch.Mergeable", sk)
 			}
 			merged = m
 			continue
 		}
 		tMerge := time.Now()
-		err := merged.Merge(r.sk)
+		err := sketch.MergeSerialized(merged, res[i].blob)
 		telemetry.Observe(g.tel.merge, nil, "", time.Since(tMerge))
-		if err != nil {
-			return fmt.Errorf("cluster: merging peer %s: %w", g.peers[i].url, err)
+		if errors.Is(err, sketch.ErrCorrupt) {
+			fail(i, err)
+			continue
 		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("cluster: merging peer %s: %w", g.peers[i].url, err)
+		}
+		g.peerDeserializes.Add(1)
 		g.sketchMerges.Add(1)
 	}
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	g.merged, g.mergedFo, g.mergedEpochs = merged, fo, epochs
-	g.fedCacheMisses.Add(1)
-	g.markFresh(startGen)
-	g.exportGen.Bump()
-	return nil
+	return merged, failed, nil
 }
 
 // markFresh stamps an installed fold: the cache now reflects every

@@ -281,8 +281,9 @@ func TestUnmarshalCrowdedCell(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := geom.Point{0.5}
+		adj := s.spc.Adjacent(nil, p)
 		for i := range n {
-			s.entries = append(s.entries, &entry{rep: p, accepted: true, stamp: int64(i + 1), count: 1})
+			s.entries = append(s.entries, &entry{rep: p, cell: adj[0], adj: adj, accepted: true, stamp: int64(i + 1), count: 1})
 		}
 		b, err := s.MarshalBinary()
 		if err != nil {

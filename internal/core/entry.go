@@ -25,6 +25,13 @@ type entry struct {
 	// padding after accepted and share its word in words.
 	cellLvl uint8
 	adjLvl  uint8
+	// wit caches, plus one, the index in adj of the entry's witness: the
+	// first cell other than cell at level adjLvl, when that level is
+	// above cellLvl. Zero means there is none, or it lies past index 254
+	// (witnessAt then finds it again). The l0s2 wire format carries it,
+	// so a decoder checks the near level with one hash. It sits in the
+	// same padding.
+	wit uint8
 	// at is the entry's place in its cell in the cellIndex that last
 	// filed it (0: the cell's slot, j > 0: its overflow's element j−1),
 	// so remove need not scan a crowded cell. It sits in the same padding.
@@ -75,26 +82,58 @@ func (e *entry) ownLevel(ls *hash.LevelSampler) uint8 {
 }
 
 // nearLevel returns the maximum hash level over e's adjacency list,
-// caching it on first use: some cell of adj(rep) is sampled at rate 1/r
-// exactly when sampledAt(nearLevel, r).
+// caching it and the witness on first use: some cell of adj(rep) is
+// sampled at rate 1/r exactly when sampledAt(nearLevel, r).
 func (e *entry) nearLevel(ls *hash.LevelSampler) uint8 {
 	if e.adjLvl == 0 {
-		e.adjLvl = adjLevel(ls, e.adj, e.cell, e.ownLevel(ls)) + 1
+		near, w := adjLevel(ls, e.adj, e.cell, e.ownLevel(ls))
+		e.adjLvl, e.wit = near+1, witByte(w)
 	}
 	return e.adjLvl - 1
 }
 
-// adjLevel returns the maximum hash level over adj and cell, given
-// cell's level cellLvl. Adjacent lists include the point's own cell, so
-// this is the maximum over adj; the cell is not hashed a second time.
-func adjLevel(ls *hash.LevelSampler, adj []grid.CellKey, cell grid.CellKey, cellLvl uint8) uint8 {
-	m := cellLvl
-	for _, c := range adj {
-		if c != cell {
-			m = max(m, hashLevel(ls, c))
+// witnessAt returns the index in adj of e's witness, or -1 when its near
+// level is its own: a cached witness costs no hash.
+func (e *entry) witnessAt(ls *hash.LevelSampler) int {
+	near, own := e.nearLevel(ls), e.ownLevel(ls)
+	switch {
+	case near == own:
+		return -1
+	case e.wit != 0:
+		return int(e.wit) - 1
+	}
+	for i, c := range e.adj {
+		if c != e.cell && hashLevel(ls, c) == near {
+			return i
 		}
 	}
-	return m
+	return -1 // unreachable: nearLevel hashed some cell at near
+}
+
+// adjLevel returns the maximum hash level over adj and cell, given
+// cell's level cellLvl, and the witness: the index in adj of the first
+// cell other than cell at that level, or -1 when no other cell is above
+// cellLvl. Adjacent lists include the point's own cell, so this is the
+// maximum over adj; the cell is not hashed a second time.
+func adjLevel(ls *hash.LevelSampler, adj []grid.CellKey, cell grid.CellKey, cellLvl uint8) (uint8, int) {
+	m, w := cellLvl, -1
+	for i, c := range adj {
+		if c == cell {
+			continue
+		}
+		if l := hashLevel(ls, c); l > m {
+			m, w = l, i
+		}
+	}
+	return m, w
+}
+
+// witByte encodes witness index w for entry.wit.
+func witByte(w int) uint8 {
+	if w < 0 || w >= 255 {
+		return 0
+	}
+	return uint8(w + 1)
 }
 
 // classify re-classifies e at rate 1/r per Definition 2.2 and reports

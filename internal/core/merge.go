@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 )
 
 // ErrMergeOptions is returned by Merge when the two sketches were not
@@ -45,9 +44,7 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	// then shard b's; entries are re-classified at the merged rate and
 	// groups present in both shards are coalesced.
 	addAll := func(src *Sampler, offset int64) error {
-		entries := append([]*entry(nil), src.entries...)
-		slices.SortFunc(entries, byStamp)
-		for _, e := range entries {
+		for _, e := range inStampOrder(src.entries) {
 			if err := out.mergeEntry(e, offset); err != nil {
 				return err
 			}
@@ -89,9 +86,7 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	}
 	s.index.reserve(len(s.entries) + len(b.entries))
 	offset := s.n
-	entries := append([]*entry(nil), b.entries...)
-	slices.SortFunc(entries, byStamp)
-	for _, e := range entries {
+	for _, e := range inStampOrder(b.entries) {
 		if err := s.mergeEntry(e, offset); err != nil {
 			return err
 		}
@@ -105,8 +100,9 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 }
 
 // byStamp orders entries by their representatives' arrival stamps, for
-// the merges and Split. Entries with tied stamps keep pdqsort's
-// deterministic order, which the pinned sketch digests fix.
+// the merges, Split and the l0s2 encoder. Entries with tied stamps keep
+// the order they had (inStampOrder sorts stably) or, for Split,
+// pdqsort's deterministic order, which the pinned sketch digests fix.
 func byStamp(a, b *entry) int { return cmp.Compare(a.stamp, b.stamp) }
 
 // mergeCompatible reports whether two option sets describe the same
@@ -160,6 +156,7 @@ func (s *Sampler) mergeEntry(e *entry, stampOffset int64) error {
 		adj:     e.adj,
 		cellLvl: e.cellLvl,
 		adjLvl:  e.adjLvl,
+		wit:     e.wit,
 		stamp:   e.stamp + stampOffset,
 		count:   e.count,
 		pick:    e.pick,

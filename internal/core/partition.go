@@ -19,6 +19,7 @@ func cloneEntry(e *entry) *entry {
 		accepted:  e.accepted,
 		cellLvl:   e.cellLvl,
 		adjLvl:    e.adjLvl,
+		wit:       e.wit,
 		stamp:     e.stamp,
 		count:     e.count,
 		pick:      e.pick,

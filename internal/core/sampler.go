@@ -165,7 +165,7 @@ func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 	// cell(p) first.
 	cp := adjKeys[0]
 	lvl := hashLevel(s.ls, cp)
-	near := adjLevel(s.ls, adjKeys, cp, lvl)
+	near, wit := adjLevel(s.ls, adjKeys, cp, lvl)
 	if !sampledAt(near, s.r) {
 		return // ignored group: no cell of adj(p) is sampled
 	}
@@ -177,6 +177,7 @@ func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 		accepted: sampledAt(lvl, s.r),
 		cellLvl:  lvl + 1,
 		adjLvl:   near + 1,
+		wit:      witByte(wit),
 		stamp:    s.n,
 		count:    1,
 		pick:     p,

@@ -9,6 +9,8 @@ package engine
 // checkpoints hold f0 and windowf0 stacks whose copies each derived
 // their own grid, as written before copies shared one; they must fail
 // with f0.ErrSeparateGrids and leave the engine empty likewise.
+// checkpoint_l0s1.ckpt holds l0 shards in the l0s1 sampler payload,
+// which is still read: it must restore.
 
 import (
 	"errors"
@@ -141,5 +143,42 @@ func TestRestoreSeparateGridCheckpoint(t *testing.T) {
 				eng.Close()
 			}
 		})
+	}
+}
+
+// TestRestoreL0s1Checkpoint restores checkpoint_l0s1.ckpt, written by the
+// last build that wrote the l0s1 sampler payload (2 shards,
+// v1CheckpointOpts, stream(300, 10, 77)), at the original and at a
+// different shard count, and requires the estimate of an engine fed that
+// stream. l0s1 is read, no longer written.
+func TestRestoreL0s1Checkpoint(t *testing.T) {
+	src, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	pts := stream(300, 10, 77)
+	src.ProcessBatch(pts)
+	want, err := src.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3} {
+		eng, err := NewSamplerEngine(v1CheckpointOpts, Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if err := eng.RestoreFile("testdata/checkpoint_l0s1.ckpt"); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		res, err := eng.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != want.Estimate || eng.Enqueued() != int64(len(pts)) {
+			t.Fatalf("shards=%d: restored estimate %g over %d points, want %g over %d",
+				shards, res.Estimate, eng.Enqueued(), want.Estimate, len(pts))
+		}
 	}
 }

@@ -6,9 +6,12 @@ package sketch
 // current envelope, must be refused with core.ErrRetiredFormat, whose
 // message names envelope version 1 and the compat policy. The
 // envelope_separate_grids fixtures hold f0 stacks whose copies each
-// derived their own grid; f0.ErrSeparateGrids refuses them.
+// derived their own grid; f0.ErrSeparateGrids refuses them. The
+// envelope_l0s1 fixtures hold the l0s1 sampler payload, which is still
+// read (TestL0s1Fixtures).
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -121,5 +124,80 @@ func TestDeserializeFutureVersionRefused(t *testing.T) {
 	_, err = Deserialize(blob)
 	if err == nil || errors.Is(err, core.ErrRetiredFormat) {
 		t.Fatalf("version-%d envelope: error %v, want an unsupported-version error", blob[4], err)
+	}
+}
+
+// TestL0s1Fixtures pins the compat policy for the l0s1 sampler payload,
+// which is read but no longer written: envelope_l0s1_l0.bin (an L0) and
+// envelope_l0s1_f0.bin (an F0 whose copies are l0s1) were written by the
+// last build that wrote l0s1, over testStream(300, 4, 29). Each must
+// decode to the state a current build reaches on that stream, byte for
+// byte once re-serialized, and an l0 fixture must fold into an L0 as
+// Deserialize and Merge fold it.
+func TestL0s1Fixtures(t *testing.T) {
+	pts := testStream(300, 4, 29)
+	l0, err := NewL0(testOpts(len(pts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, err := NewF0(testOpts(len(pts)), 0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file string
+		live Sketch
+	}{
+		{"envelope_l0s1_l0.bin", l0},
+		{"envelope_l0s1_f0.bin", f0},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			blob := readFixture(t, tc.file)
+			if !strings.Contains(string(blob), "l0s1") {
+				t.Fatal("fixture holds no l0s1 payload — fixtures must never be regenerated")
+			}
+			tc.live.ProcessBatch(pts)
+			got, err := Deserialize(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotBytes, err := got.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes, err := tc.live.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatal("the decoded fixture re-serializes differently from the same stream's sketch")
+			}
+		})
+	}
+
+	recv := func() *L0 {
+		l, err := NewL0(testOpts(len(pts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.ProcessBatch(testStream(100, 3, 30))
+		return l
+	}
+	want, got := recv(), recv()
+	fixture := readFixture(t, "envelope_l0s1_l0.bin")
+	sk, err := Deserialize(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Merge(sk); err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeSerialized(got, fixture); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, _ := want.Serialize()
+	gotBytes, _ := got.Serialize()
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("MergeSerialized of the l0s1 fixture differs from Deserialize + Merge")
 	}
 }

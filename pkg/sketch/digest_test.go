@@ -22,10 +22,11 @@ import (
 // change edits pinnedDigests only, and the unedited answer digests show
 // that no answer moved; an answer change updates both and says so.
 var pinnedDigests = map[string]string{
-	"l0":            "c5aed636b11bf7c8012714cb2852021d245212bdadb3168c3ff0fa734debe622",
-	"l0/random-rep": "3a4d37d5a7deba946e41261ced3be95573f0f882c38ba11e84928dc97452f037",
+	"l0":            "eb076402bbb608774175dbabbb4070bc1bd7e72a59996cd6180c8a64e9039fa8",
+	"l0/random-rep": "1d6164aedaa26e845a160722cfd46328cd344af49a6f45389b2d7d0480987ff0",
+	"l0/fold":       "9c37a4fa9649d8ad911b1b073de89f68a29e3a9b40fa4a77caca3a81b6ac7e0d",
 	"windowl0":      "6cfd2d5343d9e63288cd7ee8a0c627f8e0c1b07ada0146a70e5997f3bf5f010d",
-	"f0":            "ca9a4f681f6e0a6ffc1b41f4be6c3f1bc502c48d1f128d2ec245d89103f89bb4",
+	"f0":            "cdc81bc25ab1e12f925c7d3d675bca20362da928d41068e966b7dcec4d684694",
 	"windowf0":      "c098e8f1e7b1a4b32cb485eeefdeec073eea6b1e609d6ef0d177d87bb2b7061a",
 
 	"windowl0/merge":                "59094ab3cccf400c3fdab7bdf2b681aad6af684d18b3b05cb4a35261daf67241",
@@ -43,6 +44,7 @@ var pinnedDigests = map[string]string{
 var pinnedAnswerDigests = map[string]string{
 	"l0":            "4b7c208ef0877e74cf52c20be3f4c1ac4851fd00e03afed85a9b73509a9a5fd3",
 	"l0/random-rep": "f96b4d8678d5268debd01af3133373ae7c3fe69a6a4caaa8af2057dd72b83e4d",
+	"l0/fold":       "845814b4dfd423034a583a2f86944eff77e6d19e1d43fa535bad7070096c78eb",
 	"windowl0":      "71addc5f45ebf297f299419446c381a55228fe422fc24bbebb190059e7db4eb9",
 	"f0":            "a1cabdfd8cd0e2298a8e4d4aeec8d0812bc38e9b4e4e22f5f981f88bb59f33a6",
 	"windowf0":      "6a93759e9cd7c6889a0c9e9957158608c1faf077b79230c45c252ff16a87d588",
@@ -290,6 +292,48 @@ func windowL0PathDigests(t *testing.T, opts core.Options) map[string]*digest {
 	return out
 }
 
+// l0FoldDigest hashes an L0 folded as the gateway folds its peers: the
+// first of three blobs decoded, the other two folded into it. The first
+// sketch holds the first half of the stream besides its share of the
+// rest, split by group, so its rate is above the others'.
+func l0FoldDigest(t *testing.T) *digest {
+	pts := testStream(300, 4, 28)
+	opts := testOpts(len(pts))
+	shard := groupShard(3)
+	d := newDigest()
+	blobs := make([][]byte, 3)
+	parts := make([]*L0, 3)
+	for i := range parts {
+		l, err := NewL0(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = l
+	}
+	for i, p := range pts {
+		j := shard(p)
+		if i < len(pts)/2 {
+			j = 0
+		}
+		parts[j].Process(p)
+	}
+	for i, l := range parts {
+		blobs[i] = d.blob(t, l)
+	}
+	recv, err := Deserialize(blobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range blobs[1:] {
+		if err := MergeSerialized(recv.(Mergeable), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.blob(t, recv)
+	d.l0Answers(recv.(*L0))
+	return d
+}
+
 // f0Digest hashes an F0 sketch's bytes and estimate.
 func f0Digest(t *testing.T) *digest {
 	pts := testStream(300, 4, 23)
@@ -357,6 +401,7 @@ func TestPinnedDigests(t *testing.T) {
 	got := map[string]*digest{
 		"l0":             l0Digest(t, false),
 		"l0/random-rep":  l0Digest(t, true),
+		"l0/fold":        l0FoldDigest(t),
 		"windowl0":       windowL0Digest(t),
 		"f0":             f0Digest(t),
 		"windowf0":       windowF0Digest(t),

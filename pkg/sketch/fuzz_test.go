@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -129,7 +130,12 @@ func FuzzDeserialize(f *testing.F) {
 	for _, tc := range craftedEnvelopes() {
 		f.Add(tc.blob)
 	}
+	for _, b := range craftedL0s2(f) {
+		f.Add(b)
+	}
 	f.Add(readFixture(f, "envelope_v1_l0.bin"))
+	f.Add(readFixture(f, "envelope_l0s1_l0.bin"))
+	f.Add(readFixture(f, "envelope_l0s1_f0.bin"))
 	f.Add(readFixture(f, "envelope_separate_grids_f0.bin"))
 	f.Add(readFixture(f, "envelope_separate_grids_windowf0.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -147,6 +153,151 @@ func FuzzDeserialize(f *testing.F) {
 		}
 		if k, _ := KindOf(blob); k != kind {
 			t.Fatalf("re-serialized kind %v, want %v", k, kind)
+		}
+	})
+}
+
+// foldSeedL0 returns the Serialize output of an L0 on testOpts(1200) fed
+// testStream(groups, 3, seed), after mut edits its options.
+func foldSeedL0(tb testing.TB, groups int, seed uint64, mut func(*core.Options)) []byte {
+	opts := testOpts(1200)
+	if mut != nil {
+		mut(&opts)
+	}
+	l, err := NewL0(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l.ProcessBatch(testStream(groups, 3, seed))
+	blob, err := l.Serialize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// l0s2Span locates one entry in an L0 envelope's l0s2 payload: the
+// offsets of its witness (-1 when it carries none) and stamp varints.
+type l0s2Span struct{ wit, stamp int }
+
+// l0s2Spans walks the entries of an L0 envelope written on testOpts
+// (dimension 2, no RandomRepresentative, no shared grid).
+func l0s2Spans(blob []byte) []l0s2Span {
+	uvarint := func(off int) int { _, n := binary.Uvarint(blob[off:]); return off + n }
+	off := envelopeHeaderLen + len("l0s2") + 8 // alpha
+	for range 4 {
+		off = uvarint(off) // dim, stream bound, kappa, K
+	}
+	off += 8 + 1 + 1 + 8 + 8 // seed, hash, flags, side, R
+	_, n := binary.Varint(blob[off:])
+	off = uvarint(uvarint(off + n)) // processed; rehashes, peak
+	count, n := binary.Uvarint(blob[off:])
+	off += n
+	spans := make([]l0s2Span, count)
+	for i := range spans {
+		own, near := blob[off]&0x7f, blob[off+1]
+		off += 2
+		spans[i].wit = -1
+		if near > own {
+			spans[i].wit, off = off, uvarint(off)
+		}
+		spans[i].stamp = off
+		_, n := binary.Varint(blob[off:])
+		off += n + 16 // stamp, rep
+	}
+	return spans
+}
+
+// splice replaces the varint at off in blob with repl.
+func splice(blob []byte, off int, repl []byte) []byte {
+	_, n := binary.Uvarint(blob[off:])
+	return append(append(append([]byte(nil), blob[:off]...), repl...), blob[off+n:]...)
+}
+
+// craftedL0s2 returns two l0s2 envelopes that are honest but for one
+// field: an entry naming a witness far outside adj(rep), and entries out
+// of stamp order.
+func craftedL0s2(tb testing.TB) [][]byte {
+	blob := foldSeedL0(tb, 300, 33, nil)
+	spans := l0s2Spans(blob)
+	var out [][]byte
+	for _, s := range spans {
+		if s.wit >= 0 {
+			out = append(out, splice(blob, s.wit, binary.AppendUvarint(nil, 1<<20)))
+			break
+		}
+	}
+	if len(out) == 0 || len(spans) < 2 {
+		tb.Fatal("seed stream yields no entry with a witness")
+	}
+	first, _ := binary.Varint(blob[spans[0].stamp:])
+	return append(out, splice(blob, spans[1].stamp, binary.AppendVarint(nil, first-1)))
+}
+
+// FuzzMergeSerialized folds arbitrary bytes into an L0 that already
+// holds points, as a gateway folds each peer's /sketch into its first.
+// No input may panic. A refused blob must leave the receiver's bytes as
+// they were. When both MergeSerialized and Deserialize + Merge accept a
+// blob, their answers must agree. The receiver's rate is above the
+// l0s2 seed's, so the skip path runs.
+func FuzzMergeSerialized(f *testing.F) {
+	recvBlob := foldSeedL0(f, 300, 31, nil)
+	l0s2 := foldSeedL0(f, 40, 32, nil)
+	f.Add(l0s2)
+	f.Add(readFixture(f, "envelope_l0s1_l0.bin"))
+	f.Add(foldSeedL0(f, 40, 32, func(o *core.Options) { o.Seed = 12 }))
+	f.Add(foldSeedL0(f, 40, 32, func(o *core.Options) { o.RandomRepresentative = true }))
+	w, err := NewWindowL0(testOpts(1200), window.Window{Kind: window.Time, W: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	pts, stamps := stampedTestStream(40, 3, 32)
+	w.ProcessStampedBatch(pts, stamps)
+	wblob, err := w.Serialize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wblob)
+	f.Add(l0s2[:len(l0s2)/2])
+	for _, b := range craftedL0s2(f) {
+		f.Add(b)
+	}
+	receiver := func(t *testing.T) *L0 {
+		sk, err := Deserialize(recvBlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk.(*L0)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		recv := receiver(t)
+		before, err := recv.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := MergeSerialized(recv, blob); err != nil {
+			after, err := recv.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("a refused blob changed the receiver")
+			}
+			return
+		}
+		sk, err := Deserialize(blob)
+		if err != nil {
+			return
+		}
+		ref := receiver(t)
+		if err := ref.Merge(sk); err != nil {
+			return
+		}
+		got, want := newDigest(), newDigest()
+		got.l0Answers(recv)
+		want.l0Answers(ref)
+		if got.answerSum() != want.answerSum() {
+			t.Fatal("MergeSerialized answers differ from Deserialize + Merge")
 		}
 	})
 }

@@ -8,6 +8,7 @@ package sketch
 // checkpoint/restore path on exactly this property.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -134,4 +135,32 @@ func Deserialize(data []byte) (Sketch, error) {
 	default:
 		return nil, fmt.Errorf("sketch: unknown sketch kind %d", int(k))
 	}
+}
+
+// ErrCorrupt is wrapped by MergeSerialized when the blob does not
+// decode, which tells a fold's caller a bad blob from a well-formed
+// sketch that dst refuses to merge.
+var ErrCorrupt = errors.New("sketch: blob does not decode")
+
+// MergeSerialized folds a serialized sketch into dst, with the answers
+// of Deserialize followed by dst.Merge. An l0 blob folded into an *L0 is
+// decoded straight into it (core.Sampler.MergeBinary), without building
+// the blob's sketch; every other pair takes Deserialize and Merge, so a
+// fold has one path for every family. A blob that does not decode fails
+// with ErrCorrupt and leaves dst unchanged.
+func MergeSerialized(dst Mergeable, blob []byte) error {
+	if l, ok := dst.(*L0); ok {
+		if k, payload, err := decodeEnvelope(blob); err == nil && k == KindL0 {
+			err := l.s.MergeBinary(payload)
+			if err != nil && !errors.Is(err, core.ErrMergeOptions) {
+				return fmt.Errorf("%w: %w", ErrCorrupt, err)
+			}
+			return err
+		}
+	}
+	sk, err := Deserialize(blob)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return dst.Merge(sk)
 }
