@@ -125,3 +125,71 @@ func TestCellIndexAllocs(t *testing.T) {
 		t.Fatalf("index holds %d cells in %d slots after the runs, want 0 in 128", ix.n, len(ix.slots))
 	}
 }
+
+// TestWindowRegisterAllocs: in a time window at steady state, where each
+// point is a fresh group and one group expires per point, registering a
+// group, with the splits and promotions it sets off, allocates at most
+// 3 objects per point: the entry, its adjacency list and amortized
+// growth. Keeping the levels in place costs no allocation per entry.
+func TestWindowRegisterAllocs(t *testing.T) {
+	const w = 256
+	ws, err := NewWindowSampler(Options{Alpha: 1, Dim: 2, Seed: 29, StreamBound: 1 << 12}, window.Window{Kind: window.Time, W: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]geom.Point, 1<<14)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i%128) * 10, float64(i/128) * 10}
+	}
+	i := 0
+	next := func() {
+		ws.ProcessAt(pts[i%len(pts)], int64(i))
+		i++
+	}
+	for range 4 * w {
+		next()
+	}
+	allocs := testing.AllocsPerRun(2000, next)
+	if allocs > 3 {
+		t.Errorf("ProcessAt registering a fresh group: %v allocs/op, want ≤ 3", allocs)
+	}
+	if ws.MaxNonEmptyLevel() < 2 {
+		t.Fatalf("accept sets %v: the registrations promoted nothing past level 1", ws.AcceptSizes())
+	}
+	t.Logf("%v allocs/op, accept sets %v", allocs, ws.AcceptSizes())
+}
+
+// TestUnmarshalWindowAllocs: decoding a window sampler allocates in
+// proportion to its levels, not its entries: at most 16 objects per
+// level, on a sampler holding many more entries than that.
+func TestUnmarshalWindowAllocs(t *testing.T) {
+	ws, err := NewWindowSampler(Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 12}, window.Window{Kind: window.Time, W: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 7))
+	for i := range 1 << 14 {
+		g := rng.IntN(2048)
+		ws.ProcessAt(geom.Point{float64(g%64)*10 + rng.Float64()/4, float64(g/64)*10 + rng.Float64()/4}, int64(i/4))
+	}
+	entries, levels := 0, ws.Levels()
+	for _, lv := range ws.levels {
+		entries += lv.Size()
+	}
+	if entries < 64*levels {
+		t.Fatalf("%d entries over %d levels, want ≥ %d", entries, levels, 64*levels)
+	}
+	blob, err := ws.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := UnmarshalWindowSampler(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(16*levels) {
+		t.Errorf("UnmarshalWindowSampler: %v allocs for %d entries over %d levels, want ≤ %d", allocs, entries, levels, 16*levels)
+	}
+	t.Logf("%v allocs for %d entries over %d levels", allocs, entries, levels)
+}

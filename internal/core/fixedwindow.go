@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/list"
+	"cmp"
 	"math/rand/v2"
 	"slices"
 
@@ -33,9 +33,12 @@ type FixedWindow struct {
 	rng  *rand.Rand
 	r    uint64
 
-	index  cellIndex
-	order  *list.List // *entry in ascending lastStamp order (front = oldest)
-	elem   map[*entry]*list.Element
+	index cellIndex
+	// order holds the stored entries in ascending lastStamp order, the
+	// oldest first; entries of one stamp keep the order they were filed
+	// in. An entry is found in it by binary search on its lastStamp and a
+	// scan of that stamp's run.
+	order  []*entry
 	numAcc int
 	space  spaceMeter
 	now    int64
@@ -70,14 +73,12 @@ func NewFixedWindow(opts Options, win window.Window, r uint64) (*FixedWindow, er
 // property (Fact 1b) holds across levels.
 func newFixedWindow(opts Options, win window.Window, r uint64, spc Space, ls *hash.LevelSampler, rng *rand.Rand) *FixedWindow {
 	return &FixedWindow{
-		opts:  opts,
-		win:   win,
-		spc:   spc,
-		ls:    ls,
-		rng:   rng,
-		r:     r,
-		order: list.New(),
-		elem:  make(map[*entry]*list.Element),
+		opts: opts,
+		win:  win,
+		spc:  spc,
+		ls:   ls,
+		rng:  rng,
+		r:    r,
 	}
 }
 
@@ -85,7 +86,7 @@ func newFixedWindow(opts Options, win window.Window, r uint64, spc Space, ls *ha
 func (fw *FixedWindow) R() uint64 { return fw.r }
 
 // Size returns the number of candidate groups currently stored.
-func (fw *FixedWindow) Size() int { return fw.order.Len() }
+func (fw *FixedWindow) Size() int { return len(fw.order) }
 
 // AcceptSize returns |Sacc|.
 func (fw *FixedWindow) AcceptSize() int { return fw.numAcc }
@@ -115,19 +116,19 @@ func (fw *FixedWindow) Process(p geom.Point, stamp int64) bool {
 
 // Expire advances the clock to now, unless it is already later, and
 // removes every group whose latest point has left the window ending at
-// the clock (Algorithm 2, lines 1–3).
+// the clock (Algorithm 2, lines 1–3): the expired prefix of the order,
+// unfiled oldest first and cut with one copy.
 func (fw *FixedWindow) Expire(now int64) {
 	fw.now = max(fw.now, now)
-	for {
-		front := fw.order.Front()
-		if front == nil {
-			return
-		}
-		e := front.Value.(*entry)
-		if !fw.win.Expired(e.lastStamp, fw.now) {
-			return
-		}
-		fw.drop(e)
+	i := 0
+	for i < len(fw.order) && fw.win.Expired(fw.order[i].lastStamp, fw.now) {
+		fw.unfile(fw.order[i])
+		i++
+	}
+	if i > 0 {
+		n := copy(fw.order, fw.order[i:])
+		clear(fw.order[n:])
+		fw.order = fw.order[:n]
 	}
 }
 
@@ -139,6 +140,10 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 	// group's latest point unless a later one is already stored.
 	if e := fw.index.findGroup(p, adjKeys, fw.spc); e != nil {
 		advanced := stamp >= e.lastStamp
+		at := -1
+		if advanced {
+			at = fw.indexOf(e) // before observeDuplicate moves lastStamp
+		}
 		if fw.opts.RandomRepresentative {
 			fw.space.sub(e.words(true, true))
 			e.observeDuplicate(p, stamp, fw.rng, true)
@@ -148,7 +153,7 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 			e.observeDuplicate(p, stamp, nil, true)
 		}
 		if advanced {
-			fw.moveForward(fw.elem[e])
+			fw.moveForward(at)
 		}
 		return true
 	}
@@ -181,41 +186,65 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 	return true
 }
 
-// moveForward restores the expiry order after el's lastStamp moved
-// forward: el moves behind every entry stamped at or before it, which
-// for an in-order stream is the back of the list.
-func (fw *FixedWindow) moveForward(el *list.Element) {
-	stamp := el.Value.(*entry).lastStamp
-	at := fw.order.Back()
-	for at != el && at.Value.(*entry).lastStamp > stamp {
-		at = at.Prev()
+// byLastStamp orders entries by the stamp of their latest point, the
+// expiry order.
+func byLastStamp(a, b *entry) int { return cmp.Compare(a.lastStamp, b.lastStamp) }
+
+// indexOf returns e's index in the order, or -1 if e is not in it. The
+// last slot is checked first: a refreshed hot group is usually there.
+func (fw *FixedWindow) indexOf(e *entry) int {
+	o := fw.order
+	if n := len(o); n > 0 && o[n-1] == e {
+		return n - 1
 	}
-	if at != el {
-		fw.order.MoveAfter(el, at)
+	i, _ := slices.BinarySearchFunc(o, e, byLastStamp)
+	for ; i < len(o) && o[i].lastStamp == e.lastStamp; i++ {
+		if o[i] == e {
+			return i
+		}
 	}
+	return -1
 }
 
-// insert adds an entry, keeping the order list sorted by lastStamp. New and
-// promoted entries of an in-order stream carry the largest stamps seen by
-// this instance, so they go to the back; late points and out-of-order
-// merges take a backward scan.
-func (fw *FixedWindow) insert(e *entry) {
-	var el *list.Element
-	back := fw.order.Back()
-	if back == nil || back.Value.(*entry).lastStamp <= e.lastStamp {
-		el = fw.order.PushBack(e)
-	} else {
-		at := back
-		for at != nil && at.Value.(*entry).lastStamp > e.lastStamp {
-			at = at.Prev()
-		}
-		if at == nil {
-			el = fw.order.PushFront(e)
-		} else {
-			el = fw.order.InsertAfter(e, at)
-		}
+// stampedAfter returns the index of the first entry of o stamped later than
+// stamp: an entry filed there comes after every entry stamped at or
+// before it. An in-order stream files at the back, which is checked
+// first.
+func stampedAfter(o []*entry, stamp int64) int {
+	if n := len(o); n == 0 || o[n-1].lastStamp <= stamp {
+		return n
 	}
-	fw.elem[e] = el
+	i, _ := slices.BinarySearchFunc(o, stamp, func(e *entry, s int64) int {
+		if e.lastStamp <= s {
+			return -1
+		}
+		return 1
+	})
+	return i
+}
+
+// moveForward restores the expiry order after the lastStamp of the entry
+// at index i moved forward: it moves behind every entry stamped at or
+// before it, which for an in-order stream is the back of the order.
+func (fw *FixedWindow) moveForward(i int) {
+	e := fw.order[i]
+	j := i + 1 + stampedAfter(fw.order[i+1:], e.lastStamp)
+	copy(fw.order[i:j-1], fw.order[i+1:j])
+	fw.order[j-1] = e
+}
+
+// insert adds an entry behind every entry stamped at or before it,
+// keeping the order sorted by lastStamp. New and promoted entries of an
+// in-order stream carry the largest stamps seen by this instance, so
+// they go to the back.
+func (fw *FixedWindow) insert(e *entry) {
+	fw.order = slices.Insert(fw.order, stampedAfter(fw.order, e.lastStamp), e)
+	fw.file(e)
+}
+
+// file adds e to the cell index and the accept and space counts; the
+// caller places it in the order.
+func (fw *FixedWindow) file(e *entry) {
 	fw.index.add(e)
 	if e.accepted {
 		fw.numAcc++
@@ -223,10 +252,9 @@ func (fw *FixedWindow) insert(e *entry) {
 	fw.space.add(e.words(fw.opts.RandomRepresentative, true))
 }
 
-// drop removes an entry from all structures.
-func (fw *FixedWindow) drop(e *entry) {
-	fw.order.Remove(fw.elem[e])
-	delete(fw.elem, e)
+// unfile removes e from the cell index and the accept and space counts;
+// the caller removes it from the order.
+func (fw *FixedWindow) unfile(e *entry) {
 	fw.index.remove(e)
 	if e.accepted {
 		fw.numAcc--
@@ -235,11 +263,11 @@ func (fw *FixedWindow) drop(e *entry) {
 }
 
 // Reset clears all state, keeping the sample rate — the "ALG_j ← (⊥,⊥,⊥,R_j)"
-// of Algorithm 3.
+// of Algorithm 3. The order and the cell index keep their capacity.
 func (fw *FixedWindow) Reset() {
 	fw.index.clear()
-	fw.order = list.New()
-	fw.elem = make(map[*entry]*list.Element)
+	clear(fw.order)
+	fw.order = fw.order[:0]
 	fw.numAcc = 0
 	fw.space.sub(fw.space.Live())
 }
@@ -250,8 +278,8 @@ func (fw *FixedWindow) Reset() {
 // the group (per-group window reservoir, Section 2.3).
 func (fw *FixedWindow) Query() (geom.Point, error) {
 	var acc []*entry
-	for el := fw.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.accepted {
+	for _, e := range fw.order {
+		if e.accepted {
 			acc = append(acc, e)
 		}
 	}
@@ -273,15 +301,4 @@ func (fw *FixedWindow) groupPointAt(e *entry, now int64) geom.Point {
 	p := e.windowPickAt(func(stamp int64) bool { return fw.win.Expired(stamp, now) })
 	fw.space.add(e.words(true, true))
 	return p
-}
-
-// entriesByStamp returns the stored entries sorted by representative
-// arrival stamp; used by WindowSampler's Split.
-func (fw *FixedWindow) entriesByStamp() []*entry {
-	out := make([]*entry, 0, fw.order.Len())
-	for el := fw.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry))
-	}
-	slices.SortFunc(out, byStamp)
-	return out
 }

@@ -90,18 +90,8 @@ func TestWindowLateDataNeverServesExpired(t *testing.T) {
 						}
 					}
 					now := ws.Now()
-					for l, lv := range ws.levels {
-						prev := int64(math.MinInt64)
-						for el := lv.order.Front(); el != nil; el = el.Next() {
-							e := el.Value.(*entry)
-							if e.lastStamp < prev {
-								t.Fatalf("batch %d level %d: lastStamp %d after %d", b, l, e.lastStamp, prev)
-							}
-							prev = e.lastStamp
-							if win.Expired(e.lastStamp, now) {
-								t.Fatalf("batch %d level %d: entry stamped %d expired at %d", b, l, e.lastStamp, now)
-							}
-						}
+					if err := checkLevels(ws); err != nil {
+						t.Fatalf("batch %d: %v", b, err)
 					}
 					for range 4 {
 						p, err := ws.Query()

@@ -12,7 +12,14 @@ import (
 // copied because the clone's owner mutates it independently of the
 // source.
 func cloneEntry(e *entry) *entry {
-	c := &entry{
+	c := new(entry)
+	cloneInto(c, e)
+	return c
+}
+
+// cloneInto makes c a clone of e, as cloneEntry does.
+func cloneInto(c, e *entry) {
+	*c = entry{
 		rep:       e.rep,
 		cell:      e.cell,
 		adj:       e.adj,
@@ -29,7 +36,6 @@ func cloneEntry(e *entry) *entry {
 	if len(e.wres) > 0 {
 		c.wres = append([]windowPick(nil), e.wres...)
 	}
-	return c
 }
 
 // Partition splits the sampler's stored state across n fresh samplers
@@ -98,8 +104,7 @@ func (ws *WindowSampler) Partition(n int, shard func(p geom.Point) int) ([]*Wind
 		parts[i].latest, parts[i].latestStamp = ws.latest, ws.latestStamp
 	}
 	for l, lv := range ws.levels {
-		for el := lv.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
+		for _, e := range lv.order {
 			i := shard(e.rep)
 			if i < 0 || i >= n {
 				return nil, fmt.Errorf("core: Partition route %d out of [0,%d)", i, n)

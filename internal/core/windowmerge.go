@@ -91,8 +91,8 @@ func (ws *WindowSampler) MergeFrom(b *WindowSampler) error {
 			}
 		}
 	}
-	// Insert in ascending latest-stamp order either way, keeping each
-	// level's expiry list append-ordered.
+	// Insert in ascending latest-stamp order either way, so that each
+	// entry is filed at the back of its level's expiry order.
 	slices.SortFunc(kept, func(a, b mergedEntry) int { return cmp.Compare(a.e.lastStamp, b.e.lastStamp) })
 	if valid {
 		for _, m := range kept {
@@ -112,22 +112,37 @@ func (ws *WindowSampler) MergeFrom(b *WindowSampler) error {
 // collectUnion gathers the live groups of ws and b against the merged
 // clock, coalescing groups tracked on both sides. ws's levels still hold
 // their entries when it returns (the caller resets them); b is never
-// modified — its entries are cloned. Both samplers share the grid and
-// hash (mergeCompatible), so every entry keeps its cell, adjacency and
-// cached levels.
+// modified — its live entries are cloned, into one slab. Both samplers
+// share the grid and hash (mergeCompatible), so every entry keeps its
+// cell, adjacency and cached levels.
 func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry {
-	var all []mergedEntry
-	for l, lv := range ws.levels {
+	// Each level is in lastStamp order, so its live entries are a suffix.
+	n, live := 0, make([][]*entry, len(b.levels))
+	for _, lv := range ws.levels {
 		lv.Expire(now)
-		for el := lv.order.Front(); el != nil; el = el.Next() {
-			all = append(all, mergedEntry{e: el.Value.(*entry), level: l})
-		}
+		n += len(lv.order)
 	}
 	for l, lv := range b.levels {
-		for el := lv.order.Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*entry); !ws.win.Expired(e.lastStamp, now) {
-				all = append(all, mergedEntry{e: cloneEntry(e), level: l})
-			}
+		i := 0
+		for i < len(lv.order) && ws.win.Expired(lv.order[i].lastStamp, now) {
+			i++
+		}
+		live[l] = lv.order[i:]
+		n += len(live[l])
+	}
+	all := make([]mergedEntry, 0, n)
+	for l, lv := range ws.levels {
+		for _, e := range lv.order {
+			all = append(all, mergedEntry{e: e, level: l})
+		}
+	}
+	slab := make([]entry, n-len(all))
+	for l, es := range live {
+		for _, e := range es {
+			c := &slab[0]
+			slab = slab[1:]
+			cloneInto(c, e)
+			all = append(all, mergedEntry{e: c, level: l})
 		}
 	}
 
@@ -137,8 +152,8 @@ func (ws *WindowSampler) collectUnion(b *WindowSampler, now int64) []mergedEntry
 	slices.SortFunc(all, func(a, b mergedEntry) int { return byStamp(a.e, b.e) })
 	var idx cellIndex
 	idx.reserve(len(all))
-	keptAt := make(map[*entry]int) // entry → index in kept
-	var kept []mergedEntry
+	keptAt := make(map[*entry]int, len(all)) // entry → index in kept
+	kept := make([]mergedEntry, 0, len(all))
 	expired := func(stamp int64) bool { return ws.win.Expired(stamp, now) }
 	for _, m := range all {
 		e := m.e

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -94,6 +95,10 @@ type WindowSampler struct {
 	// adjBuf is ProcessAt's adjacency scratch: each point's search reuses
 	// it, and only an entry a level stores gets a copy.
 	adjBuf []grid.CellKey
+	// splitBuf is split's scratch: a level's entries sorted by
+	// representative stamp, then the promoted ones, which merge files
+	// and clears.
+	splitBuf []*entry
 }
 
 // NewWindowSampler constructs the hierarchical sliding-window sampler.
@@ -262,6 +267,7 @@ func (ws *WindowSampler) rebalance(l int) {
 		if j+1 >= len(ws.levels) {
 			// The paper's "error" event (Lemma 2.8: probability ≤ 1/m²):
 			// drop the promoted entries and record the failure.
+			clear(promoted)
 			ws.overflowErrors++
 			return
 		}
@@ -285,12 +291,14 @@ func (ws *WindowSampler) rebalance(l int) {
 // follow Definition 2.2, which the surrounding text says the promotion
 // maintains: rejects stay rejected exactly when a cell of adj(p) remains
 // sampled at the next rate.
+//
+// The promoted entries are unfiled from the cell index in representative
+// stamp order, the order split returns them in, and the level keeps the
+// rest in one compacting pass.
 func (ws *WindowSampler) split(lv *FixedWindow) ([]*entry, bool) {
 	nextR := lv.r * 2
-	all := lv.entriesByStamp()
-
 	var t int64 = -1
-	for _, e := range all {
+	for _, e := range lv.order {
 		if e.accepted && sampledAt(e.ownLevel(ws.ls), nextR) && e.stamp > t {
 			t = e.stamp
 		}
@@ -299,35 +307,87 @@ func (ws *WindowSampler) split(lv *FixedWindow) ([]*entry, bool) {
 		return nil, false
 	}
 
-	var promoted []*entry
-	for _, e := range all {
+	sorted := append(ws.splitBuf[:0], lv.order...)
+	slices.SortFunc(sorted, byStamp)
+	promoted := sorted[:0]
+	for _, e := range sorted {
 		if e.stamp > t {
 			continue
 		}
-		lv.drop(e)
+		lv.unfile(e)
 		if e.classify(ws.ls, nextR) {
 			promoted = append(promoted, e)
 		}
 	}
+	clear(sorted[len(promoted):])
+	ws.splitBuf = sorted[:0]
+
+	rest := lv.order[:0]
+	for _, e := range lv.order {
+		if e.stamp > t {
+			rest = append(rest, e)
+		}
+	}
+	clear(lv.order[len(rest):])
+	lv.order = rest
 	return promoted, true
 }
 
 // merge is Algorithm 5: union the promoted entries into the target level.
 // Promoted entries come from the newer subwindow, so their latest-point
-// stamps all exceed the target level's (see the level/subwindow discussion
-// in the package comment); insert keeps the expiry order sorted either way.
-// A group can only be stored at one level at a time, so key collisions do
-// not occur; if a duplicate group ever appeared, the newer entry wins.
+// stamps mostly exceed the target level's (see the level/subwindow
+// discussion in the package comment); the expiry order stays sorted
+// either way. A group can only be stored at one level at a time, so key
+// collisions do not occur; if a duplicate group ever appeared, the newer
+// entry wins.
+//
+// The entries are filed into the cell index in the order given, then
+// placed in the level by one stable merge of two stamp-sorted runs: the
+// level, and the kept entries stably sorted by lastStamp, the level's
+// entry first on a tie. That is where filing each after every entry
+// stamped at or before it would put them. merge clears promoted.
 func (ws *WindowSampler) merge(lv *FixedWindow, promoted []*entry) {
+	kept := promoted[:0]
 	for _, e := range promoted {
 		if prev := lv.index.findGroup(e.rep, e.adj, ws.spc); prev != nil {
 			if prev.lastStamp >= e.lastStamp {
 				continue
 			}
-			lv.drop(prev)
+			lv.unfile(prev)
+			// prev is in the level, or it was filed just now: two
+			// promoted entries can be near-duplicates when a crafted blob
+			// put them in one level.
+			if i := lv.indexOf(prev); i >= 0 {
+				lv.order = slices.Delete(lv.order, i, i+1)
+			} else if i := slices.Index(kept, prev); i >= 0 {
+				kept = slices.Delete(kept, i, i+1)
+			}
 		}
-		lv.insert(e)
+		lv.file(e)
+		kept = append(kept, e)
 	}
+	slices.SortStableFunc(kept, byLastStamp)
+	lv.order = mergeByLastStamp(lv.order, kept)
+	clear(promoted)
+}
+
+// mergeByLastStamp merges b into a, both sorted by lastStamp, in place
+// from the back, and returns the merged slice; on a tie a's entry comes
+// first.
+func mergeByLastStamp(a, b []*entry) []*entry {
+	n := len(a)
+	a = slices.Grow(a, len(b))[:n+len(b)]
+	i, j := n-1, len(b)-1
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i].lastStamp > b[j].lastStamp {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
+		}
+	}
+	return a
 }
 
 // Query returns a robust ℓ0-sample of the current window: each group whose
@@ -364,8 +424,7 @@ func (ws *WindowSampler) Query() (geom.Point, error) {
 	var pool []geom.Point
 	for l := 0; l <= c; l++ {
 		shift := uint(c - l)
-		for el := ws.levels[l].order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
+		for _, e := range ws.levels[l].order {
 			if !e.accepted {
 				continue
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -48,9 +47,8 @@ func (ws *WindowSampler) MarshalBinary() ([]byte, error) {
 	w.uvarint(uint64(ws.space.Peak()))
 	w.uvarint(uint64(len(ws.levels)))
 	for _, lv := range ws.levels {
-		w.uvarint(uint64(lv.order.Len()))
-		for el := lv.order.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
+		w.uvarint(uint64(len(lv.order)))
+		for _, e := range lv.order {
 			var flags byte
 			if e.accepted {
 				flags |= 1
@@ -84,7 +82,10 @@ func (ws *WindowSampler) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalWindowSampler reconstructs a WindowSampler from MarshalBinary
-// output, decoding every entry straight into its level. The options and
+// output, decoding every entry straight into its level; each level's
+// entries, adjacency lists and points are carved from slabs, so without
+// RandomRepresentative (whose reservoirs are allocated per entry) the
+// decode allocates per level, not per entry. The options and
 // window are validated before anything sized by them is allocated, the
 // level count must match the window width, and each entry's
 // classification is re-validated against the re-derived hash at its
@@ -129,21 +130,22 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		return nil, fmt.Errorf("core: corrupt window sketch: %d levels for window width %d (want %d)",
 			levels, win.W, len(ws.levels))
 	}
-	var es []*entry         // one level's entries, reused across levels
-	var keys []grid.CellKey // one level's adjacency lists, reused likewise
+	var keys []grid.CellKey // one level's adjacency lists, reused across levels
 	for l, lv := range ws.levels {
 		lv.now = ws.now
 		n, err := r.count(1 + 1 + 1 + 8*dim)
 		if err != nil {
 			return nil, err
 		}
-		es = slices.Grow(es[:0], n)
+		slab := make([]entry, n)
+		es := make([]*entry, 0, n)
 		keys = slices.Grow(keys[:0], 4*n) // grows when lists average more than 4 cells
 		r.slab = make([]float64, 3*n*dim) // rep, pick and last; skyline points use what is left
 		lv.index.reserve(n)
-		for range n {
+		for i := range n {
 			flags := r.u8()
-			e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
+			e := &slab[i]
+			*e = entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
 			if flags&2 != 0 {
 				e.pick = r.coords(dim)
 			}
@@ -175,10 +177,11 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		// leaves its output as it is. A checkpoint written before late
 		// points kept that order sorted, or a crafted blob, may hold an
 		// unsorted level: sorting decodes it in O(n log n), where filing
-		// each entry by insert's backward scan would cost O(n²).
-		slices.SortStableFunc(es, func(a, b *entry) int { return cmp.Compare(a.lastStamp, b.lastStamp) })
+		// each entry by insert's search would cost O(n²) in moves.
+		slices.SortStableFunc(es, byLastStamp)
+		lv.order = es
 		for _, e := range es {
-			lv.insert(e)
+			lv.file(e)
 		}
 		lv.Expire(ws.now)
 	}

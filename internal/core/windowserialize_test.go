@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,12 +33,7 @@ func TestWindowDecodeUnsortedLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := ws.levels[0].order
-	for el := order.Front(); el != nil; {
-		next := el.Next()
-		order.MoveToFront(el)
-		el = next
-	}
+	slices.Reverse(ws.levels[0].order)
 	desc, err := ws.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

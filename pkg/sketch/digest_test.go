@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -39,6 +41,8 @@ var pinnedDigests = map[string]string{
 	"windowl0/partition/highdim":    "6dd7202c57646d84178d5d488388a8bad9a00dd995f5172ccc04b47035ce73f0",
 	"windowl0/restore/highdim":      "b05b5db3d4895cf36b13ae8fcf29c20132171ae6c5c76b5870cd09d373ec1da6",
 	"windowf0/merge":                "0c016d3f7745710a01724e12e8d32b0a54436a7cd95ad5e60cb7e566f30e94ff",
+	"windowl0/tied-fold":            "6e7fa0214b07fe2171fbfbad4136686b666107158b88b6a5eac1b0bd8d416956",
+	"windowl0/tied-fold/random-rep": "e9f25db590d758fe92c3ec7b42bcbaf4ef2469c17883a0388095bb4d080ee3f4",
 }
 
 var pinnedAnswerDigests = map[string]string{
@@ -59,6 +63,8 @@ var pinnedAnswerDigests = map[string]string{
 	"windowl0/partition/highdim":    "faea4ad6081f538ac19bfa383fc880ca4b8e0cf3d281f11d83bc5cd59823ebcc",
 	"windowl0/restore/highdim":      "67e9c3edf04ec09182630ec1f93ae5de1828479a0a381f71c9de691836a7c458",
 	"windowf0/merge":                "be81b88901d9e889b80678699bfd58850a0d96e4871a185e3fc4294bbc89838c",
+	"windowl0/tied-fold":            "f78632bf81862a2d35aff31181b9d833dd9a9807ec28c8917ea1552b3e1eaac0",
+	"windowl0/tied-fold/random-rep": "6680951e4129e761d3902206e6b7afff90fdbfffff3e885eac1a8e37ba27f0a7",
 }
 
 // digest accumulates two SHA-256 sums: all over a sketch's bytes and
@@ -334,6 +340,125 @@ func l0FoldDigest(t *testing.T) *digest {
 	return d
 }
 
+// tiedStream is a stream shaped like bench/'s cluster-window workload:
+// 512 Zipf(1.2) groups on a 10α lattice, 200-point batches whose points
+// share one stamp, batches 10 stamps apart with ±200 jitter, and 10% of
+// batches 1000–3000 stamps late. A level then holds runs of entries with
+// one latest stamp, so its digests see the order ties are filed in,
+// which testStream's uniquely stamped points cannot.
+type tiedStream struct {
+	rng *rand.Rand
+	cdf []float64
+	b   int
+}
+
+func newTiedStream(seed uint64) *tiedStream {
+	cdf := make([]float64, 512)
+	total := 0.0
+	for i := range cdf {
+		total += math.Pow(float64(i+1), -1.2)
+		cdf[i] = total
+	}
+	return &tiedStream{rng: rand.New(rand.NewPCG(seed, 0x71ed)), cdf: cdf}
+}
+
+// next returns the next batch, its stamp, and each point's group.
+func (s *tiedStream) next() ([]geom.Point, int64, []int) {
+	stamp := 1_000_000 + int64(s.b)*10 + s.rng.Int64N(401) - 200
+	if s.b > 0 && s.rng.Float64() < 0.10 {
+		stamp -= 1000 + s.rng.Int64N(2001)
+	}
+	s.b++
+	pts := make([]geom.Point, 200)
+	groups := make([]int, len(pts))
+	for i := range pts {
+		g := min(sort.SearchFloat64s(s.cdf, s.rng.Float64()*s.cdf[len(s.cdf)-1]), len(s.cdf)-1)
+		groups[i] = g
+		pts[i] = geom.Point{
+			float64(g%64)*10 + (2*s.rng.Float64()-1)/4,
+			float64(g/64)*10 + (2*s.rng.Float64()-1)/4,
+		}
+	}
+	return pts, stamp, groups
+}
+
+// windowL0TiedFoldDigest hashes time-window L0s built the way a window
+// cluster builds them, on tiedStream: three daemons of two shards each,
+// every group routed whole to one shard. At three points of the stream,
+// the last after expiry has begun, it hashes each daemon's snapshot (a
+// fresh sketch that merges its shards in order), the gateway's fold of
+// the three snapshot blobs (the first decoded, the others folded in by
+// MergeSerialized) with 16 answers, and each part of a Partition of the
+// fold, decoded again, with 4 answers.
+func windowL0TiedFoldDigest(t *testing.T, randomRep bool) *digest {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 1, StreamBound: 1 << 23, RandomRepresentative: randomRep}
+	win := window.Window{Kind: window.Time, W: 5000}
+	mk := func() *WindowL0 {
+		w, err := NewWindowL0(opts, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	answers := func(d *digest, s Sketch, n int) {
+		for range n {
+			d.answer(s)
+		}
+	}
+	const peers, shards = 3, 2
+	daemons := make([][]*WindowL0, peers)
+	for i := range daemons {
+		for range shards {
+			daemons[i] = append(daemons[i], mk())
+		}
+	}
+	src := newTiedStream(25)
+	d := newDigest()
+	for range 3 {
+		for range 200 {
+			pts, stamp, groups := src.next()
+			for i, p := range pts {
+				g := groups[i]
+				daemons[g%peers][g/peers%shards].ProcessAt(p, stamp)
+			}
+		}
+		blobs := make([][]byte, peers)
+		for i, shs := range daemons {
+			snap := mk()
+			for _, sh := range shs {
+				if err := snap.Merge(sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blobs[i] = d.blob(t, snap)
+		}
+		fold, err := Deserialize(blobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blob := range blobs[1:] {
+			if err := MergeSerialized(fold.(Mergeable), blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.blob(t, fold)
+		answers(d, fold, 16)
+		parts, err := fold.(*WindowL0).Partition(3, groupShard(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			r, err := Deserialize(d.blob(t, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.blob(t, r)
+			answers(d, r, 4)
+		}
+	}
+	return d
+}
+
 // f0Digest hashes an F0 sketch's bytes and estimate.
 func f0Digest(t *testing.T) *digest {
 	pts := testStream(300, 4, 23)
@@ -406,6 +531,9 @@ func TestPinnedDigests(t *testing.T) {
 		"f0":             f0Digest(t),
 		"windowf0":       windowF0Digest(t),
 		"windowf0/merge": windowF0MergeDigest(t),
+
+		"windowl0/tied-fold":            windowL0TiedFoldDigest(t, false),
+		"windowl0/tied-fold/random-rep": windowL0TiedFoldDigest(t, true),
 	}
 	base := testOpts(1200)
 	randomRep, highDim := base, base
