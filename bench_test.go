@@ -425,6 +425,96 @@ func benchStampedEngine(b *testing.B, shardCounts []int, newEngine func(core.Opt
 	}
 }
 
+// BenchmarkSnapshotRebuild times the rebuild of an engine's cached
+// snapshot, what a daemon's first query after an ingest runs: Reset of
+// the cached sketch, a merge of every shard into it, and the query
+// answered from it. Each op ingests one 200-point batch outside the
+// timer, then times one Query. The 2-shard engines are shaped like
+// bench/'s workloads for their family: l0 like cluster-distinct (3-D,
+// 200,000 uniform groups, k = 4), f0 like daemon-f0 (the same stream, 9
+// copies at ε = 0.25), windowl0 like cluster-window (2-D, 512 Zipf
+// groups, a 5000-stamp window, batches stamped 10 apart) and windowf0 the
+// cluster-window stream into a window F0 estimator. A warm-up of 500
+// batches and one rebuild precede the timer.
+func BenchmarkSnapshotRebuild(b *testing.B) {
+	const (
+		warm  = 500
+		batch = 200
+	)
+	win := window.Window{Kind: window.Time, W: 5000}
+	cases := []struct {
+		name      string
+		dim, k    int
+		windowed  bool
+		newEngine func(core.Options, engine.Config) (*engine.Engine, error)
+	}{
+		{"l0", 3, 4, false, engine.NewSamplerEngine},
+		{"f0", 3, 1, false, func(o core.Options, cfg engine.Config) (*engine.Engine, error) {
+			return engine.NewF0Engine(o, 0.25, 9, cfg)
+		}},
+		{"windowl0", 2, 1, true, func(o core.Options, cfg engine.Config) (*engine.Engine, error) {
+			return engine.NewWindowSamplerEngine(o, win, cfg)
+		}},
+		{"windowf0", 2, 1, true, func(o core.Options, cfg engine.Config) (*engine.Engine, error) {
+			return engine.NewWindowF0Engine(o, win, 0.25, cfg)
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			opts := core.Options{Alpha: 1, Dim: c.dim, StreamBound: 1 << 23, K: c.k, Seed: 1, HighDim: true}
+			eng, err := c.newEngine(opts, engine.Config{Shards: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			rng := rand.New(rand.NewPCG(13, 17))
+			zipf := rand.NewZipf(rng, 1.2, 1, 511)
+			stamps := make([]int64, batch)
+			ingest := func(n int) {
+				pts := make([]geom.Point, batch)
+				for i := range pts {
+					g := rng.IntN(200_000)
+					if c.windowed {
+						g = int(zipf.Uint64())
+					}
+					p := make(geom.Point, c.dim)
+					for j := range p {
+						p[j] = float64(g%64)*10 + (2*rng.Float64()-1)/4
+						g /= 64
+					}
+					pts[i] = p
+				}
+				if !c.windowed {
+					eng.ProcessBatch(pts)
+				} else {
+					for i := range stamps {
+						stamps[i] = 1_000_000 + int64(n)*10
+					}
+					eng.ProcessStampedBatch(pts, stamps)
+				}
+				eng.Drain()
+			}
+			query := func() {
+				if _, err := eng.Query(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for n := range warm {
+				ingest(n)
+			}
+			query()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := range b.N {
+				b.StopTimer()
+				ingest(warm + n)
+				b.StartTimer()
+				query()
+			}
+		})
+	}
+}
+
 // benchGatewayData is the shared workload of the gateway benchmarks:
 // 2^14 uniform points over one option set.
 func benchGatewayData() (core.Options, []geom.Point) {
@@ -703,7 +793,7 @@ func BenchmarkSketchMarshal(b *testing.B) {
 }
 
 // BenchmarkProcessBatch measures the batched single-sampler ingestion
-// path (duplicate cache + entry pooling) against the same stream fed
+// path (duplicate cache + entry free list) against the same stream fed
 // point by point via BenchmarkProcess.
 func BenchmarkProcessBatch(b *testing.B) {
 	for _, spec := range []dataset.Spec{

@@ -21,6 +21,12 @@ func (s *KMV) ProcessBatch(ps []geom.Point) {
 	}
 }
 
+// Reset empties the sketch, as NewKMV builds it, keeping its memory.
+func (s *KMV) Reset() {
+	s.vals = s.vals[:0]
+	s.n = 0
+}
+
 // Merge unions another KMV of the same size (and seed) into s: the merged
 // sketch holds the k smallest distinct hash values of the union.
 func (s *KMV) Merge(o *KMV) error {
@@ -65,12 +71,22 @@ func (f *FM) Merge(o *FM) error {
 	return nil
 }
 
+// Reset empties the counter, as NewFM builds it.
+func (f *FM) Reset() { f.bitmap = 0 }
+
 // ProcessBatch feeds a batch of points, hashing each point once and
 // fanning the key out to every copy (Process already shares the key, so
 // point-major order costs nothing extra here).
 func (g *FMGroup) ProcessBatch(ps []geom.Point) {
 	for _, p := range ps {
 		g.Process(p)
+	}
+}
+
+// Reset empties every counter, as NewFMGroup builds them.
+func (g *FMGroup) Reset() {
+	for _, f := range g.copies {
+		f.Reset()
 	}
 }
 
@@ -93,6 +109,9 @@ func (h *HyperLogLog) ProcessBatch(ps []geom.Point) {
 	}
 }
 
+// Reset zeroes the registers, as NewHyperLogLog builds them.
+func (h *HyperLogLog) Reset() { clear(h.regs) }
+
 // Merge unions another HLL with the same register count (and seed): the
 // union keeps the per-register maximum rank.
 func (h *HyperLogLog) Merge(o *HyperLogLog) error {
@@ -114,6 +133,9 @@ func (lc *LinearCounting) ProcessBatch(ps []geom.Point) {
 		lc.ProcessKey(PointKey(p))
 	}
 }
+
+// Reset clears the bitmap, as NewLinearCounting builds it.
+func (lc *LinearCounting) Reset() { clear(lc.bits) }
 
 // Merge unions another linear counter with the same bitmap size (and
 // seed): the union's bitmap is the bitwise OR.

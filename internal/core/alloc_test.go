@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -161,35 +162,47 @@ func TestWindowRegisterAllocs(t *testing.T) {
 
 // TestUnmarshalWindowAllocs: decoding a window sampler allocates in
 // proportion to its levels, not its entries: at most 16 objects per
-// level, on a sampler holding many more entries than that.
+// level, on a sampler holding many more entries than that, also under
+// RandomRepresentative, whose entries carry skylines of picks.
 func TestUnmarshalWindowAllocs(t *testing.T) {
-	ws, err := NewWindowSampler(Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 12}, window.Window{Kind: window.Time, W: 4096})
-	if err != nil {
-		t.Fatal(err)
+	for _, rr := range []bool{false, true} {
+		t.Run(fmt.Sprintf("random-rep=%v", rr), func(t *testing.T) {
+			opts := Options{Alpha: 1, Dim: 2, Seed: 37, StreamBound: 1 << 12, RandomRepresentative: rr}
+			ws, err := NewWindowSampler(opts, window.Window{Kind: window.Time, W: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(5, 7))
+			for i := range 1 << 14 {
+				g := rng.IntN(2048)
+				ws.ProcessAt(geom.Point{float64(g%64)*10 + rng.Float64()/4, float64(g/64)*10 + rng.Float64()/4}, int64(i/4))
+			}
+			entries, picks, levels := 0, 0, ws.Levels()
+			for _, lv := range ws.levels {
+				entries += lv.Size()
+				for _, e := range lv.order {
+					picks += len(e.wres)
+				}
+			}
+			if entries < 64*levels {
+				t.Fatalf("%d entries over %d levels, want ≥ %d", entries, levels, 64*levels)
+			}
+			if rr && picks < entries {
+				t.Fatalf("%d skyline picks for %d entries, want at least one each", picks, entries)
+			}
+			blob, err := ws.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := UnmarshalWindowSampler(blob); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > float64(16*levels) {
+				t.Errorf("UnmarshalWindowSampler: %v allocs for %d entries over %d levels, want ≤ %d", allocs, entries, levels, 16*levels)
+			}
+			t.Logf("%v allocs for %d entries (%d skyline picks) over %d levels", allocs, entries, picks, levels)
+		})
 	}
-	rng := rand.New(rand.NewPCG(5, 7))
-	for i := range 1 << 14 {
-		g := rng.IntN(2048)
-		ws.ProcessAt(geom.Point{float64(g%64)*10 + rng.Float64()/4, float64(g/64)*10 + rng.Float64()/4}, int64(i/4))
-	}
-	entries, levels := 0, ws.Levels()
-	for _, lv := range ws.levels {
-		entries += lv.Size()
-	}
-	if entries < 64*levels {
-		t.Fatalf("%d entries over %d levels, want ≥ %d", entries, levels, 64*levels)
-	}
-	blob, err := ws.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := UnmarshalWindowSampler(blob); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > float64(16*levels) {
-		t.Errorf("UnmarshalWindowSampler: %v allocs for %d entries over %d levels, want ≤ %d", allocs, entries, levels, 16*levels)
-	}
-	t.Logf("%v allocs for %d entries over %d levels", allocs, entries, levels)
 }

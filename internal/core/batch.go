@@ -2,29 +2,10 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
-
-// entryPool recycles entry structs across samplers. Entries churn fast on
-// high-rate streams — every rate doubling drops the no-longer-sampled
-// groups — and the sharded engine runs many samplers concurrently, so a
-// shared pool keeps the allocator out of the hot path.
-var entryPool = sync.Pool{New: func() any { return new(entry) }}
-
-// newEntry returns a pooled entry. The caller must overwrite every field
-// (entries come back from freeEntry zeroed, but a full struct assignment
-// is the convention regardless).
-func newEntry() *entry { return entryPool.Get().(*entry) }
-
-// freeEntry returns an entry to the pool. The caller must have removed
-// every reference to it (index, entries slice, lastHit cache) first.
-func freeEntry(e *entry) {
-	*e = entry{}
-	entryPool.Put(e)
-}
 
 // ProcessBatch feeds a batch of stream points in order. It is equivalent
 // to calling Process for each point, but one virtual call per batch plus

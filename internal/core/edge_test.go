@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -25,6 +26,7 @@ func TestRehashCascade(t *testing.T) {
 		if s.AcceptSize() > 2 {
 			t.Fatalf("after group %d: |Sacc| = %d > 2", g, s.AcceptSize())
 		}
+		mustCheck(t, s, fmt.Sprintf("group %d", g))
 	}
 	if s.Rehashes() < 5 {
 		t.Fatalf("only %d rehashes for 500 groups at threshold 2", s.Rehashes())

@@ -209,19 +209,26 @@ func (e *entry) words(reservoir, windowed bool) int {
 	return w
 }
 
-// observeDuplicate updates per-group state when a new point p of this
-// group arrives: the reservoir pick (uniform over the group's points) and,
-// for windowed samplers, the last-point pair, which a late point never
-// moves backwards.
-func (e *entry) observeDuplicate(p geom.Point, stamp int64, rng *rand.Rand, windowed bool) {
-	e.count++
-	if rng != nil && rng.Int64N(e.count) == 0 {
+// observeDuplicate updates a window entry's state when a new point p of
+// its group arrives: the reservoir pick (uniform over the group's points)
+// and the last-point pair, which a late point never moves backwards.
+func (e *entry) observeDuplicate(p geom.Point, stamp int64, rng *rand.Rand) {
+	if e.countPoint(rng) {
 		e.pick = p
 	}
-	if windowed && stamp >= e.lastStamp {
+	if stamp >= e.lastStamp {
 		e.last = p
 		e.lastStamp = stamp
 	}
+}
+
+// countPoint counts a new point of the group in and reports whether it
+// replaces the reservoir pick, which it does with probability 1/count, so
+// that the pick stays uniform over the group's points. A nil rng never
+// replaces it.
+func (e *entry) countPoint(rng *rand.Rand) bool {
+	e.count++
+	return rng != nil && rng.Int64N(e.count) == 0
 }
 
 // spaceMeter tracks live sketch words and their peak, reproducing the

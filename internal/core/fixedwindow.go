@@ -64,8 +64,8 @@ func NewFixedWindow(opts Options, win window.Window, r uint64) (*FixedWindow, er
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}
-	spc, ls, rng := opts.derive()
-	return newFixedWindow(opts, win, r, spc, ls, rng), nil
+	spc, ls, src := opts.derive()
+	return newFixedWindow(opts, win, r, spc, ls, rand.New(src)), nil
 }
 
 // newFixedWindow wires an instance onto shared infrastructure. Levels of a
@@ -146,11 +146,11 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 		}
 		if fw.opts.RandomRepresentative {
 			fw.space.sub(e.words(true, true))
-			e.observeDuplicate(p, stamp, fw.rng, true)
+			e.observeDuplicate(p, stamp, fw.rng)
 			e.observeWindowPick(p, stamp, fw.rng.Uint64())
 			fw.space.add(e.words(true, true))
 		} else {
-			e.observeDuplicate(p, stamp, nil, true)
+			e.observeDuplicate(p, stamp, nil)
 		}
 		if advanced {
 			fw.moveForward(at)
@@ -163,6 +163,8 @@ func (fw *FixedWindow) observe(p geom.Point, stamp int64, adjKeys []grid.CellKey
 
 	// Lines 7–10: p is the first point of its group in this window; it
 	// becomes the representative if the group is sampled or rejected.
+	// Unlike Sampler's, a window entry's points stay views of the stream:
+	// they expire with the window.
 	c := entry{
 		rep:       p,
 		cell:      adjKeys[0], // Adjacent lists cell(p) first
@@ -263,13 +265,16 @@ func (fw *FixedWindow) unfile(e *entry) {
 }
 
 // Reset clears all state, keeping the sample rate — the "ALG_j ← (⊥,⊥,⊥,R_j)"
-// of Algorithm 3. The order and the cell index keep their capacity.
+// of Algorithm 3 — and the query RNG, which a WindowSampler's levels
+// share: the clock and the space meter start over as NewFixedWindow
+// builds them. The order and the cell index keep their capacity.
 func (fw *FixedWindow) Reset() {
 	fw.index.clear()
 	clear(fw.order)
 	fw.order = fw.order[:0]
 	fw.numAcc = 0
-	fw.space.sub(fw.space.Live())
+	fw.space = spaceMeter{}
+	fw.now = 0
 }
 
 // Query returns a robust ℓ0-sample of the current window: a uniformly

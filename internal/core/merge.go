@@ -164,7 +164,7 @@ func (s *Sampler) mergeEntry(e *entry, stampOffset int64) error {
 	if !c.classify(s.ls, s.r) {
 		return nil // ignored at the merged rate
 	}
-	ne := newEntry()
+	ne := s.newEntry()
 	*ne = c
 	s.store(ne)
 	return nil

@@ -147,6 +147,8 @@ func TestMergeBinaryMatchesMergeFrom(t *testing.T) {
 						if err := got.MergeBinary(blob); err != nil {
 							t.Fatal(err)
 						}
+						mustCheck(t, want, "MergeFrom")
+						mustCheck(t, got, "MergeBinary")
 					}
 					if !rr && skippable == 0 {
 						t.Fatal("no entry fell below the receiver's rate: the skip path did not run")
@@ -186,6 +188,8 @@ func TestMergeBinaryReadsL0s1(t *testing.T) {
 	if err := got.MergeBinary(v1); err != nil {
 		t.Fatal(err)
 	}
+	mustCheck(t, fromV1, "the l0s1 decode")
+	mustCheck(t, got, "the l0s1 fold")
 	if g, w := samplerState(t, got), samplerState(t, want); g != w {
 		t.Fatalf("l0s1 fold differs from MergeFrom:\n got %.300s\nwant %.300s", g, w)
 	}
@@ -300,6 +304,7 @@ func TestMergeBinaryRefusesCraftedEntries(t *testing.T) {
 			if after, _ := recv.MarshalBinary(); !bytes.Equal(before, after) {
 				t.Fatal("a refused MergeBinary changed its receiver")
 			}
+			mustCheck(t, recv, "a refused MergeBinary")
 		})
 	}
 }

@@ -33,10 +33,14 @@ func TestMergeFromMatchesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCheck(t, rebuilt, "Merge")
 	a2, b2 := mk()
+	mustCheck(t, a2, "the shard stream")
 	if err := a2.MergeFrom(b2); err != nil {
 		t.Fatal(err)
 	}
+	mustCheck(t, a2, "MergeFrom")
+	mustCheck(t, b2, "MergeFrom (source)")
 
 	if a2.Processed() != rebuilt.Processed() {
 		t.Fatalf("processed: in-place %d, rebuilt %d", a2.Processed(), rebuilt.Processed())

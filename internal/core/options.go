@@ -145,12 +145,12 @@ func (o Options) SharesGrid(p Options) bool {
 
 // derive builds what a sampler derives from its seeds: the space (the
 // custom Space, or the randomly shifted grid), the level sampler over the
-// hash function, and the query RNG. Options.Seed seeds all of them, except
-// that a copy's grid comes from its stack's root seed (Copy). A copy
-// therefore draws the same hash and RNG as a sampler seeded like it.
-func (o Options) derive() (Space, *hash.LevelSampler, *rand.Rand) {
-	sm := hash.NewSplitMix(o.Seed)
-	gridSeed, hashSeed, rngSeed1, rngSeed2 := sm.Next(), sm.Next(), sm.Next(), sm.Next()
+// hash function, and the source of the query RNG, which reseed restores.
+// Options.Seed seeds all of them, except that a copy's grid comes from
+// its stack's root seed (Copy). A copy therefore draws the same hash and
+// RNG as a sampler seeded like it.
+func (o Options) derive() (Space, *hash.LevelSampler, *rand.PCG) {
+	gridSeed, hashSeed, rngSeed1, rngSeed2 := o.seeds()
 	if o.gridShared {
 		gridSeed = o.gridSeed
 	}
@@ -158,7 +158,21 @@ func (o Options) derive() (Space, *hash.LevelSampler, *rand.Rand) {
 	if spc == nil {
 		spc = NewEuclideanSpace(o.Dim, o.GridSide, o.Alpha, gridSeed)
 	}
-	return spc, hash.NewLevelSampler(o.newHash(hashSeed)), rand.New(rand.NewPCG(rngSeed1, rngSeed2))
+	return spc, hash.NewLevelSampler(o.newHash(hashSeed)), rand.NewPCG(rngSeed1, rngSeed2)
+}
+
+// seeds returns the grid, hash and two query-RNG seeds Options.Seed
+// derives, in that order.
+func (o Options) seeds() (gridSeed, hashSeed, rngSeed1, rngSeed2 uint64) {
+	sm := hash.NewSplitMix(o.Seed)
+	return sm.Next(), sm.Next(), sm.Next(), sm.Next()
+}
+
+// reseed restores src, a query RNG source derive built, to the state
+// derive gave it: the sampler's query randomness starts over, in place.
+func (o Options) reseed(src *rand.PCG) {
+	_, _, rngSeed1, rngSeed2 := o.seeds()
+	src.Seed(rngSeed1, rngSeed2)
 }
 
 // Bounds on Options, checked by normalize. Every constructor and every

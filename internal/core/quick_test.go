@@ -137,7 +137,7 @@ func TestQuickMergeEquivalence(t *testing.T) {
 			b.Process(p)
 		}
 		m, err := Merge(a, b)
-		if err != nil {
+		if err != nil || checkSampler(m) != nil {
 			return false
 		}
 		straight, _ := NewSampler(opts)

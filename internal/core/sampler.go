@@ -33,6 +33,7 @@ type Sampler struct {
 	opts    Options
 	spc     Space
 	ls      *hash.LevelSampler
+	src     *rand.PCG // rng's source, which Reset re-seeds
 	rng     *rand.Rand
 	r       uint64 // reciprocal of the cell sample rate, a power of two
 	entries []*entry
@@ -54,6 +55,16 @@ type Sampler struct {
 	// adjBuf is Process's adjacency scratch: each point's search reuses
 	// it, and only a stored entry gets a copy.
 	adjBuf []grid.CellKey
+
+	// free holds the entries doubleR and Reset dropped, cleared, for
+	// newEntry to hand out again: a sampler recycles its own entries, so
+	// one that is reset and refilled allocates none up to its peak.
+	// chunk is the unused tail of the entries newEntry last allocated.
+	free  []*entry
+	chunk []entry
+	// pts is the unused tail of the slab that stored points are carved
+	// from (own).
+	pts []float64
 }
 
 // NewSampler constructs an infinite-window robust ℓ0-sampler.
@@ -76,15 +87,83 @@ func newSampler(opts Options, accCap int) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	spc, ls, rng := opts.derive()
+	spc, ls, src := opts.derive()
 	return &Sampler{
 		opts: opts,
 		spc:  spc,
 		ls:   ls,
-		rng:  rng,
+		src:  src,
+		rng:  rand.New(src),
 		r:    1,
 		acc:  make([]*entry, 0, min(opts.acceptThreshold()+1, accCap)),
 	}, nil
+}
+
+// Reset restores the state NewSampler builds: no entries, rate 1, no
+// points processed, zero space, and the query RNG re-seeded as the
+// options derive it, so a reset sampler fed a stream answers and
+// serializes exactly as a fresh one. It keeps the sampler's memory: the
+// entries go to its free list, and the entry list, Sacc and the cell
+// index keep their capacity. The engine rebuilds its cached snapshot
+// this way (Reset, then MergeFrom of every shard), allocating nothing
+// once the snapshot has reached its largest size.
+func (s *Sampler) Reset() {
+	for _, e := range s.entries {
+		s.freeEntry(e)
+	}
+	clear(s.entries)
+	clear(s.acc)
+	s.entries, s.acc = s.entries[:0], s.acc[:0]
+	s.index.clear()
+	s.r, s.n, s.rehash = 1, 0, 0
+	s.space = spaceMeter{}
+	s.lastHit = nil
+	s.opts.reseed(s.src)
+}
+
+// newEntry returns an entry from the free list, or else the next one of
+// the current chunk, allocating a chunk when that is used up: one of
+// about as many entries as the sampler holds, between 8 and
+// maxEntryChunk. The caller overwrites every field.
+func (s *Sampler) newEntry() *entry {
+	if n := len(s.free); n > 0 {
+		e := s.free[n-1]
+		s.free = s.free[:n-1]
+		return e
+	}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]entry, min(max(len(s.entries), 8), maxEntryChunk))
+	}
+	e := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return e
+}
+
+// maxEntryChunk caps the entries newEntry allocates at once.
+const maxEntryChunk = 64
+
+// freeEntry clears e, so that it pins none of its points, and puts it on
+// the free list. The caller must have removed every reference to it (the
+// index, the entry list, Sacc, lastHit) first.
+func (s *Sampler) freeEntry(e *entry) {
+	*e = entry{}
+	s.free = append(s.free, e)
+}
+
+// ptsChunk is the number of points in one slab that own carves from.
+const ptsChunk = 64
+
+// own copies p into memory the sampler owns and returns the copy, so that
+// a stored point does not pin the batch it arrived in. The copy is never
+// written again: snapshots, merges and query answers alias it. So own
+// carves it from pts, the unused tail of a slab of ptsChunk points, and
+// never hands its memory out twice; a slab is collected once no stored
+// point lies in it.
+func (s *Sampler) own(p geom.Point) geom.Point {
+	if len(s.pts) < len(p) {
+		s.pts = make([]float64, ptsChunk*len(p))
+	}
+	return carve(&s.pts, p)
 }
 
 // Options returns the effective (normalized) options.
@@ -150,8 +229,8 @@ func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 	// point of that group; update the group's auxiliary state and move on.
 	if e := s.index.findGroup(p, adjKeys, s.spc); e != nil {
 		s.lastHit = e
-		if s.opts.RandomRepresentative {
-			e.observeDuplicate(p, s.n, s.rng, false)
+		if s.opts.RandomRepresentative && e.countPoint(s.rng) {
+			e.pick = s.own(p)
 		}
 		return
 	}
@@ -169,9 +248,10 @@ func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 	if !sampledAt(near, s.r) {
 		return // ignored group: no cell of adj(p) is sampled
 	}
-	e := newEntry()
+	rep := s.own(p)
+	e := s.newEntry()
 	*e = entry{
-		rep:      p,
+		rep:      rep,
 		cell:     cp,
 		adj:      slices.Clone(adjKeys),
 		accepted: sampledAt(lvl, s.r),
@@ -180,7 +260,7 @@ func (s *Sampler) observe(p geom.Point, adjKeys []grid.CellKey) {
 		wit:      witByte(wit),
 		stamp:    s.n,
 		count:    1,
-		pick:     p,
+		pick:     rep,
 	}
 	s.store(e)
 	s.lastHit = e
@@ -218,7 +298,7 @@ func (s *Sampler) doubleR() {
 		if !e.classify(s.ls, s.r) {
 			s.index.remove(e)
 			s.space.sub(e.words(s.opts.RandomRepresentative, false))
-			freeEntry(e)
+			s.freeEntry(e)
 			continue
 		}
 		if e.accepted {
@@ -226,7 +306,7 @@ func (s *Sampler) doubleR() {
 		}
 		kept = append(kept, e)
 	}
-	// Zero the tails so dropped entries can be collected.
+	// Zero the tails: the dropped entries are on the free list.
 	clear(s.entries[len(kept):])
 	clear(s.acc[len(acc):])
 	s.entries, s.acc = kept, acc

@@ -296,10 +296,10 @@ func (s *Sampler) checkCells(e *entry, wit int) error {
 // cached. l0s1 payloads, which carry no levels, are re-validated by
 // hashing each entry's adjacency list. Points come from one slab sized
 // by the checked entry count, adjacency lists from one slab of their
-// total size (packAdj). The query RNG is re-derived from the seed, so a
-// restored sketch gives statistically equivalent (not bit-identical)
-// query randomness. Payloads without a binary magic fail with
-// ErrRetiredFormat.
+// total size (packAdj), entries from one of their count. The query RNG
+// is re-derived from the seed, so a restored sketch gives statistically
+// equivalent (not bit-identical) query randomness. Payloads without a
+// binary magic fail with ErrRetiredFormat.
 func UnmarshalSampler(data []byte) (*Sampler, error) {
 	if rest, ok := bytes.CutPrefix(data, []byte(samplerMagicV1)); ok {
 		return unmarshalV1(rest)
@@ -328,9 +328,10 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 		r.slab = make([]float64, n*dim)
 	}
 	keys := make([]grid.CellKey, 0, 4*n) // grows when lists average more than 4 cells
+	s.chunk = make([]entry, n)
 	prev := int64(math.MinInt64)
 	for range n {
-		e := new(entry)
+		e := s.newEntry()
 		wit := r.l0s2Entry(e, dim, rr)
 		if r.err != nil {
 			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
@@ -383,9 +384,11 @@ func unmarshalV1(data []byte) (*Sampler, error) {
 	s.index.reserve(n)
 	r.slab = make([]float64, 2*n*dim)    // rep and pick
 	keys := make([]grid.CellKey, 0, 4*n) // grows when lists average more than 4 cells
+	s.chunk = make([]entry, n)
 	for range n {
 		flags := r.u8()
-		e := &entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
+		e := s.newEntry()
+		*e = entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
 		if flags&2 != 0 {
 			e.pick = r.coords(dim)
 		}

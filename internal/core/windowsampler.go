@@ -76,6 +76,7 @@ type WindowSampler struct {
 	win    window.Window
 	spc    Space
 	ls     *hash.LevelSampler
+	src    *rand.PCG // rng's source, which Reset re-seeds
 	rng    *rand.Rand
 	levels []*FixedWindow // levels[ℓ] has R = 2^ℓ
 
@@ -110,7 +111,8 @@ func NewWindowSampler(opts Options, win window.Window) (*WindowSampler, error) {
 	if err := win.Validate(); err != nil {
 		return nil, err
 	}
-	spc, ls, rng := opts.derive()
+	spc, ls, src := opts.derive()
+	rng := rand.New(src)
 	l := bits.Len64(uint64(win.W) - 1) // ⌈log2 w⌉
 	levels := make([]*FixedWindow, l+1)
 	for i := range levels {
@@ -122,9 +124,26 @@ func NewWindowSampler(opts Options, win window.Window) (*WindowSampler, error) {
 		win:    win,
 		spc:    spc,
 		ls:     ls,
+		src:    src,
 		rng:    rng,
 		levels: levels,
 	}, nil
+}
+
+// Reset restores the state NewWindowSampler builds: empty levels at
+// their rates, the clock and the point count at zero, no fallback point,
+// zero space and error counters, and the query RNG re-seeded, so a reset
+// sampler fed a stream answers and serializes exactly as a fresh one.
+// The levels keep their orders' and cell indexes' capacity.
+func (ws *WindowSampler) Reset() {
+	for _, lv := range ws.levels {
+		lv.Reset()
+	}
+	ws.n, ws.now = 0, 0
+	ws.space = spaceMeter{}
+	ws.latest, ws.latestStamp = nil, 0
+	ws.overflowErrors, ws.splitFailures = 0, 0
+	ws.opts.reseed(ws.src)
 }
 
 // Options returns the effective options.

@@ -83,9 +83,9 @@ func (ws *WindowSampler) MarshalBinary() ([]byte, error) {
 
 // UnmarshalWindowSampler reconstructs a WindowSampler from MarshalBinary
 // output, decoding every entry straight into its level; each level's
-// entries, adjacency lists and points are carved from slabs, so without
-// RandomRepresentative (whose reservoirs are allocated per entry) the
-// decode allocates per level, not per entry. The options and
+// entries, adjacency lists, points and, under RandomRepresentative,
+// skyline picks are carved from slabs, so the decode allocates per
+// level, not per entry. The options and
 // window are validated before anything sized by them is allocated, the
 // level count must match the window width, and each entry's
 // classification is re-validated against the re-derived hash at its
@@ -141,6 +141,7 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 		es := make([]*entry, 0, n)
 		keys = slices.Grow(keys[:0], 4*n) // grows when lists average more than 4 cells
 		r.slab = make([]float64, 3*n*dim) // rep, pick and last; skyline points use what is left
+		var picks []windowPick            // the unused tail of the level's skyline slab
 		lv.index.reserve(n)
 		for i := range n {
 			flags := r.u8()
@@ -158,7 +159,16 @@ func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 				return nil, err
 			}
 			if wn > 0 {
-				e.wres = make([]windowPick, wn)
+				// A skyline and its points come from slabs of at least
+				// one item per entry of the level, so a level of short
+				// skylines allocates a few of each.
+				if len(picks) < wn {
+					picks = make([]windowPick, max(wn, n))
+				}
+				e.wres, picks = picks[:wn:wn], picks[wn:]
+				if len(r.slab) < wn*dim {
+					r.slab = make([]float64, max(wn, n)*dim)
+				}
 				for j := range e.wres {
 					e.wres[j] = windowPick{stamp: r.varint(), prio: r.u64(), p: r.coords(dim)}
 				}

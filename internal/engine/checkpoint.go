@@ -148,13 +148,9 @@ func (e *Engine) Restore(r io.Reader) error {
 		return fmt.Errorf("engine: corrupt checkpoint: %d blobs / %d counters for %d shards",
 			len(st.Sketches), len(st.PerShard), st.Shards)
 	}
-	fresh, err := e.cfg.New(-1)
+	acc, err := e.newAccumulator()
 	if err != nil {
-		return fmt.Errorf("engine: building restore accumulator: %w", err)
-	}
-	acc, ok := fresh.(sketch.Mergeable)
-	if !ok {
-		return fmt.Errorf("engine: %T is not mergeable; restoring a checkpoint needs sketch.Mergeable", fresh)
+		return err
 	}
 	restored := make([]sketch.Sketch, st.Shards)
 	for i, blob := range st.Sketches {
@@ -182,7 +178,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	// acc is the fold a snapshot of the installed shards would run, so it
 	// becomes the cached snapshot and the first query does not repeat it.
 	e.snapMu.Lock()
-	e.snap, e.snapEpoch, e.snapValid = acc, e.epoch.Load(), true
+	e.snap, e.snapEpoch = acc, e.epoch.Load()
 	e.snapMu.Unlock()
 	return nil
 }

@@ -11,9 +11,10 @@
 // Queries are answered from a merged snapshot: the engine drains all
 // in-flight batches, then unions the per-shard sketches (which were built
 // with identical options and therefore share grids and hash functions)
-// into a fresh sketch via the Mergeable interface. Groups that straddle a
-// routing boundary are coalesced by the merge's α-ball test, so sharded
-// estimates track sequential ones.
+// into one sketch via the Mergeable interface — the cached snapshot,
+// reset and refilled in place whenever ingest has moved the epoch. Groups
+// that straddle a routing boundary are coalesced by the merge's α-ball
+// test, so sharded estimates track sequential ones.
 //
 //	eng, _ := engine.NewSamplerEngine(opts, engine.Config{Shards: 8})
 //	eng.ProcessBatch(points)           // any number of goroutines
@@ -63,9 +64,10 @@ type Config struct {
 
 	// New constructs the sketch for one shard. Every shard must receive a
 	// sketch built with identical parameters and seed, or the merged
-	// snapshot is meaningless. The engine also calls New(-1) for the
-	// snapshot accumulator; snapshot queries additionally require the
-	// sketches to implement sketch.Mergeable. Required.
+	// snapshot is meaningless. The engine also calls New(-1) for a
+	// snapshot accumulator, which the cached snapshot resets and reuses;
+	// snapshot queries additionally require the sketches to implement
+	// sketch.Mergeable. Required.
 	New func(shard int) (sketch.Sketch, error)
 
 	// Router maps points to shards; points of one near-duplicate group
@@ -137,10 +139,9 @@ type Engine struct {
 	// holds still, so queries between ingests skip the O(shards×entries)
 	// re-merge. Its broadcast wakes WaitEpoch long-polls.
 	epoch      EpochCounter
-	snapMu     sync.Mutex // guards snap/snapEpoch and serializes snapshot queries
-	snap       sketch.Sketch
+	snapMu     sync.Mutex       // guards snap/snapEpoch and serializes snapshot queries
+	snap       sketch.Mergeable // nil until the first build, and after a failed one
 	snapEpoch  int64
-	snapValid  bool
 	snapHits   atomic.Int64
 	snapMisses atomic.Int64
 	// stamped records whether the shard sketches implement sketch.Stamped
@@ -292,10 +293,13 @@ func (e *Engine) WaitEpoch(ctx context.Context, after int64) int64 {
 // by the router into per-shard sub-batches of at most BatchSize points
 // (no locks taken while routing), shipped to the workers as they fill —
 // so QueueDepth backpressure applies to large inputs too. The slice ps
-// itself is not retained, but the points are: per the repository
-// convention, points handed to a sketch must not be mutated afterwards
-// (Clone first), and with the engine that holds from the moment
-// ProcessBatch is called — workers read the points asynchronously.
+// itself is not retained. Workers read the points after ProcessBatch
+// returns, so per the repository convention the caller must not mutate
+// them from the moment ProcessBatch is called (Clone first). An
+// infinite-window sampler keeps nothing of a batch once it has processed
+// it: it copies the representatives and reservoir picks it stores. A
+// window sampler's entries keep views of their points until the window
+// expires them.
 //
 //sketch:hotpath
 func (e *Engine) ProcessBatch(ps []geom.Point) {
@@ -427,51 +431,85 @@ func (e *Engine) Drain() {
 // Snapshot drains the engine and returns a fresh sketch holding the union
 // of every shard: the merged view a sequential sampler of the whole
 // stream would have. The per-shard sketches keep ingesting afterwards;
-// the returned sketch is independent. Requires the configured sketches to
-// implement sketch.Mergeable.
+// the returned sketch is the caller's, and no later ingest or snapshot
+// changes it. Requires the configured sketches to implement
+// sketch.Mergeable.
 func (e *Engine) Snapshot() (sketch.Sketch, error) {
 	e.Drain()
+	m, err := e.newAccumulator()
+	if err != nil {
+		return nil, err
+	}
+	if err := e.mergeShards(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newAccumulator builds an empty sketch for the shards (or a restored
+// checkpoint's sketches) to merge into.
+func (e *Engine) newAccumulator() (sketch.Mergeable, error) {
 	fresh, err := e.cfg.New(-1)
 	if err != nil {
 		return nil, fmt.Errorf("engine: building snapshot sketch: %w", err)
 	}
 	m, ok := fresh.(sketch.Mergeable)
 	if !ok {
-		return nil, fmt.Errorf("engine: %T is not mergeable; snapshot queries need sketch.Mergeable", fresh)
+		return nil, fmt.Errorf("engine: %T is not mergeable; snapshots and restores need sketch.Mergeable", fresh)
 	}
+	return m, nil
+}
+
+// mergeShards merges every shard's sketch into m, each under its lock.
+func (e *Engine) mergeShards(m sketch.Mergeable) error {
 	for i, sh := range e.shards {
 		sh.mu.Lock()
 		err := m.Merge(sh.sk)
 		sh.mu.Unlock()
 		if err != nil {
-			return nil, fmt.Errorf("engine: merging shard %d: %w", i, err)
+			return fmt.Errorf("engine: merging shard %d: %w", i, err)
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // cachedSnapshot returns the merged snapshot for the current ingest
 // epoch, rebuilding it only when ingestion has advanced since the last
-// build. Callers must hold snapMu, and must keep holding it while using
-// the returned sketch: snapshot queries advance the sketch's query RNG,
-// so unsynchronized sharing would race.
+// build. A rebuild drains the engine and refills the cached sketch in
+// place, Reset then a merge of every shard, so that it reuses the
+// sketch's memory instead of building a fresh sketch per epoch. A
+// rebuild that fails discards the sketch, and the next one starts from a
+// fresh one: a half-merged snapshot is never served. Callers must hold
+// snapMu, and must keep holding it while using the returned sketch:
+// snapshot queries advance the sketch's query RNG, so unsynchronized
+// sharing would race.
 func (e *Engine) cachedSnapshot() (sketch.Sketch, error) {
-	// The epoch is read before the drain inside Snapshot, and producers
-	// bump it only after enqueueing: both orderings err toward stamping
-	// the snapshot too old, so a merge that raced an ingest costs one
-	// extra rebuild on the next query — stale reads never persist.
+	// The epoch is read before the drain, and producers bump it only
+	// after enqueueing: both orderings err toward stamping the snapshot
+	// too old, so a merge that raced an ingest costs one extra rebuild on
+	// the next query — stale reads never persist.
 	ep := e.epoch.Load()
-	if e.snapValid && e.snapEpoch == ep {
+	if e.snap != nil && e.snapEpoch == ep {
 		e.snapHits.Add(1)
 		return e.snap, nil
 	}
 	e.snapMisses.Add(1)
-	s, err := e.Snapshot()
-	if err != nil {
+	e.Drain()
+	if e.snap == nil {
+		m, err := e.newAccumulator()
+		if err != nil {
+			return nil, err
+		}
+		e.snap = m
+	} else {
+		e.snap.Reset()
+	}
+	if err := e.mergeShards(e.snap); err != nil {
+		e.snap = nil
 		return nil, err
 	}
-	e.snap, e.snapEpoch, e.snapValid = s, ep, true
-	return s, nil
+	e.snapEpoch = ep
+	return e.snap, nil
 }
 
 // WithSnapshot runs fn on the cached merged snapshot, rebuilding it first

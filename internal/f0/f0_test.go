@@ -226,3 +226,47 @@ func TestWinPhiConstant(t *testing.T) {
 		t.Fatal("window F0 bias constant outside its calibrated band")
 	}
 }
+
+// TestSamplerOwnsStoredPoints: a Median keeps nothing of a batch once it
+// has processed it. Two estimators are fed the same batches; after each
+// ProcessBatch the second one's batch coordinates are overwritten, and
+// the two must still serialize and estimate alike.
+func TestSamplerOwnsStoredPoints(t *testing.T) {
+	opts := core.Options{Alpha: 1, Dim: 2, Seed: 61, StreamBound: 1 << 12}
+	a, err := NewMedian(opts, 0.5, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := NewMedian(opts, 0.5, 0, 5)
+	stream := groupStream(rand.New(rand.NewPCG(67, 71)), 1500, 3)
+	for i := 0; i < len(stream); i += 200 {
+		src := stream[i:min(i+200, len(stream))]
+		batch := make([]geom.Point, len(src))
+		slab := make([]float64, 2*len(src))
+		for j, p := range src {
+			batch[j] = slab[2*j : 2*j+2 : 2*j+2]
+			copy(batch[j], p)
+		}
+		a.ProcessBatch(src)
+		b.ProcessBatch(batch)
+		for j := range slab {
+			slab[j] = -1e9
+		}
+	}
+	ab, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ab) != string(bb) {
+		t.Fatal("overwriting processed batches changed the serialized estimator")
+	}
+	ea, _ := a.Estimate()
+	eb, _ := b.Estimate()
+	if ea != eb {
+		t.Fatalf("overwriting processed batches moved the estimate: %g, want %g", eb, ea)
+	}
+}

@@ -60,6 +60,10 @@ func NewInfiniteEstimator(opts core.Options, eps float64, kappaB int) (*Infinite
 // Process feeds the next stream point.
 func (e *InfiniteEstimator) Process(p geom.Point) { e.s.Process(p) }
 
+// Reset restores the state NewInfiniteEstimator builds, keeping the
+// sampler's memory (core.Sampler.Reset).
+func (e *InfiniteEstimator) Reset() { e.s.Reset() }
+
 // Estimate returns |Sacc| · R, the Section 5 estimator of the number of
 // groups seen so far.
 func (e *InfiniteEstimator) Estimate() (float64, error) {
@@ -112,6 +116,14 @@ func (m *Median) Process(p geom.Point) {
 	m.one[0] = p
 	m.ProcessBatch(m.one[:])
 	m.one[0] = nil
+}
+
+// Reset restores the state NewMedian builds, copy by copy, keeping each
+// copy's memory (core.Sampler.Reset).
+func (m *Median) Reset() {
+	for _, c := range m.copies {
+		c.Reset()
+	}
 }
 
 // Estimate returns the median of the per-copy estimates.

@@ -92,6 +92,14 @@ func (we *WindowEstimator) ProcessAt(p geom.Point, stamp int64) {
 	we.one[0] = nil
 }
 
+// Reset restores the state NewWindowEstimator builds, copy by copy,
+// keeping each copy's memory (core.WindowSampler.Reset).
+func (we *WindowEstimator) Reset() {
+	for _, c := range we.copies {
+		c.Reset()
+	}
+}
+
 // Merge combines another WindowEstimator built with the same options,
 // window, and root seed into we, copy by copy — the sharded/distributed
 // setting for time-based windows. Sequence windows are rejected with

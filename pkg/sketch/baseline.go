@@ -45,6 +45,9 @@ func (k *KMV) Space() int { return k.s.SpaceWords() }
 // Serialize returns ErrNotSerializable: the baselines have no wire format.
 func (k *KMV) Serialize() ([]byte, error) { return nil, errNoWireFormat(k) }
 
+// Reset empties the sketch, as NewKMV builds it.
+func (k *KMV) Reset() { k.s.Reset() }
+
 // Merge unions another KMV of the same size and seed into k.
 func (k *KMV) Merge(other Sketch) error {
 	o, ok := other.(*KMV)
@@ -78,6 +81,9 @@ func (f *FM) Space() int { return f.g.SpaceWords() }
 
 // Serialize returns ErrNotSerializable: the baselines have no wire format.
 func (f *FM) Serialize() ([]byte, error) { return nil, errNoWireFormat(f) }
+
+// Reset empties the sketch, as NewFM builds it.
+func (f *FM) Reset() { f.g.Reset() }
 
 // Merge unions another FM with the same copy count and seed into f.
 func (f *FM) Merge(other Sketch) error {
@@ -115,6 +121,9 @@ func (h *HyperLogLog) Space() int { return h.h.SpaceWords() }
 // Serialize returns ErrNotSerializable: the baselines have no wire format.
 func (h *HyperLogLog) Serialize() ([]byte, error) { return nil, errNoWireFormat(h) }
 
+// Reset empties the sketch, as NewHyperLogLog builds it.
+func (h *HyperLogLog) Reset() { h.h.Reset() }
+
 // Merge unions another HLL with the same register count and seed into h.
 func (h *HyperLogLog) Merge(other Sketch) error {
 	o, ok := other.(*HyperLogLog)
@@ -150,6 +159,9 @@ func (l *LinearCounting) Space() int { return l.lc.SpaceWords() }
 
 // Serialize returns ErrNotSerializable: the baselines have no wire format.
 func (l *LinearCounting) Serialize() ([]byte, error) { return nil, errNoWireFormat(l) }
+
+// Reset empties the sketch, as NewLinearCounting builds it.
+func (l *LinearCounting) Reset() { l.lc.Reset() }
 
 // Merge unions another linear counter with the same bitmap size and seed.
 func (l *LinearCounting) Merge(other Sketch) error {

@@ -86,6 +86,10 @@ func (e *F0) Merge(other Sketch) error {
 	return e.m.Merge(o.m)
 }
 
+// Reset restores the state NewF0 builds, keeping every copy's memory
+// (see Mergeable).
+func (e *F0) Reset() { e.m.Reset() }
+
 // Partition splits the estimator into n fresh F0 sketches, copy by copy
 // (see Partitionable).
 func (e *F0) Partition(n int, shard func(p geom.Point) int) ([]Sketch, error) {
@@ -197,6 +201,10 @@ func (e *WindowF0) Merge(other Sketch) error {
 	}
 	return e.we.Merge(o.we)
 }
+
+// Reset restores the state NewWindowF0 builds, keeping every copy's
+// memory (see Mergeable).
+func (e *WindowF0) Reset() { e.we.Reset() }
 
 // Partition splits the window estimator into n fresh WindowF0 sketches,
 // copy by copy (time-based windows only; see Partitionable).

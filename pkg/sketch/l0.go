@@ -103,6 +103,10 @@ func (l *L0) Merge(other Sketch) error {
 	return l.s.MergeFrom(o.s)
 }
 
+// Reset restores the state NewL0 builds, keeping the sampler's memory
+// (see Mergeable).
+func (l *L0) Reset() { l.s.Reset() }
+
 // Partition splits the sketch into n fresh L0 sketches, routing every
 // stored group by its representative (see Partitionable).
 func (l *L0) Partition(n int, shard func(p geom.Point) int) ([]Sketch, error) {
@@ -226,6 +230,10 @@ func (w *WindowL0) Merge(other Sketch) error {
 	}
 	return w.ws.MergeFrom(o.ws)
 }
+
+// Reset restores the state NewWindowL0 builds, keeping the sampler's
+// memory (see Mergeable).
+func (w *WindowL0) Reset() { w.ws.Reset() }
 
 // Partition splits the window sketch into n fresh WindowL0 sketches,
 // routing every stored group by its representative (time-based windows

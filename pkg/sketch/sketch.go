@@ -85,10 +85,20 @@ type Sketch interface {
 // a.Merge(b), a answers queries as if it had processed both streams. Both
 // sketches must have been built with identical parameters and seed (they
 // must agree on grids and hash functions); Merge returns ErrIncompatible
-// (or a parameter-specific error) otherwise. b is not modified.
+// (or a parameter-specific error) otherwise. b is not modified, but a may
+// alias the points b stores: the samplers never write a stored point
+// again, so both stay valid while either lives.
+//
+// Reset returns a sketch to the state its constructor built, down to
+// the query RNG, while keeping the memory it has grown: a sketch reset
+// and then fed (or merged into) equals a fresh one fed the same, in its
+// Serialize bytes and its answers. internal/engine rebuilds its cached
+// snapshot this way, Reset then Merge of every shard, instead of building
+// a fresh sketch per rebuild.
 type Mergeable interface {
 	Sketch
 	Merge(other Sketch) error
+	Reset()
 }
 
 // Stamped is implemented by sliding-window sketches that accept

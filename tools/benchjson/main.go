@@ -3,7 +3,7 @@
 // performance trajectory can be tracked commit over commit (CI runs a
 // 25x pass against the committed baseline and archives the file).
 //
-//	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x  # engine, f0 engine, window, window f0, gateway, folds, marshal, query → BENCH_engine.json
+//	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x  # engine, f0 engine, window, window f0, gateway, folds, marshal, query, snapshot rebuild → BENCH_engine.json
 //	go run ./tools/benchjson -bench 'BenchmarkF0' -benchtime 10x -out f0.json
 //
 // The output records the environment (go version, GOOS/GOARCH, CPU
@@ -85,11 +85,11 @@ type Report struct {
 
 func main() {
 	var (
-		bench     = flag.String("bench", "BenchmarkEngineProcess|BenchmarkF0EngineProcess|BenchmarkWindowEngineProcess|BenchmarkWindowF0EngineProcess|BenchmarkGatewayQueryWarm|BenchmarkFederatedFold|BenchmarkWindowFold|BenchmarkSketchMarshal|BenchmarkQuery$", "benchmark selection regexp passed to go test -bench")
+		bench     = flag.String("bench", "BenchmarkEngineProcess|BenchmarkF0EngineProcess|BenchmarkWindowEngineProcess|BenchmarkWindowF0EngineProcess|BenchmarkGatewayQueryWarm|BenchmarkFederatedFold|BenchmarkWindowFold|BenchmarkSketchMarshal|BenchmarkQuery$|BenchmarkSnapshotRebuild", "benchmark selection regexp passed to go test -bench")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value (e.g. 1x, 100x, 2s)")
 		pkg       = flag.String("pkg", ".", "package pattern to benchmark")
 		out       = flag.String("out", "BENCH_engine.json", "output JSON file")
-		require   = flag.String("require", "BenchmarkEngineProcess,BenchmarkF0EngineProcess,BenchmarkWindowEngineProcess,BenchmarkWindowF0EngineProcess,BenchmarkGatewayQueryWarm,BenchmarkFederatedFold,BenchmarkWindowFold,BenchmarkSketchMarshal,BenchmarkQuery",
+		require   = flag.String("require", "BenchmarkEngineProcess,BenchmarkF0EngineProcess,BenchmarkWindowEngineProcess,BenchmarkWindowF0EngineProcess,BenchmarkGatewayQueryWarm,BenchmarkFederatedFold,BenchmarkWindowFold,BenchmarkSketchMarshal,BenchmarkQuery,BenchmarkSnapshotRebuild",
 			"comma-separated benchmark name prefixes that must appear in the results (empty disables the check; the default applies only with the default -bench)")
 		compare     = flag.String("compare", "", "previous report JSON to diff the fresh run against (ns/op and allocs/op)")
 		maxRegress  = flag.Float64("max-regress", 20, "percent ns/op slowdown vs -compare above which a benchmark is flagged")
