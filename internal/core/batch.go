@@ -128,13 +128,3 @@ func (ws *WindowSampler) ProcessStampedBatch(ps []geom.Point, stamps []int64) {
 		ws.ProcessAt(p, stamps[i])
 	}
 }
-
-// ProcessBatch feeds the batch to every copy, copy-major: each copy scans
-// the whole batch before the next copy starts, so a copy's sketch state
-// (and its duplicate cache) stays hot for the length of the batch instead
-// of being evicted k times per point.
-func (ks *KSampler) ProcessBatch(ps []geom.Point) {
-	for _, s := range ks.samplers {
-		s.ProcessBatch(ps)
-	}
-}

@@ -285,6 +285,7 @@ func TestUnmarshalCrowdedCell(t *testing.T) {
 		for i := range n {
 			s.entries = append(s.entries, &entry{rep: p, cell: adj[0], adj: adj, accepted: true, stamp: int64(i + 1), count: 1})
 		}
+		s.n = int64(n)
 		b, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

@@ -112,23 +112,6 @@ func TestGridSideOverride(t *testing.T) {
 	}
 }
 
-// TestKSamplerValidation covers constructor edge cases.
-func TestKSamplerValidation(t *testing.T) {
-	if _, err := NewKSampler(Options{Alpha: 0, Dim: 2}, 3); err == nil {
-		t.Fatal("expected error for bad options")
-	}
-	ks, err := NewKSampler(Options{Alpha: 1, Dim: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks.K() != 1 {
-		t.Fatalf("k=0 should clamp to 1, got %d", ks.K())
-	}
-	if _, err := ks.Query(); err != ErrEmptySketch {
-		t.Fatalf("empty KSampler query error = %v", err)
-	}
-}
-
 // TestSamplerSpaceReturnsAfterDrops verifies the word meter shrinks when
 // rate doublings drop entries.
 func TestSamplerSpaceReturnsAfterDrops(t *testing.T) {

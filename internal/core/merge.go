@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -28,6 +29,9 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	if !mergeCompatible(a.opts, b.opts) {
 		return nil, ErrMergeOptions
 	}
+	if err := checkCounts(a.n, b.n); err != nil {
+		return nil, err
+	}
 	out, err := NewSampler(a.opts)
 	if err != nil {
 		return nil, err
@@ -41,10 +45,10 @@ func Merge(a, b *Sampler) (*Sampler, error) {
 	out.index.reserve(len(a.entries) + len(b.entries))
 
 	// Insert shard a's entries first (their representatives win ties),
-	// then shard b's; entries are re-classified at the merged rate and
-	// groups present in both shards are coalesced.
+	// then shard b's, each in stamp order; entries are re-classified at
+	// the merged rate and groups present in both shards are coalesced.
 	addAll := func(src *Sampler, offset int64) error {
-		for _, e := range inStampOrder(src.entries) {
+		for _, e := range src.entries {
 			if err := out.mergeEntry(e, offset); err != nil {
 				return err
 			}
@@ -74,6 +78,9 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	if !mergeCompatible(s.opts, b.opts) {
 		return ErrMergeOptions
 	}
+	if err := checkCounts(s.n, b.n); err != nil {
+		return err
+	}
 	// Raise s to the common (higher) rate first; doubleR re-classifies
 	// and drops s's stored entries exactly as re-insertion would. The
 	// raise doublings replay b's history rather than adding to it, so
@@ -86,7 +93,7 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 	}
 	s.index.reserve(len(s.entries) + len(b.entries))
 	offset := s.n
-	for _, e := range inStampOrder(b.entries) {
+	for _, e := range b.entries {
 		if err := s.mergeEntry(e, offset); err != nil {
 			return err
 		}
@@ -100,10 +107,19 @@ func (s *Sampler) MergeFrom(b *Sampler) error {
 }
 
 // byStamp orders entries by their representatives' arrival stamps, for
-// the merges, Split and the l0s2 encoder. Entries with tied stamps keep
-// the order they had (inStampOrder sorts stably) or, for Split,
+// the window sampler's Split and merge. Entries with tied stamps take
 // pdqsort's deterministic order, which the pinned sketch digests fix.
 func byStamp(a, b *entry) int { return cmp.Compare(a.stamp, b.stamp) }
+
+// checkCounts refuses to merge a sketch of b points after one of a: the
+// merged sketch counts a+b points and stamps b's entries past a, so the
+// sum must not overflow, or stamp order would not survive the merge.
+func checkCounts(a, b int64) error {
+	if b > math.MaxInt64-a {
+		return fmt.Errorf("core: merging a sketch of %d points after one of %d overflows the point count", b, a)
+	}
+	return nil
+}
 
 // mergeCompatible reports whether two option sets describe the same
 // sketch configuration, down to the grid a copy shares with its stack

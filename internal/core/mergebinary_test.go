@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"strings"
@@ -10,36 +11,6 @@ import (
 
 	"repro/internal/geom"
 )
-
-// marshalV1 writes s in the l0s1 layout, which the decoders still read:
-// per entry a flags byte (accepted, pick follows), stamp, count, rep and
-// pick, and no levels.
-func marshalV1(s *Sampler) []byte {
-	w := binWriter{buf: []byte(samplerMagicV1)}
-	w.options(s.opts)
-	w.u64(s.r)
-	w.varint(s.n)
-	w.uvarint(uint64(s.rehash))
-	w.uvarint(uint64(s.space.Peak()))
-	w.uvarint(uint64(len(s.entries)))
-	for _, e := range s.entries {
-		var flags byte
-		if e.accepted {
-			flags |= 1
-		}
-		if len(e.pick) > 0 {
-			flags |= 2
-		}
-		w.u8(flags)
-		w.varint(e.stamp)
-		w.varint(e.count)
-		w.coords(e.rep)
-		if len(e.pick) > 0 {
-			w.coords(e.pick)
-		}
-	}
-	return w.buf
-}
 
 // foldStream returns n points of the given shape: "separated" groups
 // 10 apart with up to three near-duplicates each, or "chained" points
@@ -163,38 +134,6 @@ func TestMergeBinaryMatchesMergeFrom(t *testing.T) {
 	}
 }
 
-// TestMergeBinaryReadsL0s1 folds an l0s1 blob, which takes
-// UnmarshalSampler + MergeFrom, and requires MergeFrom's state.
-func TestMergeBinaryReadsL0s1(t *testing.T) {
-	opts := Options{Alpha: 1, Dim: 2, Seed: 4, StreamBound: 1 << 16}
-	blobs := foldBlobs(t, opts, foldStream("separated", 8000, 9), 2)
-	b, err := UnmarshalSampler(blobs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := marshalV1(b)
-	fromV1, err := UnmarshalSampler(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := samplerState(t, fromV1), samplerState(t, b); g != w {
-		t.Fatalf("l0s1 decode differs from l0s2's:\n got %.300s\nwant %.300s", g, w)
-	}
-	want, _ := UnmarshalSampler(blobs[0])
-	got, _ := UnmarshalSampler(blobs[0])
-	if err := want.MergeFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.MergeBinary(v1); err != nil {
-		t.Fatal(err)
-	}
-	mustCheck(t, fromV1, "the l0s1 decode")
-	mustCheck(t, got, "the l0s1 fold")
-	if g, w := samplerState(t, got), samplerState(t, want); g != w {
-		t.Fatalf("l0s1 fold differs from MergeFrom:\n got %.300s\nwant %.300s", g, w)
-	}
-}
-
 // wireEntry is one l0s2 entry's fields, for crafting blobs.
 type wireEntry struct {
 	own, near uint8
@@ -280,6 +219,8 @@ func TestMergeBinaryRefusesCraftedEntries(t *testing.T) {
 		{"unsampled-reject", rejected, func(e *wireEntry) { e.near = e.own }, "no cell of adj(rep) sampled"},
 		{"pick-without-reservoir", 0, func(e *wireEntry) { e.pick = true }, "pick on a sketch without RandomRepresentative"},
 		{"stamp-out-of-order", 1, func(e *wireEntry) { e.stamp = honest[0].stamp - 1 }, "follows one stamped"},
+		{"stamp-zero", 0, func(e *wireEntry) { e.stamp = 0 }, "outside [1,"},
+		{"stamp-past-processed", len(honest) - 1, func(e *wireEntry) { e.stamp = src.n + 1 }, "outside [1,"},
 	}
 	if _, err := UnmarshalSampler(craftL0s2(src, honest)); err != nil {
 		t.Fatalf("honest crafted blob refused: %v", err)
@@ -307,4 +248,62 @@ func TestMergeBinaryRefusesCraftedEntries(t *testing.T) {
 			mustCheck(t, recv, "a refused MergeBinary")
 		})
 	}
+}
+
+// TestMergeRefusesBadPointCounts: a blob that declares a negative point
+// count is refused by both decoders, and a sketch that declares so many
+// points that the merged count would overflow by MergeBinary, MergeFrom
+// and Merge; the receiver is left as it was. Merged into it, either
+// count would leave entries stamped outside [1, Processed()] or out of
+// stamp order, and the receiver's own bytes would no longer decode.
+func TestMergeRefusesBadPointCounts(t *testing.T) {
+	opts := Options{Alpha: 1, Dim: 2, Seed: 23, StreamBound: 1 << 12}
+	src, err := NewSampler(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.ProcessBatch(foldStream("separated", 300, 5))
+	src.n = math.MaxInt64 - 10
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := UnmarshalSampler(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, err := NewSampler(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv.ProcessBatch(foldStream("separated", 100, 6))
+	before, _ := recv.MarshalBinary()
+	empty, err := NewSampler(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty.n = -5
+	negative, err := empty.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSampler(negative); err == nil || !strings.Contains(err.Error(), "points processed") {
+		t.Fatalf("UnmarshalSampler error %v, want a negative point count", err)
+	}
+	if err := recv.MergeBinary(negative); err == nil || !strings.Contains(err.Error(), "points processed") {
+		t.Fatalf("MergeBinary error %v, want a negative point count", err)
+	}
+	if err := recv.MergeBinary(blob); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("MergeBinary error %v, want a point-count overflow", err)
+	}
+	if err := recv.MergeFrom(b); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("MergeFrom error %v, want a point-count overflow", err)
+	}
+	if _, err := Merge(recv, b); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("Merge error %v, want a point-count overflow", err)
+	}
+	if after, _ := recv.MarshalBinary(); !bytes.Equal(before, after) {
+		t.Fatal("a refused merge changed its receiver")
+	}
+	mustCheck(t, recv, "the refused merges")
 }

@@ -6,8 +6,6 @@
 //     usable on its own and as the per-level building block of the next.
 //   - WindowSampler is Algorithms 3–5 (the space-efficient hierarchical
 //     sliding-window sampler with Split/Merge).
-//   - KSampler draws k samples with replacement; Options.K raises the
-//     accept-set threshold for k samples without replacement (Section 2.3).
 //
 // All samplers treat two points within distance Alpha as near-duplicates of
 // the same universe element (group) and return each group with (near-)equal
@@ -112,9 +110,6 @@ type Options struct {
 	// for copies only.
 	gridSeed   uint64
 	gridShared bool
-
-	// Window configures the sliding-window samplers; ignored by Sampler.
-	// See NewFixedWindow and NewWindowSampler.
 }
 
 // Copy returns the options of one copy in a stack of independent copies

@@ -35,8 +35,8 @@ type Sampler struct {
 	ls      *hash.LevelSampler
 	src     *rand.PCG // rng's source, which Reset re-seeds
 	rng     *rand.Rand
-	r       uint64 // reciprocal of the cell sample rate, a power of two
-	entries []*entry
+	r       uint64   // reciprocal of the cell sample rate, a power of two
+	entries []*entry // in stamp order, each stamped within [1, n] (see MarshalBinary)
 	index   cellIndex
 	// acc is Sacc: the accepted entries, in entries order. Like index it
 	// points at stored entries, so it adds no sketch words.

@@ -372,37 +372,6 @@ func TestKOptionRaisesThreshold(t *testing.T) {
 	}
 }
 
-func TestKSamplerWithReplacement(t *testing.T) {
-	rng := rand.New(rand.NewPCG(10, 10))
-	pts, labels := clusters(rng, []int{3, 3, 3}, 2, 1, 40)
-	shuffleStream(rng, pts, labels)
-	ks, err := NewKSampler(Options{Alpha: 1, Dim: 2, Seed: 31}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks.K() != 8 {
-		t.Fatalf("K() = %d", ks.K())
-	}
-	for _, p := range pts {
-		ks.Process(p)
-	}
-	got, err := ks.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 8 {
-		t.Fatalf("got %d samples, want 8", len(got))
-	}
-	for _, q := range got {
-		if labelOf(q, pts, labels, 1) < 0 {
-			t.Fatalf("sample %v not in any group", q)
-		}
-	}
-	if ks.SpaceWords() <= 0 || ks.PeakSpaceWords() < ks.SpaceWords() {
-		t.Fatal("KSampler space accounting inconsistent")
-	}
-}
-
 func TestRandomRepresentativeUniformWithinGroup(t *testing.T) {
 	// One group of 8 distinct points; with RandomRepresentative every point
 	// must be returned ≈ 1/8 of the time (reservoir over the group).

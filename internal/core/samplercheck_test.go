@@ -10,23 +10,29 @@ import (
 )
 
 // checkSampler returns an error unless s is consistent, the Sampler's
-// counterpart of checkLevels: every entry is filed in the cell index,
-// under its cell, and nothing else is; acc is the accepted entries in
-// entries order; the space meter matches a recount; no entry on the free
-// list is reachable from the entries, acc, the index or lastHit, and each
-// is cleared; and no two representatives lie within α of each other,
-// which holds for every sampler built from valid input. A use-after-free
-// in the free list breaks one of these.
+// counterpart of checkLevels: the entries are in stamp order, each
+// stamped within [1, Processed()]; every entry is filed in the cell
+// index, under its cell, and nothing else is; acc is the accepted entries
+// in entries order; the space meter matches a recount; no entry on the
+// free list is reachable from the entries, acc, the index or lastHit, and
+// each is cleared; and no two representatives lie within α of each
+// other, which holds for every sampler built from valid input. A
+// use-after-free in the free list breaks one of these.
 func checkSampler(s *Sampler) error {
 	rr := s.opts.RandomRepresentative
 	stored := make(map[*entry]bool, len(s.entries))
 	var acc []*entry
 	words := 0
+	prev := int64(1)
 	for _, e := range s.entries {
 		if stored[e] {
 			return fmt.Errorf("entry %v stored twice", e.rep)
 		}
 		stored[e] = true
+		if e.stamp < prev || e.stamp > s.n {
+			return fmt.Errorf("entry %v stamped %d after one stamped %d, of %d points processed", e.rep, e.stamp, prev, s.n)
+		}
+		prev = e.stamp
 		if e.accepted {
 			acc = append(acc, e)
 		}
@@ -166,6 +172,75 @@ func TestSamplerResetMatchesFresh(t *testing.T) {
 			if g, w := samplerState(t, s), samplerState(t, fresh); g != w {
 				t.Fatalf("MergeBinary into a reset sampler differs from a fresh one:\n got %.300s\nwant %.300s", g, w)
 			}
+		})
+	}
+}
+
+// TestSamplerStampOrder pins the order the encoder and the merges rely
+// on instead of sorting: after every operation that changes a sampler's
+// entries they are in stamp order, each within [1, Processed()]
+// (checkSampler), and the sampler's own bytes decode to a sampler that
+// holds it too.
+func TestSamplerStampOrder(t *testing.T) {
+	for _, rr := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rr=%v", rr), func(t *testing.T) {
+			opts := Options{Alpha: 1, Dim: 2, Seed: 61, Kappa: 2, StreamBound: 1 << 10, RandomRepresentative: rr}
+			check := func(s *Sampler, step string) {
+				t.Helper()
+				mustCheck(t, s, step)
+				blob, err := s.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := UnmarshalSampler(blob)
+				if err != nil {
+					t.Fatalf("after %s: the sampler's own bytes do not decode: %v", step, err)
+				}
+				mustCheck(t, d, step+", decoded")
+			}
+			stream := foldStream("separated", 6000, 67)
+			s, _ := NewSampler(opts)
+			for _, p := range stream[:100] {
+				s.Process(p)
+			}
+			check(s, "Process")
+			s.ProcessBatch(stream[100:3000])
+			check(s, "ProcessBatch")
+			if s.Rehashes() == 0 {
+				t.Fatal("the stream doubled no rate")
+			}
+			other, _ := NewSampler(opts)
+			other.ProcessBatch(stream[3000:])
+			m, err := Merge(s, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(m, "Merge")
+			if err := s.MergeFrom(other); err != nil {
+				t.Fatal(err)
+			}
+			check(s, "MergeFrom")
+			blob, err := other.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.MergeBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+			check(s, "MergeBinary")
+			s.ProcessBatch(stream[:200])
+			check(s, "ProcessBatch after the merges")
+			parts, err := s.Partition(3, func(p geom.Point) int { return int(p[1]/10) % 3 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range parts {
+				check(p, fmt.Sprintf("Partition %d", i))
+			}
+			s.Reset()
+			check(s, "Reset")
+			s.ProcessBatch(stream[:500])
+			check(s, "ProcessBatch after Reset")
 		})
 	}
 }

@@ -17,21 +17,22 @@ import (
 var ErrNotSerializable = errors.New("core: not serializable")
 
 // ErrRetiredFormat is wrapped by every decoder that is handed state in
-// the retired gob wire format of envelope version 1: a version-1
-// envelope, a gob payload under a current envelope, or a checkpoint
-// holding either. Such state cannot be read; the upgrade path is to
-// restore it with a build from before the retirement and checkpoint it
-// again, which writes the binary format.
-var ErrRetiredFormat = errors.New(`core: envelope version 1 (gob) sketch state is retired and cannot be read; ` +
-	`compat policy (docs/engine.md "Wire format"): re-checkpoint it with a build from before the retirement`)
+// a retired wire format: envelope version 1 (ErrRetiredGob) or the l0s1
+// sampler payload. Such state cannot be read; each refusal names the
+// format and its upgrade path (docs/engine.md "Wire format").
+var ErrRetiredFormat = errors.New("core: retired sketch wire format")
 
-// samplerMagic heads the binary wire form of a Sampler that
-// MarshalBinary writes (format 2, which carries each entry's hash
-// levels); samplerMagicV1 heads format 1, which the decoders still read.
-const (
-	samplerMagic   = "l0s2"
-	samplerMagicV1 = "l0s1"
-)
+// ErrRetiredGob wraps ErrRetiredFormat for the gob payloads of envelope
+// version 1: a version-1 envelope, a gob payload under a current
+// envelope, or a checkpoint holding either. The upgrade path is to
+// restore such state with a build from before the retirement and
+// checkpoint it again, which writes the binary format.
+var ErrRetiredGob = fmt.Errorf(`%w: envelope version 1 (gob) sketch state cannot be read; `+
+	`compat policy (docs/engine.md "Wire format"): re-checkpoint it with a build from before the retirement`, ErrRetiredFormat)
+
+// samplerMagic heads the binary wire form of a Sampler (format 2, which
+// carries each entry's hash levels).
+const samplerMagic = "l0s2"
 
 // pickFollows flags, in the head byte of an l0s2 entry, a pick written
 // after rep; the byte's low bits hold the own cell's hash level.
@@ -43,13 +44,23 @@ const maxLevel = 64
 
 // trimMagic strips a binary payload's magic. The only payloads ever
 // written without one are the gob payloads of envelope version 1, so a
-// missing magic is reported as ErrRetiredFormat.
+// missing magic is reported as ErrRetiredGob.
 func trimMagic(data []byte, magic string) ([]byte, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(magic))
 	if !ok {
-		return nil, fmt.Errorf("core: payload lacks the %q magic: %w", magic, ErrRetiredFormat)
+		return nil, fmt.Errorf("core: payload lacks the %q magic: %w", magic, ErrRetiredGob)
 	}
 	return rest, nil
+}
+
+// samplerPayload strips a Sampler payload's magic. It refuses by name
+// the retired format 1, l0s1, which carried no levels.
+func samplerPayload(data []byte) ([]byte, error) {
+	if bytes.HasPrefix(data, []byte("l0s1")) {
+		return nil, fmt.Errorf(`%w: the l0s1 sampler payload cannot be read; compat policy (docs/engine.md "Wire format"): `+
+			`restore it with a build that reads l0s1 and writes l0s2, then checkpoint it again`, ErrRetiredFormat)
+	}
+	return trimMagic(data, samplerMagic)
 }
 
 // options writes the serializable subset of Options. Space is excluded
@@ -108,9 +119,13 @@ func (r *binReader) options() Options {
 // plus the entry list reconstructs the sketch. Each entry carries the
 // hash levels it caches — its own cell's, the maximum over adj(rep) and,
 // when that is higher, the index of a cell at it (its witness) — so the
-// encoder hashes nothing, and the entries go out in stamp order. Pick is
-// written only under RandomRepresentative, and only when it is not rep;
-// count only under RandomRepresentative, the one reader of either.
+// encoder hashes nothing. The entries go out as the sampler holds them,
+// which is in stamp order, each stamped within [1, Processed()]: Process
+// stamps a new entry with the points processed so far, a merge files the
+// other sampler's entries past its own in their order, and the decoders
+// refuse any other order, so nothing sorts them. Pick is written only
+// under RandomRepresentative, and only when it is not rep; count only
+// under RandomRepresentative, the one reader of either.
 // Sketches built with a custom Space cannot be serialized: the space is
 // not part of the wire format and could not be re-derived on load.
 func (s *Sampler) MarshalBinary() ([]byte, error) {
@@ -130,9 +145,9 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 	w.uvarint(uint64(s.rehash))
 	w.uvarint(uint64(s.space.Peak()))
 	w.uvarint(uint64(len(s.entries)))
-	for _, e := range inStampOrder(s.entries) {
+	for _, e := range s.entries {
 		own, near := e.ownLevel(s.ls), e.nearLevel(s.ls)
-		pick := rr && len(e.pick) == dim && !sameCoords(e.pick, e.rep)
+		pick := rr && !sameCoords(e.pick, e.rep)
 		head := own
 		if pick {
 			head |= pickFollows
@@ -152,18 +167,6 @@ func (s *Sampler) MarshalBinary() ([]byte, error) {
 		}
 	}
 	return w.buf, nil
-}
-
-// inStampOrder returns es in stamp order: es itself when it already is,
-// as a live sampler's entries are (Process stamps each new entry past
-// the last, and a merge files the other sampler's entries past its own),
-// else a sorted copy, which only state decoded from a crafted l0s1 blob
-// needs.
-func inStampOrder(es []*entry) []*entry {
-	if slices.IsSortedFunc(es, byStamp) {
-		return es
-	}
-	return slices.SortedStableFunc(slices.Values(es), byStamp)
 }
 
 // sameCoords reports whether a and b hold bit-identical coordinates.
@@ -190,7 +193,8 @@ type samplerHeader struct {
 
 // samplerHeader reads the header and the entry count, checking the count
 // against the input with perEntry the minimum encoded size of one entry,
-// and R for being a power of two.
+// R for being a power of two and the points processed for being at
+// least 0.
 func (r *binReader) samplerHeader(perEntry int) (samplerHeader, int, error) {
 	h := samplerHeader{r: r.u64(), n: r.varint(), rehash: int(r.uvarint()), peak: int(r.uvarint())}
 	n, err := r.count(perEntry)
@@ -199,6 +203,9 @@ func (r *binReader) samplerHeader(perEntry int) (samplerHeader, int, error) {
 	}
 	if h.r == 0 || h.r&(h.r-1) != 0 {
 		return h, 0, fmt.Errorf("core: corrupt sketch: R=%d is not a power of two", h.r)
+	}
+	if h.n < 0 {
+		return h, 0, fmt.Errorf("core: corrupt sketch: %d points processed", h.n)
 	}
 	return h, n, nil
 }
@@ -245,18 +252,22 @@ func (r *binReader) l0s2Entry(e *entry, dim int, rr bool) int {
 }
 
 // checkEntry checks a read l0s2 entry against the entry before it,
-// stamped prev, and against Definition 2.2 at rate r, and classifies it:
-// entries come in stamp order, and some cell of adj(rep) must be sampled
-// at r — the own cell exactly when the entry is accepted.
-func checkEntry(e *entry, r uint64, prev int64) error {
+// stamped prev, and against its blob's header h, and classifies it:
+// entries come in stamp order, each stamped within [1, h.n] as Process
+// stamps them, and some cell of adj(rep) must be sampled at h.r — the own
+// cell exactly when the entry is accepted (Definition 2.2).
+func checkEntry(e *entry, h samplerHeader, prev int64) error {
 	if e.stamp < prev {
 		return fmt.Errorf("core: corrupt sketch: entry stamped %d follows one stamped %d", e.stamp, prev)
 	}
-	if !sampledAt(e.adjLvl-1, r) {
-		return fmt.Errorf("core: corrupt sketch: entry %v has no cell of adj(rep) sampled at R=%d (near level %d)",
-			e.rep, r, e.adjLvl-1)
+	if e.stamp < 1 || e.stamp > h.n {
+		return fmt.Errorf("core: corrupt sketch: entry stamped %d, outside [1, %d], the points processed", e.stamp, h.n)
 	}
-	e.accepted = sampledAt(e.cellLvl-1, r)
+	if !sampledAt(e.adjLvl-1, h.r) {
+		return fmt.Errorf("core: corrupt sketch: entry %v has no cell of adj(rep) sampled at R=%d (near level %d)",
+			e.rep, h.r, e.adjLvl-1)
+	}
+	e.accepted = sampledAt(e.cellLvl-1, h.r)
 	return nil
 }
 
@@ -293,18 +304,14 @@ func (s *Sampler) checkCells(e *entry, wit int) error {
 // is checked by hashing its own cell and its witness (checkCells) and
 // against Definition 2.2 at the blob's R, so a blob from different
 // options fails instead of mis-sampling; the levels it carries stay
-// cached. l0s1 payloads, which carry no levels, are re-validated by
-// hashing each entry's adjacency list. Points come from one slab sized
-// by the checked entry count, adjacency lists from one slab of their
-// total size (packAdj), entries from one of their count. The query RNG
-// is re-derived from the seed, so a restored sketch gives statistically
-// equivalent (not bit-identical) query randomness. Payloads without a
-// binary magic fail with ErrRetiredFormat.
+// cached. Points come from one slab sized by the checked entry count,
+// adjacency lists from one slab of their total size (packAdj), entries
+// from one of their count. The query RNG is re-derived from the seed, so
+// a restored sketch gives statistically equivalent (not bit-identical)
+// query randomness. Retired payloads — the l0s1 payload, or one without
+// a binary magic — fail with an error wrapping ErrRetiredFormat.
 func UnmarshalSampler(data []byte) (*Sampler, error) {
-	if rest, ok := bytes.CutPrefix(data, []byte(samplerMagicV1)); ok {
-		return unmarshalV1(rest)
-	}
-	data, err := trimMagic(data, samplerMagic)
+	data, err := samplerPayload(data)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +343,7 @@ func UnmarshalSampler(data []byte) (*Sampler, error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
 		}
-		if err := checkEntry(e, s.r, prev); err != nil {
+		if err := checkEntry(e, h, prev); err != nil {
 			return nil, err
 		}
 		prev = e.stamp
@@ -364,48 +371,6 @@ func (r *binReader) sampler() (*Sampler, error) {
 	return s, nil
 }
 
-// unmarshalV1 decodes an l0s1 payload, past its magic. Its entries carry
-// no levels, so each is re-validated by hashing its whole adjacency list
-// (entry.classify).
-func unmarshalV1(data []byte) (*Sampler, error) {
-	r := binReader{data: data}
-	s, err := r.sampler()
-	if err != nil {
-		return nil, err
-	}
-	dim := s.opts.Dim
-	h, n, err := r.samplerHeader(1 + 1 + 1 + 8*dim)
-	if err != nil {
-		return nil, err
-	}
-	s.r, s.n, s.rehash = h.r, h.n, h.rehash
-	s.entries = make([]*entry, 0, n)
-	s.acc = make([]*entry, 0, min(s.opts.acceptThreshold()+1, n))
-	s.index.reserve(n)
-	r.slab = make([]float64, 2*n*dim)    // rep and pick
-	keys := make([]grid.CellKey, 0, 4*n) // grows when lists average more than 4 cells
-	s.chunk = make([]entry, n)
-	for range n {
-		flags := r.u8()
-		e := s.newEntry()
-		*e = entry{accepted: flags&1 != 0, stamp: r.varint(), count: r.varint(), rep: r.coords(dim)}
-		if flags&2 != 0 {
-			e.pick = r.coords(dim)
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("core: decoding sketch: %w", r.err)
-		}
-		keys = decodeAdj(s.spc, e, keys)
-		if accepted := e.accepted; !e.classify(s.ls, s.r) || e.accepted != accepted {
-			return nil, fmt.Errorf("core: sketch inconsistent with options (entry %v)", e.rep)
-		}
-		s.store(e)
-	}
-	packAdj(s.entries, keys)
-	s.space.peak = max(s.space.peak, h.peak)
-	return s, nil
-}
-
 // MergeBinary merges a serialized sampler built with the same Options —
 // MarshalBinary output — into s in place. Its answers are those of
 // UnmarshalSampler followed by MergeFrom, but it builds no second
@@ -418,17 +383,9 @@ func unmarshalV1(data []byte) (*Sampler, error) {
 // MergeFrom would drop it, and its count, the one thing it could add to
 // a group it coalesces with, is read by nothing. Under
 // RandomRepresentative nothing is skipped, because that count weighs a
-// coalesced group's pick. An l0s1 payload takes UnmarshalSampler and
-// MergeFrom.
+// coalesced group's pick.
 func (s *Sampler) MergeBinary(data []byte) error {
-	if rest, ok := bytes.CutPrefix(data, []byte(samplerMagicV1)); ok {
-		b, err := unmarshalV1(rest)
-		if err != nil {
-			return err
-		}
-		return s.MergeFrom(b)
-	}
-	data, err := trimMagic(data, samplerMagic)
+	data, err := samplerPayload(data)
 	if err != nil {
 		return err
 	}
@@ -447,12 +404,15 @@ func (s *Sampler) MergeBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := checkCounts(s.n, h.n); err != nil {
+		return err
+	}
 	sc := foldScratchPool.Get().(*foldScratch)
 	defer foldScratchPool.Put(sc)
 	sc.reset(s.opts.Dim)
 	rate := max(s.r, h.r)
 	body := data[r.off:]
-	pts, err := s.checkFold(&r, n, h.r, rate, sc)
+	pts, err := s.checkFold(&r, n, h, rate, sc)
 	if err != nil {
 		return err
 	}
@@ -484,11 +444,11 @@ func folds(e *entry, rr bool, rate uint64) bool {
 }
 
 // checkFold is MergeBinary's first pass over the n entries r holds. It
-// checks each as UnmarshalSampler does against the blob's rate blobR, but
+// checks each as UnmarshalSampler does against the blob's header h, but
 // hashes only the own cell of an entry it will not file at rate, and
 // appends the adjacency lists of the others to sc. It returns how many
 // coordinates the filed entries' points hold.
-func (s *Sampler) checkFold(r *binReader, n int, blobR, rate uint64, sc *foldScratch) (int, error) {
+func (s *Sampler) checkFold(r *binReader, n int, h samplerHeader, rate uint64, sc *foldScratch) (int, error) {
 	dim, rr := s.opts.Dim, s.opts.RandomRepresentative
 	prev := int64(math.MinInt64)
 	pts := 0
@@ -499,7 +459,7 @@ func (s *Sampler) checkFold(r *binReader, n int, blobR, rate uint64, sc *foldScr
 		if r.err != nil {
 			return 0, fmt.Errorf("core: decoding sketch: %w", r.err)
 		}
-		if err := checkEntry(&e, blobR, prev); err != nil {
+		if err := checkEntry(&e, h, prev); err != nil {
 			return 0, err
 		}
 		prev = e.stamp

@@ -93,7 +93,7 @@ func (ws *WindowSampler) MarshalBinary() ([]byte, error) {
 // serialized seed, so the restored sampler ingests identically to the
 // original; query randomness is statistically equivalent rather than
 // bit-identical, matching UnmarshalSampler. Payloads without the binary
-// magic fail with ErrRetiredFormat.
+// magic fail with ErrRetiredGob.
 func UnmarshalWindowSampler(data []byte) (*WindowSampler, error) {
 	data, err := trimMagic(data, windowSamplerMagic)
 	if err != nil {

@@ -105,9 +105,9 @@ type Stats struct {
 }
 
 type batch struct {
-	pts    []geom.Point
-	stamps []int64       // non-nil on stamped batches: stamps[i] stamps pts[i]
-	ack    chan struct{} // non-nil on drain markers; closed when reached
+	pts     []geom.Point
+	stamps  []int64         // non-nil on stamped batches: stamps[i] stamps pts[i]
+	drained *sync.WaitGroup // non-nil on drain markers; Done when reached
 }
 
 type shard struct {
@@ -209,8 +209,8 @@ func (e *Engine) worker(sh *shard) {
 			sh.mu.Unlock()
 			e.putBuf(b.pts)
 		}
-		if b.ack != nil {
-			close(b.ack)
+		if b.drained != nil {
+			b.drained.Done()
 		}
 	}
 }
@@ -418,14 +418,12 @@ func (e *Engine) Drain() {
 	if e.closed.Load() {
 		return
 	}
-	acks := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		acks[i] = make(chan struct{})
-		sh.ch <- batch{ack: acks[i]}
+	var drained sync.WaitGroup
+	drained.Add(len(e.shards))
+	for _, sh := range e.shards {
+		sh.ch <- batch{drained: &drained}
 	}
-	for _, ack := range acks {
-		<-ack
-	}
+	drained.Wait()
 }
 
 // Snapshot drains the engine and returns a fresh sketch holding the union

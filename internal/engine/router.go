@@ -72,11 +72,9 @@ func NewRouterFromOptions(opts core.Options) (*GridRouter, error) {
 	return NewDefaultRouter(opts.Dim, opts.Alpha, opts.Seed), nil
 }
 
-// NewSamplerEngine builds an engine whose shards run robust ℓ0-samplers
-// (sketch.L0) with identical options — identical seeds make the shards
-// mergeable — and a default grid router derived from the same options.
-// cfg.New and cfg.Router are filled in; the other fields are honored.
-func NewSamplerEngine(opts core.Options, cfg Config) (*Engine, error) {
+// newWithDefaults builds an engine on cfg, filling a nil cfg.Router with
+// the default router for sketches with opts and a nil cfg.New with mk.
+func newWithDefaults(opts core.Options, cfg Config, mk func(int) (sketch.Sketch, error)) (*Engine, error) {
 	if cfg.Router == nil {
 		r, err := NewRouterFromOptions(opts)
 		if err != nil {
@@ -85,26 +83,24 @@ func NewSamplerEngine(opts core.Options, cfg Config) (*Engine, error) {
 		cfg.Router = r
 	}
 	if cfg.New == nil {
-		cfg.New = func(int) (sketch.Sketch, error) { return sketch.NewL0(opts) }
+		cfg.New = mk
 	}
 	return New(cfg)
+}
+
+// NewSamplerEngine builds an engine whose shards run robust ℓ0-samplers
+// (sketch.L0) with identical options — identical seeds make the shards
+// mergeable — and a default grid router derived from the same options.
+// cfg.New and cfg.Router are filled in; the other fields are honored.
+func NewSamplerEngine(opts core.Options, cfg Config) (*Engine, error) {
+	return newWithDefaults(opts, cfg, func(int) (sketch.Sketch, error) { return sketch.NewL0(opts) })
 }
 
 // NewF0Engine builds an engine whose shards run robust F0 estimators
 // (sketch.F0) with identical options, mergeable copy by copy, and a
 // default grid router derived from the same options.
 func NewF0Engine(opts core.Options, eps float64, copies int, cfg Config) (*Engine, error) {
-	if cfg.Router == nil {
-		r, err := NewRouterFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Router = r
-	}
-	if cfg.New == nil {
-		cfg.New = func(int) (sketch.Sketch, error) { return sketch.NewF0(opts, eps, copies) }
-	}
-	return New(cfg)
+	return newWithDefaults(opts, cfg, func(int) (sketch.Sketch, error) { return sketch.NewF0(opts, eps, copies) })
 }
 
 // checkWindowedSharding admits only time-based windows into the engine:
@@ -133,17 +129,7 @@ func NewWindowSamplerEngine(opts core.Options, win window.Window, cfg Config) (*
 	if err := checkWindowedSharding(win); err != nil {
 		return nil, err
 	}
-	if cfg.Router == nil {
-		r, err := NewRouterFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Router = r
-	}
-	if cfg.New == nil {
-		cfg.New = func(int) (sketch.Sketch, error) { return sketch.NewWindowL0(opts, win) }
-	}
-	return New(cfg)
+	return newWithDefaults(opts, cfg, func(int) (sketch.Sketch, error) { return sketch.NewWindowL0(opts, win) })
 }
 
 // NewWindowF0Engine builds an engine whose shards run sliding-window
@@ -155,15 +141,5 @@ func NewWindowF0Engine(opts core.Options, win window.Window, eps float64, cfg Co
 	if err := checkWindowedSharding(win); err != nil {
 		return nil, err
 	}
-	if cfg.Router == nil {
-		r, err := NewRouterFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Router = r
-	}
-	if cfg.New == nil {
-		cfg.New = func(int) (sketch.Sketch, error) { return sketch.NewWindowF0(opts, win, eps) }
-	}
-	return New(cfg)
+	return newWithDefaults(opts, cfg, func(int) (sketch.Sketch, error) { return sketch.NewWindowF0(opts, win, eps) })
 }

@@ -21,7 +21,7 @@ var ErrSeparateGrids = errors.New(`f0: the estimator's copies are on separate gr
 
 // medianMagic and windowEstimatorMagic head the binary wire forms of the
 // estimator stacks (format 1). Payloads without them fail with
-// core.ErrRetiredFormat.
+// core.ErrRetiredGob.
 const (
 	medianMagic          = "f0m1"
 	windowEstimatorMagic = "f0w1"
@@ -105,7 +105,7 @@ func (we *WindowEstimator) MarshalBinary() ([]byte, error) {
 func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
 	data, ok := bytes.CutPrefix(data, []byte(windowEstimatorMagic))
 	if !ok {
-		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", windowEstimatorMagic, core.ErrRetiredFormat)
+		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", windowEstimatorMagic, core.ErrRetiredGob)
 	}
 	blobs, err := readBlobs(data)
 	if err != nil {
@@ -135,7 +135,7 @@ func UnmarshalWindowEstimator(data []byte) (*WindowEstimator, error) {
 func UnmarshalMedian(data []byte) (*Median, error) {
 	data, ok := bytes.CutPrefix(data, []byte(medianMagic))
 	if !ok {
-		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", medianMagic, core.ErrRetiredFormat)
+		return nil, fmt.Errorf("f0: payload lacks the %q magic: %w", medianMagic, core.ErrRetiredGob)
 	}
 	if len(data) < 8 {
 		return nil, fmt.Errorf("f0: truncated median header")

@@ -6,12 +6,14 @@ package sketch
 // current envelope, must be refused with core.ErrRetiredFormat, whose
 // message names envelope version 1 and the compat policy. The
 // envelope_separate_grids fixtures hold f0 stacks whose copies each
-// derived their own grid; f0.ErrSeparateGrids refuses them. The
-// envelope_l0s1 fixtures hold the l0s1 sampler payload, which is still
-// read (TestL0s1Fixtures).
+// derived their own grid; f0.ErrSeparateGrids refuses them, but for the
+// f0 one, whose copies are l0s1. The envelope_l0s1 fixtures hold the
+// l0s1 sampler payload, which is retired too: core.ErrRetiredFormat
+// refuses it with a message that names l0s1 and the compat policy.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -41,6 +43,31 @@ func requireRetired(t *testing.T, err error) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// requireL0s1Refused fails unless err is the compat-policy refusal of
+// the l0s1 sampler payload, which names l0s1 and not envelope version 1.
+func requireL0s1Refused(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, core.ErrRetiredFormat) {
+		t.Fatalf("error = %v, want core.ErrRetiredFormat", err)
+	}
+	for _, want := range []string{"l0s1", "compat policy"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "envelope version 1") {
+		t.Fatalf("error %q names envelope version 1", err)
+	}
+}
+
+// requireSeparateGrids fails unless err is f0.ErrSeparateGrids.
+func requireSeparateGrids(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, f0.ErrSeparateGrids) || !strings.Contains(err.Error(), "separate grids") {
+		t.Fatalf("error = %v, want f0.ErrSeparateGrids", err)
 	}
 }
 
@@ -85,15 +112,18 @@ func TestDeserializeV1WindowL0Fixture(t *testing.T) {
 // TestDeserializeSeparateGridFixtures pins the refusal of f0 and
 // windowf0 state written before an estimator's copies shared one grid,
 // when every copy derived its own. The fixtures were written by that code
-// and are immutable: a current envelope whose copies sit on separate grids
-// must fail with f0.ErrSeparateGrids, which names the cause.
+// and are immutable. The windowf0 envelope must fail with
+// f0.ErrSeparateGrids, which names the cause; the f0 one, whose copies
+// are l0s1, fails at its first copy's retired payload.
+// TestDeserializeSeparateGridsF0 pins the f0 refusal on l0s2 copies.
 func TestDeserializeSeparateGridFixtures(t *testing.T) {
 	for _, tc := range []struct {
 		file string
 		kind Kind
+		want func(*testing.T, error)
 	}{
-		{"envelope_separate_grids_f0.bin", KindF0},
-		{"envelope_separate_grids_windowf0.bin", KindWindowF0},
+		{"envelope_separate_grids_f0.bin", KindF0, requireL0s1Refused},
+		{"envelope_separate_grids_windowf0.bin", KindWindowF0, requireSeparateGrids},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			blob := readFixture(t, tc.file)
@@ -101,11 +131,57 @@ func TestDeserializeSeparateGridFixtures(t *testing.T) {
 				t.Fatalf("fixture kind %v (%v), want %v — fixtures must never be regenerated", kind, err, tc.kind)
 			}
 			_, err := Deserialize(blob)
-			if !errors.Is(err, f0.ErrSeparateGrids) || !strings.Contains(err.Error(), "separate grids") {
-				t.Fatalf("error = %v, want f0.ErrSeparateGrids", err)
-			}
+			tc.want(t, err)
 		})
 	}
+}
+
+// f0Copies splits an f0 envelope into its payload's head (magic and
+// epsilon) and its copy blobs, the layout of docs/engine.md ("Wire
+// format").
+func f0Copies(t *testing.T, blob []byte) (head []byte, copies [][]byte) {
+	t.Helper()
+	rest := blob[envelopeHeaderLen+len("f0m1")+8:]
+	n, sz := binary.Uvarint(rest)
+	rest = rest[sz:]
+	for range n {
+		l, sz := binary.Uvarint(rest)
+		copies = append(copies, rest[sz:sz+int(l)])
+		rest = rest[sz+int(l):]
+	}
+	if len(rest) != 0 || len(copies) == 0 {
+		t.Fatalf("f0 envelope has %d copies and %d trailing bytes", len(copies), len(rest))
+	}
+	return blob[envelopeHeaderLen : envelopeHeaderLen+len("f0m1")+8], copies
+}
+
+// TestDeserializeSeparateGridsF0 pins f0.ErrSeparateGrids on current
+// state: an f0 envelope whose copy 1 comes from a stack on another root
+// seed, hence another grid, is refused.
+func TestDeserializeSeparateGridsF0(t *testing.T) {
+	stack := func(seed uint64) []byte {
+		opts := testOpts(300)
+		opts.Seed = seed
+		f, err := NewF0(opts, 0.5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ProcessBatch(testStream(100, 3, 41))
+		blob, err := f.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	head, copies := f0Copies(t, stack(5))
+	_, foreign := f0Copies(t, stack(6))
+	copies[1] = foreign[1]
+	payload := binary.AppendUvarint(append([]byte(nil), head...), uint64(len(copies)))
+	for _, c := range copies {
+		payload = append(binary.AppendUvarint(payload, uint64(len(c))), c...)
+	}
+	_, err := Deserialize(encodeEnvelope(KindF0, payload))
+	requireSeparateGrids(t, err)
 }
 
 // TestDeserializeFutureVersionRefused pins that only the current
@@ -127,77 +203,38 @@ func TestDeserializeFutureVersionRefused(t *testing.T) {
 	}
 }
 
-// TestL0s1Fixtures pins the compat policy for the l0s1 sampler payload,
-// which is read but no longer written: envelope_l0s1_l0.bin (an L0) and
-// envelope_l0s1_f0.bin (an F0 whose copies are l0s1) were written by the
-// last build that wrote l0s1, over testStream(300, 4, 29). Each must
-// decode to the state a current build reaches on that stream, byte for
-// byte once re-serialized, and an l0 fixture must fold into an L0 as
-// Deserialize and Merge fold it.
+// TestL0s1Fixtures pins the compat policy for the retired l0s1 sampler
+// payload: envelope_l0s1_l0.bin (an L0) and envelope_l0s1_f0.bin (an F0
+// whose copies are l0s1), written by the last build that wrote l0s1,
+// must be refused by name, and the l0 fixture must also be refused by
+// MergeSerialized into an L0 holding points, which keeps its bytes.
 func TestL0s1Fixtures(t *testing.T) {
-	pts := testStream(300, 4, 29)
-	l0, err := NewL0(testOpts(len(pts)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0, err := NewF0(testOpts(len(pts)), 0.5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		file string
-		live Sketch
-	}{
-		{"envelope_l0s1_l0.bin", l0},
-		{"envelope_l0s1_f0.bin", f0},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			blob := readFixture(t, tc.file)
+	for _, file := range []string{"envelope_l0s1_l0.bin", "envelope_l0s1_f0.bin"} {
+		t.Run(file, func(t *testing.T) {
+			blob := readFixture(t, file)
 			if !strings.Contains(string(blob), "l0s1") {
 				t.Fatal("fixture holds no l0s1 payload — fixtures must never be regenerated")
 			}
-			tc.live.ProcessBatch(pts)
-			got, err := Deserialize(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBytes, err := got.Serialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantBytes, err := tc.live.Serialize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotBytes, wantBytes) {
-				t.Fatal("the decoded fixture re-serializes differently from the same stream's sketch")
-			}
+			_, err := Deserialize(blob)
+			requireL0s1Refused(t, err)
 		})
 	}
 
-	recv := func() *L0 {
-		l, err := NewL0(testOpts(len(pts)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.ProcessBatch(testStream(100, 3, 30))
-		return l
-	}
-	want, got := recv(), recv()
-	fixture := readFixture(t, "envelope_l0s1_l0.bin")
-	sk, err := Deserialize(fixture)
+	recv, err := NewL0(testOpts(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Merge(sk); err != nil {
+	recv.ProcessBatch(testStream(100, 3, 30))
+	before, err := recv.Serialize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeSerialized(got, fixture); err != nil {
-		t.Fatal(err)
+	err = MergeSerialized(recv, readFixture(t, "envelope_l0s1_l0.bin"))
+	requireL0s1Refused(t, err)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("MergeSerialized error %v, want ErrCorrupt", err)
 	}
-	wantBytes, _ := want.Serialize()
-	gotBytes, _ := got.Serialize()
-	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatal("MergeSerialized of the l0s1 fixture differs from Deserialize + Merge")
+	if after, _ := recv.Serialize(); !bytes.Equal(after, before) {
+		t.Fatal("a refused MergeSerialized changed its receiver")
 	}
 }

@@ -3,6 +3,7 @@ package sketch
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -11,15 +12,16 @@ import (
 	"repro/internal/window"
 )
 
-// craftedL0 hand-encodes an L0 envelope in the l0s1 layout of
+// craftedL0 hand-encodes an L0 envelope in the l0s2 layout of
 // docs/engine.md ("Wire format"), bypassing Options.normalize as a
 // hostile peer would: alpha 1, the given dimension and grid side, R = 1
-// and one accepted entry per point, which every hash function agrees
-// with at R = 1.
+// and one entry per point, stamped 1, whose own and near levels are 0.
+// Every refusal these envelopes pin comes before a cell is hashed, so
+// the levels need not match the cells.
 func craftedL0(dim uint64, side float64, pts ...[]float64) []byte {
 	f64 := func(b []byte, v float64) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
 	b := append(append([]byte(nil), envelopeMagic[:]...), envelopeVersion, byte(KindL0))
-	b = append(b, "l0s1"...)
+	b = append(b, "l0s2"...)
 	b = f64(b, 1) // alpha
 	b = binary.AppendUvarint(b, dim)
 	b = append(b, 0x80, 0x08, 4, 1)            // stream bound 1<<10, kappa, K
@@ -31,7 +33,7 @@ func craftedL0(dim uint64, side float64, pts ...[]float64) []byte {
 	b = append(b, 0, 0)                         // rehashes, peak
 	b = binary.AppendUvarint(b, uint64(len(pts)))
 	for _, p := range pts {
-		b = append(b, 1, 2, 2) // accepted; stamp 1, count 1 (zigzag varints)
+		b = append(b, 0, 0, 2) // own level, near level; stamp 1 (a zigzag varint)
 		for _, v := range p {
 			b = f64(b, v)
 		}
@@ -181,19 +183,21 @@ func foldSeedL0(tb testing.TB, groups int, seed uint64, mut func(*core.Options))
 type l0s2Span struct{ wit, stamp int }
 
 // l0s2Spans walks the entries of an L0 envelope written on testOpts
-// (dimension 2, no RandomRepresentative, no shared grid).
-func l0s2Spans(blob []byte) []l0s2Span {
+// (dimension 2, no RandomRepresentative, no shared grid). It also
+// returns the offset of the points-processed varint.
+func l0s2Spans(blob []byte) (processed int, spans []l0s2Span) {
 	uvarint := func(off int) int { _, n := binary.Uvarint(blob[off:]); return off + n }
 	off := envelopeHeaderLen + len("l0s2") + 8 // alpha
 	for range 4 {
 		off = uvarint(off) // dim, stream bound, kappa, K
 	}
 	off += 8 + 1 + 1 + 8 + 8 // seed, hash, flags, side, R
+	processed = off
 	_, n := binary.Varint(blob[off:])
 	off = uvarint(uvarint(off + n)) // processed; rehashes, peak
 	count, n := binary.Uvarint(blob[off:])
 	off += n
-	spans := make([]l0s2Span, count)
+	spans = make([]l0s2Span, count)
 	for i := range spans {
 		own, near := blob[off]&0x7f, blob[off+1]
 		off += 2
@@ -205,7 +209,7 @@ func l0s2Spans(blob []byte) []l0s2Span {
 		_, n := binary.Varint(blob[off:])
 		off += n + 16 // stamp, rep
 	}
-	return spans
+	return processed, spans
 }
 
 // splice replaces the varint at off in blob with repl.
@@ -214,12 +218,12 @@ func splice(blob []byte, off int, repl []byte) []byte {
 	return append(append(append([]byte(nil), blob[:off]...), repl...), blob[off+n:]...)
 }
 
-// craftedL0s2 returns two l0s2 envelopes that are honest but for one
-// field: an entry naming a witness far outside adj(rep), and entries out
-// of stamp order.
+// craftedL0s2 returns l0s2 envelopes that are honest but for one field:
+// an entry naming a witness far outside adj(rep), entries out of stamp
+// order, and those of stampsOutside.
 func craftedL0s2(tb testing.TB) [][]byte {
 	blob := foldSeedL0(tb, 300, 33, nil)
-	spans := l0s2Spans(blob)
+	_, spans := l0s2Spans(blob)
 	var out [][]byte
 	for _, s := range spans {
 		if s.wit >= 0 {
@@ -231,7 +235,46 @@ func craftedL0s2(tb testing.TB) [][]byte {
 		tb.Fatal("seed stream yields no entry with a witness")
 	}
 	first, _ := binary.Varint(blob[spans[0].stamp:])
-	return append(out, splice(blob, spans[1].stamp, binary.AppendVarint(nil, first-1)))
+	out = append(out, splice(blob, spans[1].stamp, binary.AppendVarint(nil, first-1)))
+	return append(out, stampsOutside(tb)...)
+}
+
+// stampsOutside returns two l0s2 envelopes whose entries are stamped
+// outside [1, points processed]: one that declares 1 point processed, and
+// one whose first entry is stamped 0.
+func stampsOutside(tb testing.TB) [][]byte {
+	blob := foldSeedL0(tb, 300, 33, nil)
+	processed, spans := l0s2Spans(blob)
+	if len(spans) < 2 {
+		tb.Fatal("seed stream yields fewer than two entries")
+	}
+	return [][]byte{
+		splice(blob, processed, binary.AppendVarint(nil, 1)),
+		splice(blob, spans[0].stamp, binary.AppendVarint(nil, 0)),
+	}
+}
+
+// TestRefusesStampsOutsideProcessed: an l0s2 blob with an entry stamped
+// outside [1, points processed] is refused by Deserialize and by
+// MergeSerialized, which leaves its receiver's bytes as they were.
+func TestRefusesStampsOutsideProcessed(t *testing.T) {
+	recvBlob := foldSeedL0(t, 300, 31, nil)
+	for i, blob := range stampsOutside(t) {
+		if _, err := Deserialize(blob); err == nil || !strings.Contains(err.Error(), "outside [1,") {
+			t.Fatalf("blob %d: Deserialize error %v, want a stamp outside [1, points processed]", i, err)
+		}
+		recv, err := Deserialize(recvBlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = MergeSerialized(recv.(*L0), blob)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside [1,") {
+			t.Fatalf("blob %d: MergeSerialized error %v, want ErrCorrupt for a stamp outside [1, points processed]", i, err)
+		}
+		if after, _ := recv.Serialize(); !bytes.Equal(after, recvBlob) {
+			t.Fatalf("blob %d: a refused MergeSerialized changed its receiver", i)
+		}
+	}
 }
 
 // FuzzMergeSerialized folds arbitrary bytes into an L0 that already

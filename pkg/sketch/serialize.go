@@ -51,7 +51,7 @@ func (k Kind) String() string {
 // envelopeVersion is the serialization format version: payloads use the
 // length-prefixed binary formats of internal/core and internal/f0.
 // Version 1, whose payloads were gob, is retired: decodeEnvelope refuses
-// it with core.ErrRetiredFormat (see docs/engine.md "Wire format").
+// it with core.ErrRetiredGob (see docs/engine.md "Wire format").
 const envelopeVersion = 2
 
 // envelopeMagic tags serialized sketches so that foreign blobs fail fast
@@ -80,7 +80,7 @@ func decodeEnvelope(data []byte) (Kind, []byte, error) {
 	switch v := data[4]; v {
 	case envelopeVersion:
 	case 1:
-		return KindInvalid, nil, core.ErrRetiredFormat
+		return KindInvalid, nil, core.ErrRetiredGob
 	default:
 		return KindInvalid, nil, fmt.Errorf("sketch: unsupported format version %d (want %d)", v, envelopeVersion)
 	}
@@ -98,10 +98,10 @@ func KindOf(data []byte) (Kind, error) {
 // output, dispatching on the envelope's Kind. The restored sketch answers
 // queries from the checkpointed state and keeps ingesting consistently
 // (hash functions and grids are re-derived from the serialized seeds).
-// Retired version-1 state, including a gob payload under a current
-// envelope, fails with an error wrapping core.ErrRetiredFormat; a kind
-// with no decoder, such as a retired baseline kind, fails before its
-// payload is read.
+// Retired state — version-1 state, including a gob payload under a
+// current envelope, and the l0s1 sampler payload — fails with an error
+// wrapping core.ErrRetiredFormat; a kind with no decoder, such as a
+// retired baseline kind, fails before its payload is read.
 func Deserialize(data []byte) (Sketch, error) {
 	k, payload, err := decodeEnvelope(data)
 	if err != nil {
