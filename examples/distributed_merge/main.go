@@ -87,9 +87,13 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				restored, err := sketch.RestoreL0(blob)
+				sk, err := sketch.Deserialize(blob)
 				if err != nil {
 					log.Fatal(err)
+				}
+				restored, ok := sk.(*sketch.L0)
+				if !ok {
+					log.Fatalf("checkpoint decoded as %T, not *sketch.L0", sk)
 				}
 				fmt.Printf("site 3 checkpointed at %d events: %d-byte sketch, restored OK\n",
 					k, len(blob))

@@ -11,12 +11,15 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/pointio"
+	"repro/internal/server"
+	"repro/pkg/sketch"
 )
 
 // gwStats fetches the gateway's /stats.
@@ -236,10 +239,11 @@ func TestFederatedCachePartialKey(t *testing.T) {
 	}
 }
 
-// TestGatewaySketchConditionalGet covers the gateway's own export cache
-// token: /sketch serves a strong ETag, revalidates with 304 while the
-// peer-epoch vector holds still, and moves the validator when any peer
-// ingests — what lets gateways stack with end-to-end caching.
+// TestGatewaySketchConditionalGet pins the freshness contract of the
+// gateway's own export: /sketch answers a request with If-None-Match in
+// full, stamped with the installed fold's export generation and with no
+// ETag, and a peer ingest reaches it as an install that moves the
+// generation GET /watch serves — what lets gateways stack.
 func TestGatewaySketchConditionalGet(t *testing.T) {
 	pts := stream(50, 10, 41)
 	opts := core.Options{Alpha: 1, Dim: 2, Seed: 29, StreamBound: len(pts) + 16, Kappa: 128}
@@ -250,49 +254,63 @@ func TestGatewaySketchConditionalGet(t *testing.T) {
 	}
 	settle(t, ts.URL, peers)
 
-	resp := mustGet(t, ts.URL+"/sketch")
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || len(blob) == 0 {
-		t.Fatalf("sketch status %d err %v", resp.StatusCode, err)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("gateway /sketch served no ETag")
-	}
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/sketch", nil)
-	req.Header.Set("If-None-Match", etag)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified {
-		t.Fatalf("gateway revalidation status %d, want 304", resp2.StatusCode)
-	}
-	if st := gwStats(t, ts.URL); st.NotModified != 1 {
-		t.Fatalf("gateway not_modified = %d, want 1", st.NotModified)
-	}
-
-	// The ingest's push and background round install a new fold, which
-	// moves the validator; until then the old one still revalidates.
-	peers[0].eng.Process(geom.Point{9000, 9000})
-	waitFor(t, 10*time.Second, "the post-ingest fold to move the ETag", func() bool {
-		resp3, err := http.DefaultClient.Do(req)
+	// export fetches /sketch with If-None-Match: * and returns the fold's
+	// estimate and the generation stamped on it.
+	export := func() (float64, int64) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/sketch", nil)
+		req.Header.Set("If-None-Match", "*")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp3.Body)
-		resp3.Body.Close()
-		switch {
-		case resp3.StatusCode == http.StatusNotModified:
-			return false
-		case resp3.StatusCode != http.StatusOK || resp3.Header.Get("ETag") == etag:
-			t.Fatalf("post-ingest gateway sketch: status %d etag %q", resp3.StatusCode, resp3.Header.Get("ETag"))
+		blob, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(blob) == 0 {
+			t.Fatalf("gateway sketch with If-None-Match: status %d, %d bytes, err %v; want 200 with a body",
+				resp.StatusCode, len(blob), err)
 		}
-		return true
+		if etag := resp.Header.Get("ETag"); etag != "" {
+			t.Fatalf("gateway /sketch served ETag %q", etag)
+		}
+		gen, err := strconv.ParseInt(resp.Header.Get(server.EpochHeader), 10, 64)
+		if err != nil || gen < 1 {
+			t.Fatalf("gateway /sketch: bad %s %q", server.EpochHeader, resp.Header.Get(server.EpochHeader))
+		}
+		sk, err := sketch.Deserialize(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sk.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Estimate, gen
+	}
+	est, gen := export()
+	if est != 50 {
+		t.Fatalf("settled export estimate %g, want 50", est)
+	}
+	watch := mustJSON[server.WatchResponse](t, mustGet(t, ts.URL+"/watch?epoch=0&timeout=1s"), http.StatusOK)
+	if watch.Epoch != gen {
+		t.Fatalf("/watch generation %d, /sketch stamped %d", watch.Epoch, gen)
+	}
+
+	// The ingest's push and background round install a new fold, which
+	// moves the generation: /watch reports it, and the export follows.
+	peers[0].eng.Process(geom.Point{9000, 9000})
+	waitFor(t, 10*time.Second, "the post-ingest fold to reach the export", func() bool {
+		watch = mustJSON[server.WatchResponse](t,
+			mustGet(t, ts.URL+"/watch?epoch="+strconv.FormatInt(gen, 10)+"&timeout=1s"), http.StatusOK)
+		if !watch.Changed || watch.Epoch <= gen {
+			return false
+		}
+		est2, gen2 := export()
+		if gen2 < watch.Epoch {
+			t.Fatalf("export stamped generation %d after /watch reported %d", gen2, watch.Epoch)
+		}
+		gen = gen2
+		return est2 == 51
 	})
 }
 

@@ -56,8 +56,8 @@ func getQuery(t *testing.T, url string) (QueryResponse, http.Header) {
 
 // forwardProxy relays every request to upstream, preserving method,
 // query string, headers, and status — unlike a bare http.Get relay it
-// keeps ETags, epochs, and If-None-Match intact, so the gateway's cache
-// protocol works through it. hook (optional) runs after the upstream
+// keeps the epoch headers intact, so the gateway's push protocol works
+// through it. hook (optional) runs after the upstream
 // response is fully read and before it is written back: tests use it to
 // inject latency into specific paths or to fail them.
 func forwardProxy(t *testing.T, upstream string, hook func(path string) (handled bool, w func(http.ResponseWriter))) *httptest.Server {

@@ -174,9 +174,6 @@ type Config struct {
 	// next request probes it again. Defaults to 2s.
 	DownCooldown time.Duration
 
-	// MaxBodyBytes caps a single ingest body. Defaults to 64 MiB.
-	MaxBodyBytes int64
-
 	// MaxStale bounds how stale a served fold may be: when the cache is
 	// dirty (or the watchers are unhealthy) and the last good fold is
 	// older than MaxStale, the query pays a synchronous refresh instead
@@ -191,13 +188,6 @@ type Config struct {
 	// GET /watch (the watcher reconnects on expiry), and the ceiling of
 	// the gateway's own GET /watch. Defaults to 25s.
 	WatchTimeout time.Duration
-
-	// Client is the HTTP client for peer requests. Defaults to a client
-	// with a transport tuned for the fan-out: keep-alives with at least
-	// one idle connection per peer for scatter rounds plus one for the
-	// watcher, so warm rounds never re-dial (per-attempt timeouts come
-	// from RequestTimeout).
-	Client *http.Client
 
 	// Trace makes the gateway mint an X-Sketch-Trace ID for requests
 	// that arrive without one (inbound IDs are always honored and
@@ -250,25 +240,11 @@ func (c Config) withDefaults() Config {
 	if c.DownCooldown <= 0 {
 		c.DownCooldown = 2 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.MaxStale == 0 {
 		c.MaxStale = 5 * time.Second
 	}
 	if c.WatchTimeout <= 0 {
 		c.WatchTimeout = 25 * time.Second
-	}
-	if c.Client == nil {
-		// One warm connection per peer for scatter rounds plus one parked
-		// in the peer's /watch long-poll: without the headroom the
-		// stdlib's 2-per-host idle default closes and re-dials connections
-		// on every warm round once the fleet has more than a couple of
-		// peers.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = max(8, 2*len(c.Peers))
-		tr.MaxIdleConns = max(tr.MaxIdleConns, 2*len(c.Peers)+8)
-		c.Client = &http.Client{Transport: tr}
 	}
 	return c
 }
@@ -312,7 +288,7 @@ type Gateway struct {
 	merged       sketch.Mergeable // nil until the first install
 	mergedFo     fanout
 	mergedEpochs []int64             // per-peer ingest epochs of the fold; -1 = down/unknown
-	exportGen    engine.EpochCounter // bumped by every install (a new /sketch ETag); GET /watch waits on it
+	exportGen    engine.EpochCounter // bumped by every install; stamps GET /sketch, and GET /watch waits on it
 
 	// Push-propagation state (see push.go). dirtyGen counts invalidation
 	// events observed by the watchers; lastRoundGen is the dirtyGen value
@@ -348,7 +324,6 @@ type Gateway struct {
 	fedCacheMisses   *atomic.Int64
 	peerDeserializes *atomic.Int64
 	sketchMerges     *atomic.Int64
-	notModified      *atomic.Int64
 	watchPushes      *atomic.Int64
 	bgRefreshes      *atomic.Int64
 	staleServes      *atomic.Int64
@@ -375,7 +350,15 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: Config.Replicas: %w", err)
 	}
-	g := &Gateway{cfg: cfg, placement: pl, mux: http.NewServeMux(), client: cfg.Client, start: time.Now()}
+	// The peer client keeps one warm connection per peer for scatter
+	// rounds plus one parked in the peer's /watch long-poll: with the
+	// stdlib's 2-per-host idle default, warm rounds would close and
+	// re-dial connections once the fleet has more than a couple of
+	// peers. Per-attempt timeouts come from RequestTimeout.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = max(8, 2*len(cfg.Peers))
+	tr.MaxIdleConns = max(tr.MaxIdleConns, 2*len(cfg.Peers)+8)
+	g := &Gateway{cfg: cfg, placement: pl, mux: http.NewServeMux(), client: &http.Client{Transport: tr}, start: time.Now()}
 	g.peers = make([]*peer, len(cfg.Peers))
 	for i, raw := range cfg.Peers {
 		u, err := url.Parse(raw)
@@ -545,9 +528,6 @@ type StatsResponse struct {
 	// SketchMerges counts peer sketches folded into a fold receiver
 	// (sketch.MergeSerialized; zero across a warm-cache query).
 	SketchMerges int64 `json:"sketch_merges"`
-	// NotModified counts the gateway's own 304 responses to conditional
-	// GETs from its clients (e.g. a higher-tier gateway).
-	NotModified int64 `json:"not_modified"`
 	// WatchPushes counts epoch changes received from peers over /watch
 	// long-polls (each marks the federated cache dirty).
 	WatchPushes int64 `json:"watch_pushes"`
@@ -568,10 +548,10 @@ type StatsResponse struct {
 }
 
 // forwardChunkBytes caps one forwarded packed-binary sub-batch body —
-// half the peers' default 64 MiB MaxBodyBytes, so an accepted gateway
-// ingest can always be forwarded regardless of how much the text→binary
-// re-encoding expanded it.
-const forwardChunkBytes = 32 << 20
+// half the peers' server.MaxBodyBytes, so an accepted gateway ingest can
+// always be forwarded regardless of how much the text→binary re-encoding
+// expanded it.
+const forwardChunkBytes = server.MaxBodyBytes / 2
 
 // forwardBufPool recycles the packed-binary bodies of routed ingest
 // sub-batches: a gateway under ingest load would otherwise allocate one
@@ -669,12 +649,12 @@ func (g *Gateway) refresh(ctx context.Context) error {
 // counts its peer as failed and leaves the fold as it was. The round
 // owns the receiver, so the fetch and fold run without cacheMu: the lock
 // is taken to check the installed fold before folding and again to
-// install. Every install bumps the export generation behind the
-// gateway's own GET /sketch ETag and GET /watch. The error is non-nil
-// when no peer contributed, when the round is partial under PartialFail,
-// or when it is partial and a complete fold within MaxStale stays
-// (errKeptComplete) — the cache, dirtiness included, is left untouched
-// in every case.
+// install. Every install bumps the export generation, which stamps the
+// gateway's own GET /sketch and which its GET /watch serves. The error
+// is non-nil when no peer contributed, when the round is partial under
+// PartialFail, or when it is partial and a complete fold within MaxStale
+// stays (errKeptComplete) — the cache, dirtiness included, is left
+// untouched in every case.
 func (g *Gateway) scatter(ctx context.Context) error {
 	// The generation read MUST precede the network round: an invalidation
 	// that lands while the round is in flight may or may not be reflected
@@ -826,9 +806,9 @@ func (g *Gateway) markFresh(startGen int64) {
 	g.lastFresh.Store(time.Now().UnixNano())
 }
 
-// peerEpoch parses the peer's X-Sketch-Epoch response header; -1 when
-// absent or malformed (e.g. a stacked gateway, which serves no single
-// epoch).
+// peerEpoch parses the peer's X-Sketch-Epoch response header (a
+// stacked gateway sends its export generation); -1 when absent or
+// malformed.
 func peerEpoch(hdr http.Header) int64 {
 	v, err := strconv.ParseInt(hdr.Get(server.EpochHeader), 10, 64)
 	if err != nil || v < 0 {
@@ -906,21 +886,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	g.finishRequest(span, g.tel.reqQuery, slowE, t0)
 }
 
-// exportETag is the strong validator of the gateway's own /sketch
-// export: the export generation, which every install bumps, plus the
-// gateway's start time, guarding restarts. Clients revalidate the export
-// with it as they would a daemon's. Callers hold cacheMu, so the
-// generation is the installed fold's.
-func (g *Gateway) exportETag() string {
-	return fmt.Sprintf("\"gw-%x-%x\"", g.start.UnixNano(), g.exportGen.Load())
-}
-
 // handleSketch re-exports the federated merged sketch in the versioned
 // envelope, so gateways stack: a higher-tier gateway can treat this one
-// as a single peer. The response carries a strong ETag that moves with
-// every installed fold; a conditional GET that still matches answers
-// 304. A partial fold is marked with X-Sketch-Partial: true
-// (PartialDegrade) rather than served silently.
+// as a single peer. X-Sketch-Epoch carries the export generation of the
+// installed fold, which GET /watch serves too. A partial fold is marked
+// with X-Sketch-Partial: true (PartialDegrade) rather than served
+// silently.
 func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
@@ -933,22 +904,13 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 	g.cacheMu.Lock()
 	g.setPushHeadersLocked(w)
 	fo := g.mergedFo
-	etag := g.exportETag()
-	w.Header().Set("ETag", etag)
+	// cacheMu is held, so the generation is the installed fold's.
+	w.Header().Set(server.EpochHeader, strconv.FormatInt(g.exportGen.Load(), 10))
 	if fo.partial() {
 		w.Header().Set(partialHeader, "true")
 	}
 	slowE := telemetry.SlowEntry{Path: "/sketch", Status: http.StatusOK, Partial: fo.partial()}
 	g.slowContextLocked(span, &slowE)
-	if server.MatchETag(r, etag) {
-		g.notModified.Add(1)
-		g.cacheMu.Unlock()
-		w.WriteHeader(http.StatusNotModified)
-		g.revalidateServed()
-		slowE.Status = http.StatusNotModified
-		g.finishRequest(span, g.tel.reqSketch, slowE, t0)
-		return
-	}
 	blob, err := g.merged.Serialize()
 	if err != nil {
 		g.cacheMu.Unlock()
@@ -972,7 +934,7 @@ func (g *Gateway) handleSketch(w http.ResponseWriter, r *http.Request) {
 
 // handleWatch serves GET /watch over the export generation, so a
 // higher-tier gateway watches this one exactly like a daemon: the
-// long-poll answers once an installed fold has moved the /sketch ETag,
+// long-poll answers once an installed fold has moved the generation,
 // and at once for a ?epoch= ahead of the generation (a restarted gateway
 // counts from 0 again).
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -1005,7 +967,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
 	g.ingestRequests.Add(1)
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
 	tp := time.Now()
 	pts, err := pointio.ReadBatch(body, r.Header.Get("Content-Type"), g.cfg.Dim)
 	telemetry.Observe(g.tel.parse, span, "parse", time.Since(tp))
@@ -1071,8 +1033,8 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// Forward in bounded chunks: a terse text body near the
 			// gateway's cap can expand several-fold when re-encoded as
 			// packed binary, so shipping a bucket whole could exceed the
-			// peer's own MaxBodyBytes deterministically. Chunks stay well
-			// under the peers' default cap.
+			// peer's server.MaxBodyBytes deterministically. Chunks stay
+			// well under it.
 			maxPts := max(forwardChunkBytes/(8*g.cfg.Dim), 1)
 			for len(bucket) > 0 {
 				n := min(len(bucket), maxPts)

@@ -53,9 +53,9 @@ import (
 const StalenessHeader = "X-Sketch-Staleness"
 
 // EpochVectorHeader is the response header carrying the per-peer ingest
-// epochs the served fold was built from, comma-separated in peer order;
-// -1 marks a peer that was down or serves no epoch (e.g. a stacked
-// gateway).
+// epochs the served fold was built from (a stacked gateway's export
+// generation), comma-separated in peer order; -1 marks a peer that was
+// down or served no epoch.
 const EpochVectorHeader = "X-Sketch-Epoch-Vector"
 
 // watcherRetryCeiling caps the jittered reconnect backoff of a failing

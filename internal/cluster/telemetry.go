@@ -70,7 +70,6 @@ func (g *Gateway) initTelemetry() {
 	g.fedCacheMisses = st.Counter("fed_cache_misses", "Scatter rounds that folded and installed the union.")
 	g.peerDeserializes = st.Counter("peer_deserializes", "Peer sketch envelopes decoded, as a fold receiver or into one.")
 	g.sketchMerges = st.Counter("sketch_merges", "Peer sketches folded into a fold receiver.")
-	g.notModified = st.Counter("not_modified", "The gateway's own 304s served to clients.")
 	g.watchPushes = st.Counter("watch_pushes", "Epoch changes received over /watch long-polls.")
 	g.bgRefreshes = st.Counter("bg_refreshes", "Scatter rounds run by the background refresher.")
 	g.staleServes = st.Counter("stale_serves", "Queries answered from the cached fold.")

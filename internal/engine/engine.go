@@ -521,8 +521,8 @@ func (e *Engine) WithSnapshot(fn func(sketch.Sketch) error) error {
 }
 
 // WithSnapshotEpoch is WithSnapshot plus the ingest epoch the snapshot
-// was stamped with — the cache-invalidation token the HTTP tier turns
-// into ETags and X-Sketch-Epoch headers. The stamp is monotone and
+// was stamped with — the cache-invalidation token the HTTP tier stamps
+// as the X-Sketch-Epoch header. The stamp is monotone and
 // conservative: two calls observing the same epoch saw byte-identical
 // sketch state (a snapshot is only rebuilt when the epoch has moved),
 // while an ingest racing the build may yield a fresh epoch over

@@ -2,19 +2,23 @@ package pointio
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadPoints feeds arbitrary text through the parser: it must never
-// panic, and whatever parses successfully must round-trip through
-// WritePoints/ReadPoints unchanged.
+// panic, every parsed coordinate must be finite (the sketches refuse
+// anything else), and whatever parses successfully must round-trip
+// through WritePoints/ReadPoints unchanged.
 func FuzzReadPoints(f *testing.F) {
 	f.Add("1 2 3\n4 5 6\n", 3)
 	f.Add("1,2\n# comment\n\n3,4\n", 2)
 	f.Add("1e300 -2.5\n", 2)
 	f.Add("not a number\n", 2)
 	f.Add("1 2\n3\n", 2)
+	f.Add("NaN 1\n", 2)
+	f.Add("[1, 2]\n", 2)
 	f.Fuzz(func(t *testing.T, input string, dim int) {
 		if dim < 1 || dim > 32 {
 			return
@@ -26,6 +30,11 @@ func FuzzReadPoints(f *testing.F) {
 		for _, p := range pts {
 			if len(p) != dim {
 				t.Fatalf("parsed point of dimension %d, want %d", len(p), dim)
+			}
+			for _, v := range p {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("parsed non-finite coordinate %v", v)
+				}
 			}
 		}
 		var buf bytes.Buffer
@@ -41,8 +50,7 @@ func FuzzReadPoints(f *testing.F) {
 		}
 		for i := range pts {
 			for j := range pts[i] {
-				a, b := pts[i][j], back[i][j]
-				if a != b && !(a != a && b != b) { // NaN == NaN for our purposes
+				if a, b := pts[i][j], back[i][j]; a != b {
 					t.Fatalf("coordinate %d/%d changed: %v → %v", i, j, a, b)
 				}
 			}

@@ -1,6 +1,7 @@
-// Package pointio parses streams of points from text input for the CLI
-// tools: one point per line, whitespace- or comma-separated coordinates,
-// with blank lines and '#' comments skipped.
+// Package pointio parses streams of points: the CLI tools' text input
+// (one point per line, whitespace- or comma-separated coordinates or a
+// JSON array, with blank lines and '#' comments skipped) and the HTTP
+// tiers' ingest batches, text or packed binary (batch.go).
 package pointio
 
 import (
@@ -13,29 +14,12 @@ import (
 	"repro/internal/geom"
 )
 
-// ReadPoints parses all points of dimension dim from r. It fails on the
-// first malformed line (with its line number) and on empty input.
+// ReadPoints parses all points of dimension dim from r with the daemon's
+// text parser, ReadTextBatch. It fails on the first malformed line (with
+// its line number), on a non-finite coordinate and on empty input.
 func ReadPoints(r io.Reader, dim int) ([]geom.Point, error) {
-	if dim < 1 {
-		return nil, fmt.Errorf("pointio: dimension must be ≥ 1, got %d", dim)
-	}
-	var pts []geom.Point
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		p, err := ParsePoint(text, dim)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		pts = append(pts, p)
-	}
-	if err := sc.Err(); err != nil {
+	pts, err := ReadTextBatch(r, dim)
+	if err != nil {
 		return nil, err
 	}
 	if len(pts) == 0 {

@@ -35,6 +35,8 @@ func TestReadPointsErrors(t *testing.T) {
 		{"bad number", "1 x 3\n", 3},
 		{"empty input", "\n# only comments\n", 2},
 		{"bad dim", "1 2\n", 0},
+		{"NaN coordinate", "1 2\nNaN 3\n", 2},
+		{"Inf coordinate", "-Inf 1\n", 2},
 	}
 	for _, c := range cases {
 		if _, err := ReadPoints(strings.NewReader(c.in), c.dim); err == nil {

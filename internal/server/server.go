@@ -32,7 +32,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +62,6 @@ type Config struct {
 	// Empty disables the endpoint.
 	CheckpointPath string
 
-	// MaxBodyBytes caps a single ingest body. Defaults to 64 MiB.
-	MaxBodyBytes int64
-
 	// Restored records that the engine was restored from a checkpoint
 	// before the server was built; surfaced in GET /stats so operators can
 	// tell a restore from a cold start.
@@ -84,12 +80,6 @@ type Config struct {
 	// "Windowed serving").
 	Clock func() int64
 
-	// WatchTimeout bounds how long a GET /watch long-poll may block before
-	// answering with the unchanged epoch. It is the server-side ceiling: a
-	// client ?timeout= shorter than this is honored, a longer one is
-	// clamped. Defaults to 30s.
-	WatchTimeout time.Duration
-
 	// NoMetrics disables the GET /metrics Prometheus exposition endpoint
 	// and the per-stage latency histograms behind it. Inbound trace IDs
 	// are still echoed and the slow-query log still works.
@@ -105,18 +95,27 @@ type Config struct {
 	SlowQueryWriter io.Writer
 }
 
+// MaxBodyBytes caps one request body on both HTTP tiers: a daemon's
+// POST /ingest and POST /sketch, and a gateway's POST /ingest. Larger
+// bodies answer 413.
+const MaxBodyBytes = 64 << 20
+
+// watchCeiling bounds how long a GET /watch long-poll may block before
+// answering with the unchanged epoch: a client ?timeout= shorter than
+// this is honored, a longer one is clamped.
+const watchCeiling = 30 * time.Second
+
 // StampHeader is the ingest request header carrying the batch's explicit
 // timestamp on windowed daemons (decimal int64; one stamp for the whole
 // batch). The cluster gateway forwards it unchanged when routing.
 const StampHeader = "X-Sketch-Stamp"
 
 // EpochHeader is the response header stamping GET /sketch and GET /query
-// answers with the ingest epoch of the snapshot they were served from.
-// Together with the strong ETag (derived from the epoch and the server's
-// start time, so a restart never revalidates stale state) it is the
-// cache token behind conditional GETs: a client that re-sends the ETag
-// in If-None-Match gets 304 Not Modified while no ingest has landed.
-// The cluster gateway reports it per peer in X-Sketch-Epoch-Vector.
+// answers with the ingest epoch of the snapshot they were served from,
+// and GET /watch answers with the watched epoch: the one signal that
+// state moved (a gateway stamps its export generation instead). Every
+// ingest moves it, and a restart counts from 0 again. The cluster
+// gateway reports it per peer in X-Sketch-Epoch-Vector.
 const EpochHeader = "X-Sketch-Epoch"
 
 // Server is the HTTP front end. All handlers are safe for concurrent use;
@@ -144,7 +143,6 @@ type Server struct {
 	pointsIngested    *atomic.Int64
 	sketchCacheHits   *atomic.Int64
 	sketchCacheMisses *atomic.Int64
-	notModified       *atomic.Int64
 	watchRequests     *atomic.Int64
 	watchChanged      *atomic.Int64
 	watchTimeouts     *atomic.Int64
@@ -163,14 +161,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("server: Config.Dim must be ≥ 1, got %d", cfg.Dim)
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().Unix() }
-	}
-	if cfg.WatchTimeout <= 0 {
-		cfg.WatchTimeout = 30 * time.Second
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.initTelemetry()
@@ -255,9 +247,6 @@ type StatsResponse struct {
 	// SketchCacheMisses counts GET /sketch responses that had to
 	// serialize the snapshot (the epoch moved since the last export).
 	SketchCacheMisses int64 `json:"sketch_cache_misses"`
-	// NotModified counts conditional GETs (If-None-Match) answered with
-	// 304 and no body.
-	NotModified int64 `json:"not_modified"`
 	// WatchRequests counts GET /watch long-polls served.
 	WatchRequests int64 `json:"watch_requests"`
 	// WatchChanged counts /watch answers that reported a changed epoch
@@ -306,7 +295,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span := s.beginTrace(w, r)
 	s.ingestRequests.Add(1)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	tp := time.Now()
 	pts, err := pointio.ReadBatch(body, r.Header.Get("Content-Type"), s.cfg.Dim)
 	telemetry.Observe(s.tel.parse, span, "parse", time.Since(tp))
@@ -422,48 +411,6 @@ func QueryErrorStatus(err error) int {
 	}
 }
 
-// etag is the strong validator of the snapshot at the given ingest
-// epoch. The server start time is part of it so that a restarted daemon
-// (whose epoch counter restarts too) never revalidates a client's stale
-// cache entry.
-func (s *Server) etag(epoch int64) string {
-	return fmt.Sprintf("\"%x-%x\"", s.start.UnixNano(), epoch)
-}
-
-// MatchETag reports whether the request's If-None-Match header matches
-// the resource's current strong ETag — the conditional-GET test shared
-// by the daemon's and the cluster gateway's handlers.
-//
-//sketch:hotpath
-func MatchETag(r *http.Request, etag string) bool {
-	h := r.Header.Get("If-None-Match")
-	if h == "" {
-		return false
-	}
-	for _, cand := range strings.Split(h, ",") {
-		cand = strings.TrimSpace(cand)
-		if cand == "*" || cand == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// stampSnapshot sets the cache-token response headers for a snapshot
-// served at the given epoch.
-func (s *Server) stampSnapshot(w http.ResponseWriter, epoch int64) {
-	w.Header().Set(EpochHeader, strconv.FormatInt(epoch, 10))
-	w.Header().Set("ETag", s.etag(epoch))
-}
-
-// writeNotModified answers a conditional GET whose validator still
-// matches: 304, cache-token headers only, no body.
-func (s *Server) writeNotModified(w http.ResponseWriter, epoch int64) {
-	s.notModified.Add(1)
-	s.stampSnapshot(w, epoch)
-	w.WriteHeader(http.StatusNotModified)
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span := s.beginTrace(w, r)
@@ -474,9 +421,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		resp   QueryResponse
-		epoch  int64
-		notMod bool
+		resp  QueryResponse
+		epoch int64
 	)
 	ts := time.Now()
 	err = s.cfg.Engine.WithSnapshotEpoch(func(sk sketch.Sketch, ep int64) error {
@@ -484,13 +430,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// the engine's drain + merged-snapshot (re)build.
 		telemetry.Observe(s.tel.snapshot, span, "snapshot", time.Since(ts))
 		epoch = ep
-		if MatchETag(r, s.etag(ep)) {
-			// Nothing ingested since the client's last fetch: the estimate
-			// is unchanged (samples would merely re-randomize), so the
-			// cached representation is still valid.
-			notMod = true
-			return nil
-		}
 		ta := time.Now()
 		var qerr error
 		resp, qerr = AnswerQuery(sk, k)
@@ -503,12 +442,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.finishRequest(span, s.tel.reqQuery, "/query", status, epoch, t0)
 		return
 	}
-	if notMod {
-		s.writeNotModified(w, epoch)
-		s.finishRequest(span, s.tel.reqQuery, "/query", http.StatusNotModified, epoch, t0)
-		return
-	}
-	s.stampSnapshot(w, epoch)
+	w.Header().Set(EpochHeader, strconv.FormatInt(epoch, 10))
 	WriteJSON(w, http.StatusOK, resp)
 	s.finishRequest(span, s.tel.reqQuery, "/query", http.StatusOK, epoch, t0)
 }
@@ -520,7 +454,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // (1 after -restore).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	s.watchRequests.Add(1)
-	wr, err := WaitWatch(r, s.cfg.WatchTimeout, s.cfg.Engine.WaitEpoch)
+	wr, err := WaitWatch(r, watchCeiling, s.cfg.Engine.WaitEpoch)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -568,18 +502,16 @@ func WaitWatch(r *http.Request, ceiling time.Duration, wait func(context.Context
 // handleSketch exports the engine's cached merged snapshot in the
 // pkg/sketch versioned envelope — the federation hook: a cluster gateway
 // fetches these from every peer, Deserializes, and Merges. The response
-// carries the sketch family in the X-Sketch-Kind header, the snapshot's
-// ingest epoch in X-Sketch-Epoch, and a strong ETag; a conditional GET
-// whose If-None-Match still matches answers 304 with no body, and the
-// serialized envelope itself is cached per epoch, so repeated exports of
-// a quiescent engine serialize nothing. An empty engine still serializes
-// (an empty sketch merges as a no-op); a family with no wire format
-// answers 501.
+// carries the sketch family in the X-Sketch-Kind header and the
+// snapshot's ingest epoch in X-Sketch-Epoch. The serialized envelope is
+// cached per epoch, so repeated exports of a quiescent engine serialize
+// nothing. An empty engine still serializes (an empty sketch merges as a
+// no-op); a family with no wire format answers 501.
 func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span := s.beginTrace(w, r)
 	te := time.Now()
-	blob, epoch, err := s.marshaledSnapshot(r)
+	blob, epoch, err := s.marshaledSnapshot()
 	telemetry.Observe(s.tel.export, span, "export", time.Since(te))
 	switch {
 	case err == nil:
@@ -592,12 +524,7 @@ func (s *Server) handleSketch(w http.ResponseWriter, r *http.Request) {
 		s.finishRequest(span, s.tel.reqSketch, "/sketch", http.StatusInternalServerError, epoch, t0)
 		return
 	}
-	if blob == nil {
-		s.writeNotModified(w, epoch)
-		s.finishRequest(span, s.tel.reqSketch, "/sketch", http.StatusNotModified, epoch, t0)
-		return
-	}
-	s.stampSnapshot(w, epoch)
+	w.Header().Set(EpochHeader, strconv.FormatInt(epoch, 10))
 	WriteSketch(w, blob)
 	s.finishRequest(span, s.tel.reqSketch, "/sketch", http.StatusOK, epoch, t0)
 }
@@ -624,7 +551,7 @@ type AbsorbResponse struct {
 func (s *Server) handleAbsorb(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span := s.beginTrace(w, r)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	blob, err := io.ReadAll(body)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -661,17 +588,13 @@ func (s *Server) handleAbsorb(w http.ResponseWriter, r *http.Request) {
 
 // marshaledSnapshot returns the serialized merged snapshot and its
 // epoch, re-serializing only when the epoch has moved since the last
-// export. A nil blob with a nil error means the request's If-None-Match
-// already matches the current epoch — answer 304. The cached blob is
-// shared between responses; it is never mutated after being built.
-func (s *Server) marshaledSnapshot(r *http.Request) (blob []byte, epoch int64, err error) {
+// export. The cached blob is shared between responses; it is never
+// mutated after being built.
+func (s *Server) marshaledSnapshot() (blob []byte, epoch int64, err error) {
 	s.sketchMu.Lock()
 	defer s.sketchMu.Unlock()
 	err = s.cfg.Engine.WithSnapshotEpoch(func(sk sketch.Sketch, ep int64) error {
 		epoch = ep
-		if MatchETag(r, s.etag(ep)) {
-			return nil // 304: skip both the marshal and the body
-		}
 		if s.sketchValid && s.sketchEpoch == ep {
 			s.sketchCacheHits.Add(1)
 			blob = s.sketchBlob

@@ -1,10 +1,10 @@
 package server_test
 
-// Conditional-GET e2e suite: GET /sketch and GET /query stamp responses
-// with the snapshot's ingest epoch and a strong ETag, honor
-// If-None-Match with 304, and /sketch serves the serialized envelope
-// from a per-epoch cache — ingesting anything (and only that)
-// invalidates all of it.
+// Freshness e2e suite: GET /sketch and GET /query stamp responses with
+// the snapshot's ingest epoch, ignore If-None-Match (a conditional GET
+// gets the full answer, never a 304), and /sketch serves the serialized
+// envelope from a per-epoch cache — ingesting anything (and only that)
+// moves the epoch and invalidates the cache.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -55,16 +56,16 @@ func ingestPoints(t *testing.T, url string, pts []geom.Point) {
 	}
 }
 
-// condGet issues a GET with an optional If-None-Match validator and
+// condGet issues a GET with an optional If-None-Match header and
 // returns the response with the body read.
-func condGet(t *testing.T, url, etag string) (*http.Response, []byte) {
+func condGet(t *testing.T, url, inm string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -91,33 +92,43 @@ func serverStats(t *testing.T, url string) server.StatsResponse {
 	return st
 }
 
-// TestSketchConditionalGet covers the /sketch cache token end to end:
-// epoch + ETag stamping, the per-epoch marshal cache, 304 revalidation,
-// and invalidation by ingest.
+// freshGet issues a GET with If-None-Match: * and checks the contract:
+// a 200 with a body, stamped with X-Sketch-Epoch and carrying no ETag.
+// It returns the body and the epoch.
+func freshGet(t *testing.T, url string) ([]byte, int64) {
+	t.Helper()
+	resp, body := condGet(t, url, "*")
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("GET %s with If-None-Match: status %d, %d body bytes; want 200 with a body",
+			url, resp.StatusCode, len(body))
+	}
+	if etag := resp.Header.Get("ETag"); etag != "" {
+		t.Fatalf("GET %s served ETag %q", url, etag)
+	}
+	epoch, err := strconv.ParseInt(resp.Header.Get(server.EpochHeader), 10, 64)
+	if err != nil || epoch < 1 {
+		t.Fatalf("GET %s: bad %s %q", url, server.EpochHeader, resp.Header.Get(server.EpochHeader))
+	}
+	return body, epoch
+}
+
+// TestSketchConditionalGet pins /sketch's freshness contract: a request
+// with If-None-Match gets the full envelope, stamped with the ingest
+// epoch; a quiescent engine serves it from the per-epoch marshal cache,
+// and an ingest advances the epoch and re-serializes.
 func TestSketchConditionalGet(t *testing.T) {
 	_, ts := newCacheTestServer(t)
 	ingestPoints(t, ts.URL, []geom.Point{{1, 2}, {50, 50}, {1.1, 2.1}})
 
-	resp1, body1 := condGet(t, ts.URL+"/sketch", "")
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("sketch status %d", resp1.StatusCode)
-	}
-	etag := resp1.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag on /sketch")
-	}
-	epoch, err := strconv.ParseInt(resp1.Header.Get(server.EpochHeader), 10, 64)
-	if err != nil || epoch < 1 {
-		t.Fatalf("bad %s %q", server.EpochHeader, resp1.Header.Get(server.EpochHeader))
-	}
+	body1, epoch := freshGet(t, ts.URL+"/sketch")
 	if _, err := sketch.Deserialize(body1); err != nil {
 		t.Fatalf("body is not a sketch envelope: %v", err)
 	}
 
-	// Unconditional re-fetch: identical validator, served from the
+	// A quiescent re-fetch: the same epoch and bytes, served from the
 	// per-epoch marshal cache.
-	resp2, body2 := condGet(t, ts.URL+"/sketch", "")
-	if resp2.Header.Get("ETag") != etag || !bytes.Equal(body1, body2) {
+	body2, epoch2 := freshGet(t, ts.URL+"/sketch")
+	if epoch2 != epoch || !bytes.Equal(body1, body2) {
 		t.Fatal("quiescent /sketch changed its representation")
 	}
 	st := serverStats(t, ts.URL)
@@ -125,75 +136,65 @@ func TestSketchConditionalGet(t *testing.T) {
 		t.Fatalf("marshal cache hits/misses = %d/%d, want ≥1/1", st.SketchCacheHits, st.SketchCacheMisses)
 	}
 
-	// Conditional re-fetch: 304, no body, headers still stamped.
-	resp3, body3 := condGet(t, ts.URL+"/sketch", etag)
-	if resp3.StatusCode != http.StatusNotModified || len(body3) != 0 {
-		t.Fatalf("revalidation: status %d body %d bytes, want 304 empty", resp3.StatusCode, len(body3))
-	}
-	if resp3.Header.Get("ETag") != etag || resp3.Header.Get(server.EpochHeader) == "" {
-		t.Fatal("304 lost its cache-token headers")
-	}
-
-	// Ingest invalidates: the validator moves and the body is served again.
+	// An ingest advances the epoch and invalidates the marshal cache.
 	ingestPoints(t, ts.URL, []geom.Point{{200, 200}})
-	resp4, body4 := condGet(t, ts.URL+"/sketch", etag)
-	if resp4.StatusCode != http.StatusOK || len(body4) == 0 {
-		t.Fatalf("post-ingest revalidation: status %d, want 200 with body", resp4.StatusCode)
+	body3, epoch3 := freshGet(t, ts.URL+"/sketch")
+	if epoch3 <= epoch {
+		t.Fatalf("epoch did not advance: %d → %d", epoch, epoch3)
 	}
-	if resp4.Header.Get("ETag") == etag {
-		t.Fatal("ETag did not change after ingest")
+	if bytes.Equal(body3, body1) {
+		t.Fatal("post-ingest /sketch served the pre-ingest envelope")
 	}
-	epoch4, _ := strconv.ParseInt(resp4.Header.Get(server.EpochHeader), 10, 64)
-	if epoch4 <= epoch {
-		t.Fatalf("epoch did not advance: %d → %d", epoch, epoch4)
-	}
-	st = serverStats(t, ts.URL)
-	if st.NotModified != 1 {
-		t.Fatalf("not_modified = %d, want 1", st.NotModified)
+	if st = serverStats(t, ts.URL); st.SketchCacheMisses != 2 {
+		t.Fatalf("marshal cache misses = %d after an ingest, want 2", st.SketchCacheMisses)
 	}
 }
 
-// TestQueryConditionalGet covers /query: same token semantics, and ?k=
-// variants are distinct resources that share the epoch validator.
+// TestQueryConditionalGet pins /query's freshness contract: a request
+// with If-None-Match gets the full answer with a sample drawn afresh,
+// ?k= variants answer under the same epoch, and an ingest advances the
+// epoch and the estimate.
 func TestQueryConditionalGet(t *testing.T) {
 	_, ts := newCacheTestServer(t)
 	ingestPoints(t, ts.URL, []geom.Point{{1, 2}, {50, 50}, {100, 100}})
 
-	resp1, body1 := condGet(t, ts.URL+"/query", "")
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp1.StatusCode)
+	query := func(url string) (server.QueryResponse, int64) {
+		t.Helper()
+		body, epoch := freshGet(t, url)
+		var q server.QueryResponse
+		if err := json.Unmarshal(body, &q); err != nil {
+			t.Fatal(err)
+		}
+		return q, epoch
 	}
-	etag := resp1.Header.Get("ETag")
-	if etag == "" || resp1.Header.Get(server.EpochHeader) == "" {
-		t.Fatal("query response not stamped with cache tokens")
-	}
-	var q server.QueryResponse
-	if err := json.Unmarshal(body1, &q); err != nil {
-		t.Fatal(err)
-	}
-	if q.Estimate != 3 {
-		t.Fatalf("estimate %g, want 3", q.Estimate)
+	q, epoch := query(ts.URL + "/query")
+	if q.Estimate != 3 || len(q.Sample) != 2 {
+		t.Fatalf("answer %+v, want estimate 3 with a sample", q)
 	}
 
-	resp2, body2 := condGet(t, ts.URL+"/query", etag)
-	if resp2.StatusCode != http.StatusNotModified || len(body2) != 0 {
-		t.Fatalf("query revalidation: status %d, want 304", resp2.StatusCode)
+	// Repeats at the same epoch draw their samples afresh: over three
+	// groups, 50 draws that all agree would mean a replayed answer.
+	fresh := false
+	for i := 0; i < 50 && !fresh; i++ {
+		r, ep := query(ts.URL + "/query")
+		if ep != epoch || r.Estimate != q.Estimate {
+			t.Fatalf("quiescent repeat: epoch %d estimate %g, want %d and %g", ep, r.Estimate, epoch, q.Estimate)
+		}
+		fresh = !slices.Equal(r.Sample, q.Sample)
+	}
+	if !fresh {
+		t.Fatal("50 repeated queries returned the same sample")
 	}
 
-	// A multi-sample variant still answers under the same epoch.
-	resp3, _ := condGet(t, ts.URL+"/query?k=2", "")
-	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("ETag") != etag {
-		t.Fatalf("k=2 status %d etag %q, want 200 with shared validator %q",
-			resp3.StatusCode, resp3.Header.Get("ETag"), etag)
+	// A multi-sample variant answers under the same epoch.
+	if qk, ep := query(ts.URL + "/query?k=2"); ep != epoch || len(qk.Samples) != 2 {
+		t.Fatalf("k=2: epoch %d with %d samples, want %d with 2", ep, len(qk.Samples), epoch)
 	}
 
 	ingestPoints(t, ts.URL, []geom.Point{{300, 300}})
-	resp4, body4 := condGet(t, ts.URL+"/query", etag)
-	if resp4.StatusCode != http.StatusOK {
-		t.Fatalf("post-ingest query status %d", resp4.StatusCode)
-	}
-	if err := json.Unmarshal(body4, &q); err != nil {
-		t.Fatal(err)
+	q, epoch4 := query(ts.URL + "/query")
+	if epoch4 <= epoch {
+		t.Fatalf("epoch did not advance: %d → %d", epoch, epoch4)
 	}
 	if q.Estimate != 4 {
 		t.Fatalf("post-ingest estimate %g, want 4 (stale cache?)", q.Estimate)

@@ -121,7 +121,6 @@ func TestMetricsMirrorsStats(t *testing.T) {
 		"sketch_daemon_engine_enqueued_points_total":  st.Engine.Enqueued,
 		"sketch_daemon_sketch_cache_hits_total":       st.SketchCacheHits,
 		"sketch_daemon_sketch_cache_misses_total":     st.SketchCacheMisses,
-		"sketch_daemon_not_modified_total":            st.NotModified,
 		"sketch_daemon_watch_requests_total":          st.WatchRequests,
 		"sketch_daemon_watch_changed_total":           st.WatchChanged,
 		"sketch_daemon_watch_timeouts_total":          st.WatchTimeouts,

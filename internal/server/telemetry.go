@@ -50,7 +50,6 @@ func (s *Server) initTelemetry() {
 	s.pointsIngested = st.Counter("points_ingested", "Points accepted over HTTP.")
 	s.sketchCacheHits = st.Counter("sketch_cache_hits", "GET /sketch served from the cached marshal.")
 	s.sketchCacheMisses = st.Counter("sketch_cache_misses", "GET /sketch re-serializations.")
-	s.notModified = st.Counter("not_modified", "Conditional GETs answered 304.")
 	s.watchRequests = st.Counter("watch_requests", "GET /watch long-polls served.")
 	s.watchChanged = st.Counter("watch_changed", "/watch answers reporting a changed epoch.")
 	s.watchTimeouts = st.Counter("watch_timeouts", "/watch answers that timed out unchanged.")

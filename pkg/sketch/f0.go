@@ -46,28 +46,12 @@ func (e *F0) Query() (Result, error) {
 	return Result{Estimate: est}, nil
 }
 
-// RestoreF0 reconstructs a serialized F0 sketch from Serialize output.
-func RestoreF0(data []byte) (*F0, error) {
-	k, payload, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	if k != KindF0 {
-		return nil, fmt.Errorf("sketch: serialized sketch is %v, not f0", k)
-	}
-	m, err := f0.UnmarshalMedian(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &F0{m: m}, nil
-}
-
 // Space returns the live sketch words summed over copies.
 func (e *F0) Space() int { return e.m.SpaceWords() }
 
 // Serialize encodes every copy in the versioned envelope format; restore
-// with RestoreF0 or the family-agnostic Deserialize. Estimators over a
-// custom Space return ErrNotSerializable.
+// with Deserialize. Estimators over a custom Space return
+// ErrNotSerializable.
 func (e *F0) Serialize() ([]byte, error) {
 	payload, err := e.m.MarshalBinary()
 	if err != nil {
@@ -163,32 +147,14 @@ func (e *WindowF0) Query() (Result, error) {
 func (e *WindowF0) Space() int { return e.we.SpaceWords() }
 
 // Serialize encodes every window-sampler copy in the versioned envelope
-// format; restore with RestoreWindowF0 or the family-agnostic
-// Deserialize. Sequence windows and estimators over a custom Space
-// return ErrNotSerializable.
+// format; restore with Deserialize. Sequence windows and estimators over
+// a custom Space return ErrNotSerializable.
 func (e *WindowF0) Serialize() ([]byte, error) {
 	payload, err := e.we.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	return encodeEnvelope(KindWindowF0, payload), nil
-}
-
-// RestoreWindowF0 reconstructs a serialized WindowF0 sketch from
-// Serialize output.
-func RestoreWindowF0(data []byte) (*WindowF0, error) {
-	k, payload, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	if k != KindWindowF0 {
-		return nil, fmt.Errorf("sketch: serialized sketch is %v, not windowf0", k)
-	}
-	we, err := f0.UnmarshalWindowEstimator(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &WindowF0{we: we}, nil
 }
 
 // Merge unions another WindowF0 built with identical options, window, and

@@ -30,27 +30,6 @@ func NewL0(opts core.Options) (*L0, error) {
 // used directly while the wrapper is in use.
 func WrapSampler(s *core.Sampler) *L0 { return &L0{s: s} }
 
-// RestoreL0 reconstructs a serialized L0 sketch from Serialize output.
-func RestoreL0(data []byte) (*L0, error) {
-	k, payload, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	if k != KindL0 {
-		return nil, fmt.Errorf("sketch: serialized sketch is %v, not l0", k)
-	}
-	return restoreL0Payload(payload)
-}
-
-// restoreL0Payload reconstructs an L0 from its envelope payload.
-func restoreL0Payload(payload []byte) (*L0, error) {
-	s, err := core.UnmarshalSampler(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &L0{s: s}, nil
-}
-
 // Sampler exposes the underlying core.Sampler for callers needing the
 // full Algorithm 1 surface (QueryK, diagnostics).
 func (l *L0) Sampler() *core.Sampler { return l.s }
@@ -82,8 +61,8 @@ func (l *L0) QueryK(k int) ([]geom.Point, error) { return l.s.QueryK(k) }
 func (l *L0) Space() int { return l.s.SpaceWords() }
 
 // Serialize encodes the sketch in the versioned envelope format; restore
-// with RestoreL0 or the family-agnostic Deserialize. Sketches built over
-// a custom Space return ErrNotSerializable.
+// with Deserialize. Sketches built over a custom Space return
+// ErrNotSerializable.
 func (l *L0) Serialize() ([]byte, error) {
 	payload, err := l.s.MarshalBinary()
 	if err != nil {
@@ -185,37 +164,14 @@ func (w *WindowL0) Space() int { return w.ws.SpaceWords() }
 
 // Serialize encodes the window sketch — expiry stamps, level structure,
 // clock, and seed-derived randomness — in the versioned envelope format;
-// restore with RestoreWindowL0 or the family-agnostic Deserialize.
-// Sequence windows and sketches over a custom Space return
-// ErrNotSerializable.
+// restore with Deserialize. Sequence windows and sketches over a custom
+// Space return ErrNotSerializable.
 func (w *WindowL0) Serialize() ([]byte, error) {
 	payload, err := w.ws.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
 	return encodeEnvelope(KindWindowL0, payload), nil
-}
-
-// RestoreWindowL0 reconstructs a serialized WindowL0 sketch from
-// Serialize output.
-func RestoreWindowL0(data []byte) (*WindowL0, error) {
-	k, payload, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	if k != KindWindowL0 {
-		return nil, fmt.Errorf("sketch: serialized sketch is %v, not windowl0", k)
-	}
-	return restoreWindowL0Payload(payload)
-}
-
-// restoreWindowL0Payload reconstructs a WindowL0 from its envelope payload.
-func restoreWindowL0Payload(payload []byte) (*WindowL0, error) {
-	ws, err := core.UnmarshalWindowSampler(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &WindowL0{ws: ws}, nil
 }
 
 // Merge unions another WindowL0 built with identical Options and the same

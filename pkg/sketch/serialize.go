@@ -109,11 +109,11 @@ func Deserialize(data []byte) (Sketch, error) {
 	}
 	switch k {
 	case KindL0:
-		s, err := restoreL0Payload(payload)
+		s, err := core.UnmarshalSampler(payload)
 		if err != nil {
 			return nil, err
 		}
-		return s, nil
+		return &L0{s: s}, nil
 	case KindF0:
 		m, err := f0.UnmarshalMedian(payload)
 		if err != nil {
@@ -121,11 +121,11 @@ func Deserialize(data []byte) (Sketch, error) {
 		}
 		return &F0{m: m}, nil
 	case KindWindowL0:
-		w, err := restoreWindowL0Payload(payload)
+		ws, err := core.UnmarshalWindowSampler(payload)
 		if err != nil {
 			return nil, err
 		}
-		return w, nil
+		return &WindowL0{ws: ws}, nil
 	case KindWindowF0:
 		we, err := f0.UnmarshalWindowEstimator(payload)
 		if err != nil {

@@ -265,10 +265,12 @@ func TestDeserializeRejectsGarbage(t *testing.T) {
 			t.Fatalf("kind-%d envelope: error %v, want an unknown kind", k, err)
 		}
 	}
-	if _, err := RestoreF0(blob); err == nil {
-		t.Fatal("RestoreF0 accepted an L0 blob")
+	if sk, err := Deserialize(blob); err != nil {
+		t.Fatal(err)
+	} else if _, ok := sk.(*L0); !ok {
+		t.Fatalf("an L0 blob decoded as %T", sk)
 	}
-	if _, err := RestoreL0(blob[:len(blob)-4]); err == nil {
-		t.Fatal("RestoreL0 accepted a truncated payload")
+	if _, err := Deserialize(blob[:len(blob)-4]); err == nil {
+		t.Fatal("Deserialize accepted a truncated payload")
 	}
 }

@@ -82,9 +82,13 @@ func TestL0QuerySerializeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreL0(blob)
+	sk, err := Deserialize(blob)
 	if err != nil {
 		t.Fatal(err)
+	}
+	restored, ok := sk.(*L0)
+	if !ok {
+		t.Fatalf("an L0 blob decoded as %T", sk)
 	}
 	if restored.Sampler().AcceptSize() != l.Sampler().AcceptSize() {
 		t.Fatal("restore changed the accept set")
