@@ -24,10 +24,10 @@
 //
 // -replicas R makes every routing cell owned by R peers: ingest fans each
 // sub-batch to all owners, queries answer complete (partial: false) while
-// fewer than R peers are down, sub-batches missed by a down replica are
-// queued for hinted handoff and replayed on recovery, and a rejoining
-// replica is read-repaired with the merged slice of the cells it owns
-// (see docs/cluster.md "Replication & quorum reads").
+// fewer than R peers are down, and a replica that missed writes (a failed
+// or skipped forward, or an opened breaker) is read-repaired with the
+// merged slice of the cells it owns once its breaker is closed (see
+// docs/cluster.md "Replication & quorum reads").
 //
 // Endpoints (full reference in docs/cluster.md):
 //
@@ -78,11 +78,9 @@ func main() {
 		dim      = flag.Int("dim", 0, "point dimension (required) — must match the peers")
 		seed     = flag.Uint64("seed", 1, "random seed — must match the peers")
 		replicas = flag.Int("replicas", 1, "peers owning each routing cell: ingest fans to all R owners, queries stay complete while <R peers are down")
-		handoff  = flag.Int("handoff-max", 256, "with -replicas >1, max hinted-handoff sub-batches queued per down replica before overflow drops")
 		partial  = flag.String("partial", "degrade", "partial-failure policy for quorum-partial folds: degrade (answer from live peers, partial=true) or fail (502)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-attempt timeout of each peer request")
-		retries  = flag.Int("retries", 2, "extra attempts per failed peer request")
-		backoff  = flag.Duration("backoff", 50*time.Millisecond, "base delay between retry attempts (linear)")
+		retries  = flag.Int("retries", 2, "extra attempts per failed peer request (50ms apart, linear)")
 		downN    = flag.Int("down-after", 3, "consecutive failures before a peer's circuit breaker opens")
 		cooldown = flag.Duration("down-cooldown", 2*time.Second, "how long an open breaker skips a peer")
 		maxStale = flag.Duration("max-stale", 5*time.Second, "how stale a served fold may be before a query pays a synchronous refresh; negative = unbounded")
@@ -123,11 +121,9 @@ func main() {
 		Router:         router,
 		Dim:            *dim,
 		Replicas:       *replicas,
-		HandoffMax:     *handoff,
 		Partial:        policy,
 		RequestTimeout: *timeout,
 		Retries:        *retries,
-		RetryBackoff:   *backoff,
 		DownAfter:      *downN,
 		DownCooldown:   *cooldown,
 		MaxStale:       *maxStale,

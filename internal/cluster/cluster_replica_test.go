@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -158,17 +159,25 @@ func healthzBody(t *testing.T, base string, wantCode int) string {
 	return string(blob)
 }
 
-// flakyPeer fronts a test peer with a toggleable 503 proxy, so the peer
+// flaky is a toggleable 503 proxy in front of a test peer, so the peer
 // can go down and come back (httptest servers close permanently).
-func flakyPeer(t *testing.T, target string) (*httptest.Server, *atomic.Bool) {
+type flaky struct {
+	url    string
+	down   atomic.Bool
+	target atomic.Pointer[string] // the fronted peer; pointing it at an empty one is a restart that lost state
+}
+
+// flakyPeer starts a flaky proxy in front of target.
+func flakyPeer(t *testing.T, target string) *flaky {
 	t.Helper()
-	var down atomic.Bool
+	f := &flaky{}
+	f.target.Store(&target)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
+		if f.down.Load() {
 			http.Error(w, `{"error":"injected outage"}`, http.StatusServiceUnavailable)
 			return
 		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.String(), r.Body)
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, *f.target.Load()+r.URL.String(), r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -189,14 +198,66 @@ func flakyPeer(t *testing.T, target string) (*httptest.Server, *atomic.Bool) {
 		io.Copy(w, resp.Body)
 	}))
 	t.Cleanup(proxy.Close)
-	return proxy, &down
+	f.url = proxy.URL
+	return f
 }
 
-// TestHintedHandoffDrain: sub-batches missed by a down replica are
-// queued, ingest stays available (200), and once the peer recovers the
-// drainer replays every hint — zero drops at the default buffer — and
-// read-repairs the rejoined replica, converging it to the full stream.
-func TestHintedHandoffDrain(t *testing.T) {
+// ingestOK posts batch through the gateway as packed binary, stamped
+// when stamp > 0, and requires a 200 that ingested all of it.
+func ingestOK(t *testing.T, url string, batch []geom.Point, stamp int64) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/ingest", bytes.NewReader(pointio.AppendBinaryBatch(nil, batch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", pointio.BinaryContentType)
+	if stamp > 0 {
+		req.Header.Set(server.StampHeader, strconv.FormatInt(stamp, 10))
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir := mustJSON[server.IngestResponse](t, resp, http.StatusOK); ir.Ingested != len(batch) {
+		t.Fatalf("gateway ingested %d of %d", ir.Ingested, len(batch))
+	}
+}
+
+// waitRepaired waits until the gateway has read-repaired a replica and
+// returns its stats.
+func waitRepaired(t *testing.T, url string) StatsResponse {
+	t.Helper()
+	var st StatsResponse
+	waitFor(t, 10*time.Second, "a read repair", func() bool {
+		st = gwStats(t, url)
+		return st.ReadRepairs > 0
+	})
+	return st
+}
+
+// sameEstimate requires the replica's engine to estimate what the
+// healthy owner's does.
+func sameEstimate(t *testing.T, replica, owner *testPeer) {
+	t.Helper()
+	replica.eng.Drain()
+	got, err := replica.eng.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := owner.eng.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != want.Estimate {
+		t.Fatalf("repaired replica estimates %g, healthy owner %g", got.Estimate, want.Estimate)
+	}
+}
+
+// TestReadRepairAfterOutage: while a replica is down, ingest stays
+// available (200) and no repair lands; once it recovers, read repair
+// ships it the merged slice of the cells it owns, converging it to the
+// full stream.
+func TestReadRepairAfterOutage(t *testing.T) {
 	const groups, dup = 200, 5
 	pts := stream(groups, dup, 59)
 	opts := core.Options{
@@ -205,87 +266,36 @@ func TestHintedHandoffDrain(t *testing.T) {
 		Kappa:       64,
 	}
 	peers := newTestCluster(t, opts, 2, 2)
-	proxy, down := flakyPeer(t, peers[1].ts.URL)
+	fp := flakyPeer(t, peers[1].ts.URL)
 
-	gw, ts := newTestGateway(t, opts, peers, func(c *Config) {
-		c.Peers = []string{peers[0].ts.URL, proxy.URL}
+	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = []string{peers[0].ts.URL, fp.url}
 		c.Replicas = 2 // 2 of 2 peers: every cell is owned by both
 		c.DownAfter = 1
 		c.DownCooldown = 50 * time.Millisecond
-		c.HandoffRetry = 25 * time.Millisecond
 	})
 
 	// Warm ingest while healthy, then take the replica down.
 	half := len(pts) / 2
-	resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
-		bytes.NewReader(pointio.AppendBinaryBatch(nil, pts[:half])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustJSON[server.IngestResponse](t, resp, http.StatusOK)
-
-	down.Store(true)
+	ingestOK(t, ts.URL, pts[:half], 0)
+	fp.down.Store(true)
 	for i := half; i < len(pts); i += 100 {
-		batch := pts[i:min(i+100, len(pts))]
-		resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
-			bytes.NewReader(pointio.AppendBinaryBatch(nil, batch)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir := mustJSON[server.IngestResponse](t, resp, http.StatusOK) // quorum met: never 502
-		if ir.Ingested != len(batch) {
-			t.Fatalf("down-replica ingest accepted %d of %d", ir.Ingested, len(batch))
-		}
+		ingestOK(t, ts.URL, pts[i:min(i+100, len(pts))], 0) // quorum met: never 502
+	}
+	if st := gwStats(t, ts.URL); st.ReadRepairs != 0 {
+		t.Fatalf("down replica repaired: %+v", st)
 	}
 
-	st := mustJSON[StatsResponse](t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
-	if st.HandoffEnqueued == 0 || st.HandoffDepth == 0 {
-		t.Fatalf("no hints queued while replica down: %+v", st)
-	}
-	if body := healthzBody(t, ts.URL, http.StatusOK); !strings.Contains(body, "handoff backlog") {
-		t.Fatalf("healthz hides the handoff backlog: %q", body)
-	}
-
-	// Recovery: every hint must replay (no drops), and the rejoined
-	// replica must be read-repaired at least once.
-	down.Store(false)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st = mustJSON[StatsResponse](t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
-		if st.HandoffDepth == 0 && st.HandoffDrains > 0 && st.ReadRepairs > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handoff never drained: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if st.HandoffDrops != 0 {
-		t.Fatalf("replay dropped %d hints at the default buffer, want 0", st.HandoffDrops)
-	}
-
-	// Convergence: with every hint replayed, the flaky peer's own engine
-	// answers the full stream exactly, same as the always-up owner.
-	peers[1].eng.Drain()
-	got, err := peers[1].eng.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := peers[0].eng.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("recovered replica estimates %g, healthy owner %g", got.Estimate, want.Estimate)
-	}
-	_ = gw
+	fp.down.Store(false)
+	waitRepaired(t, ts.URL)
+	sameEstimate(t, peers[1], peers[0])
 }
 
-// TestHandoffOverflowAndReadRepair: a tiny HandoffMax drops overflow
-// hints (counted, never blocking ingest), and the rejoined replica still
-// converges — read repair ships it the merged slice of everything it
-// missed, covering exactly the gap the dropped hints left.
-func TestHandoffOverflowAndReadRepair(t *testing.T) {
+// TestReadRepairRefillsRestartedReplica: a replica whose breaker opened
+// comes back from a restart without its state, having missed the writes
+// of its outage too. Read repair alone must refill it with everything
+// it owns: the stream from before the outage and the batches it missed.
+func TestReadRepairRefillsRestartedReplica(t *testing.T) {
 	const groups, dup = 200, 5
 	pts := stream(groups, dup, 71)
 	opts := core.Options{
@@ -293,64 +303,67 @@ func TestHandoffOverflowAndReadRepair(t *testing.T) {
 		StreamBound: len(pts) + 1,
 		Kappa:       64,
 	}
-	peers := newTestCluster(t, opts, 2, 2)
-	proxy, down := flakyPeer(t, peers[1].ts.URL)
+	peers := newTestCluster(t, opts, 3, 2)
+	fp := flakyPeer(t, peers[1].ts.URL)
 
-	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
-		c.Peers = []string{peers[0].ts.URL, proxy.URL}
+	_, ts := newTestGateway(t, opts, peers[:2], func(c *Config) {
+		c.Peers = []string{peers[0].ts.URL, fp.url}
 		c.Replicas = 2
 		c.DownAfter = 1
 		c.DownCooldown = 50 * time.Millisecond
-		c.HandoffRetry = 25 * time.Millisecond
-		c.HandoffMax = 1 // overflow after a single queued sub-batch
 	})
 
-	down.Store(true)
-	for i := 0; i < len(pts); i += 100 {
-		batch := pts[i:min(i+100, len(pts))]
-		resp, err := http.Post(ts.URL+"/ingest", pointio.BinaryContentType,
-			bytes.NewReader(pointio.AppendBinaryBatch(nil, batch)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustJSON[server.IngestResponse](t, resp, http.StatusOK)
+	half := len(pts) / 2
+	ingestOK(t, ts.URL, pts[:half], 0)
+	fp.down.Store(true)
+	for i := half; i < len(pts); i += 100 {
+		ingestOK(t, ts.URL, pts[i:min(i+100, len(pts))], 0)
 	}
+	// The restart: the replica comes back as an empty daemon.
+	fp.target.Store(&peers[2].ts.URL)
+	fp.down.Store(false)
 
-	st := mustJSON[StatsResponse](t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
-	if st.HandoffDrops == 0 {
-		t.Fatalf("HandoffMax=1 recorded no overflow drops: %+v", st)
+	waitRepaired(t, ts.URL)
+	if peers[2].eng.Enqueued() != 0 {
+		t.Fatalf("the restarted replica was sent %d points by ingest, want all of its state by repair", peers[2].eng.Enqueued())
 	}
-	if st.HandoffDepth > 1 {
-		t.Fatalf("handoff depth %d exceeds HandoffMax=1", st.HandoffDepth)
-	}
+	sameEstimate(t, peers[2], peers[0])
+}
 
-	// Recovery: drain the surviving hint and wait for the read repair —
-	// it alone must close the gap the dropped hints left.
-	down.Store(false)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st = mustJSON[StatsResponse](t, mustGet(t, ts.URL+"/stats"), http.StatusOK)
-		if st.HandoffDepth == 0 && st.ReadRepairs > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("read repair never ran: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
+// TestReadRepairAfterFailedForward: one forward to a replica fails
+// while its breaker stays closed (newTestGateway's DownAfter is 1000).
+// The failed forward alone marks the replica, and with both peers up
+// read repair delivers the batch it missed.
+func TestReadRepairAfterFailedForward(t *testing.T) {
+	const groups, dup = 200, 5
+	pts := stream(groups, dup, 89)
+	opts := core.Options{
+		Alpha: 1, Dim: 2, Seed: 67,
+		StreamBound: len(pts) + 1,
+		Kappa:       64,
 	}
+	peers := newTestCluster(t, opts, 2, 2)
+	fp := flakyPeer(t, peers[1].ts.URL)
 
-	peers[1].eng.Drain()
-	got, err := peers[1].eng.Query()
-	if err != nil {
-		t.Fatal(err)
+	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = []string{peers[0].ts.URL, fp.url}
+		c.Replicas = 2
+	})
+
+	half := len(pts) / 2
+	ingestOK(t, ts.URL, pts[:half], 0)
+	fp.down.Store(true)
+	ingestOK(t, ts.URL, pts[half:], 0)
+	fp.down.Store(false)
+
+	st := waitRepaired(t, ts.URL)
+	if st.PeersUp != 2 {
+		t.Fatalf("a breaker opened: %+v", st)
 	}
-	want, err := peers[0].eng.Query()
-	if err != nil {
-		t.Fatal(err)
+	if got := peers[1].eng.Enqueued(); got != int64(half) {
+		t.Fatalf("the replica ingested %d points, want the %d before the failed forward", got, half)
 	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("repaired replica estimates %g, healthy owner %g", got.Estimate, want.Estimate)
-	}
+	sameEstimate(t, peers[1], peers[0])
 }
 
 // TestReplicatedIngestBucketsMatchPlacement pins the ingest fan-out to

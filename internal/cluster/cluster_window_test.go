@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -35,6 +36,25 @@ func newWindowedCluster(t *testing.T, opts core.Options, win window.Window, n, s
 		t.Cleanup(func() { ts.Close(); eng.Close() })
 	}
 	return peers
+}
+
+// liveGroups counts the groups a window sketch holds live.
+func liveGroups(wl *sketch.WindowL0) int {
+	total := 0
+	for _, n := range wl.WindowSampler().AcceptSizes() {
+		total += n
+	}
+	return total
+}
+
+// windowSnapshot returns a windowed peer's merged snapshot.
+func windowSnapshot(t *testing.T, p *testPeer) *sketch.WindowL0 {
+	t.Helper()
+	sk, err := p.eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk.(*sketch.WindowL0)
 }
 
 // TestWindowedClusterFederation is the acceptance round trip for windowed
@@ -141,17 +161,59 @@ func TestWindowedClusterFederation(t *testing.T) {
 	if err := fresh.Merge(restored); err != nil {
 		t.Fatal(err)
 	}
-	liveOf := func(wl *sketch.WindowL0) int {
-		total := 0
-		for _, n := range wl.WindowSampler().AcceptSizes() {
-			total += n
-		}
-		return total
-	}
-	if got, want := liveOf(fresh), liveOf(seq); got != want {
+	if got, want := liveGroups(fresh), liveGroups(seq); got != want {
 		t.Fatalf("federated window holds %d live groups, sequential %d", got, want)
 	}
 	if got, want := fresh.WindowSampler().Now(), seq.WindowSampler().Now(); got != want {
 		t.Fatalf("federated clock %d != sequential %d", got, want)
+	}
+}
+
+// TestReadRepairWindowedReplica: a time-windowed replica that is down
+// for the last stretch of a stamped stream (still inside the window at
+// the end) is repaired to the healthy owner's window: the same live
+// groups and the same clock.
+func TestReadRepairWindowedReplica(t *testing.T) {
+	const groups, steps, chunk, downFrom = 150, 12_000, 600, 7_800
+	opts := core.Options{
+		Alpha: 1, Dim: 2, Seed: 73,
+		StreamBound: steps + 1,
+		Kappa:       64,
+	}
+	win := window.Window{Kind: window.Time, W: 5000}
+	peers := newWindowedCluster(t, opts, win, 2, 2)
+	fp := flakyPeer(t, peers[1].ts.URL)
+	_, ts := newTestGateway(t, opts, peers, func(c *Config) {
+		c.Peers = []string{peers[0].ts.URL, fp.url}
+		c.Replicas = 2
+		c.DownAfter = 1
+		c.DownCooldown = 50 * time.Millisecond
+	})
+
+	for lo := 0; lo < steps; lo += chunk {
+		batch := make([]geom.Point, 0, chunk)
+		for i := lo; i < lo+chunk; i++ {
+			g := i % groups
+			if g < groups/2 && i > steps/2 {
+				g += groups / 2
+			}
+			batch = append(batch, geom.Point{float64(g%64) * 10, float64(g/64)*10 + float64(i%3)*0.1})
+		}
+		stamp := int64(lo + chunk)
+		fp.down.Store(stamp > downFrom)
+		ingestOK(t, ts.URL, batch, stamp)
+	}
+	if got := windowSnapshot(t, peers[1]).WindowSampler().Now(); got != downFrom {
+		t.Fatalf("the replica's clock reads %d before recovery, want %d", got, downFrom)
+	}
+
+	fp.down.Store(false)
+	waitRepaired(t, ts.URL)
+	got, want := windowSnapshot(t, peers[1]), windowSnapshot(t, peers[0])
+	if g, w := liveGroups(got), liveGroups(want); g != w {
+		t.Fatalf("repaired replica holds %d live groups, healthy owner %d", g, w)
+	}
+	if g, w := got.WindowSampler().Now(), want.WindowSampler().Now(); g != w {
+		t.Fatalf("repaired replica's clock reads %d, healthy owner's %d", g, w)
 	}
 }

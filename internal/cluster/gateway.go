@@ -127,25 +127,10 @@ type Config struct {
 	// replicated placement; see engine.NewPlacement). The default 1
 	// reproduces the single-owner routing bit for bit. With R > 1 routed
 	// ingest fans each sub-batch to every owner, folds stay complete
-	// (partial: false) while fewer than R peers are down, and sub-batches
-	// missed by a down replica are queued for hinted handoff. At most
-	// engine.MaxReplicas and at most len(Peers).
+	// (partial: false) while fewer than R peers are down, and a replica
+	// that missed writes is brought back in line by read repair
+	// (repair.go). At most engine.MaxReplicas and at most len(Peers).
 	Replicas int
-
-	// HandoffMax bounds each peer's hinted-handoff queue, in sub-batch
-	// bodies (each up to forwardChunkBytes). When a replica is down or a
-	// forward to it fails, the missed sub-batches are queued and replayed
-	// by a background drainer once the peer's breaker re-admits it; past
-	// the bound the newest hint is dropped and counted (handoff_drops) —
-	// ingest never blocks on a dead replica. Only used when Replicas > 1.
-	// Defaults to 256.
-	HandoffMax int
-
-	// HandoffRetry is the handoff drainer's polling cadence: how often
-	// queued hints retry their peer (admission still honors the breaker
-	// cooldown, so a dead peer is probed, not hammered). Defaults to
-	// 250ms.
-	HandoffRetry time.Duration
 
 	// Partial is the partial-failure policy for queries. Under replication
 	// it applies to quorum-partial folds only: a fold missing fewer than
@@ -157,14 +142,11 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// Retries is the number of extra attempts per peer request after the
-	// first. Only failures that might be transient retry: network errors
-	// and 502–504 responses; any other status is a deterministic answer
-	// and fails immediately. Defaults to 2; use NoRetries to disable.
+	// first, retryBackoff apart (linear). Only failures that might be
+	// transient retry: network errors and 502–504 responses; any other
+	// status is a deterministic answer and fails immediately. Defaults to
+	// 2; use NoRetries to disable.
 	Retries int
-
-	// RetryBackoff is the base delay between attempts (linear: attempt n
-	// waits n×backoff). Defaults to 50ms.
-	RetryBackoff time.Duration
 
 	// DownAfter is the number of consecutive failed requests after which a
 	// peer's circuit breaker opens. Defaults to 3.
@@ -217,12 +199,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 1
 	}
-	if c.HandoffMax <= 0 {
-		c.HandoffMax = 256
-	}
-	if c.HandoffRetry <= 0 {
-		c.HandoffRetry = 250 * time.Millisecond
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
@@ -230,9 +206,6 @@ func (c Config) withDefaults() Config {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
@@ -260,14 +233,6 @@ type Gateway struct {
 	mux       *http.ServeMux
 	client    *http.Client
 	start     time.Time
-
-	// Replication state (Replicas > 1; see handoff.go). handoff holds one
-	// bounded hint queue per peer; the drainer goroutine replays queued
-	// sub-batches when a peer's breaker re-admits it and read-repairs
-	// replicas it sees rejoin.
-	handoff      []*handoffQueue
-	handoffKick  chan struct{} // wakes the drainer early (capacity 1)
-	handoffDepth atomic.Int64  // sub-batches currently queued across peers
 
 	// The installed fold (see scatter): the merged union, its fan-out and
 	// its per-peer epochs. cacheMu guards them and hands the merged
@@ -317,9 +282,6 @@ type Gateway struct {
 	queries          *atomic.Int64
 	partialQueries   *atomic.Int64
 	replicaFanout    *atomic.Int64
-	handoffEnqueued  *atomic.Int64
-	handoffDrained   *atomic.Int64
-	handoffDropped   *atomic.Int64
 	readRepairs      *atomic.Int64
 	fedCacheMisses   *atomic.Int64
 	peerDeserializes *atomic.Int64
@@ -388,23 +350,18 @@ func New(cfg Config) (*Gateway, error) {
 		go g.watchPeer(i, p)
 	}
 	if cfg.Replicas > 1 {
-		g.handoff = make([]*handoffQueue, len(g.peers))
-		for i := range g.handoff {
-			g.handoff[i] = &handoffQueue{}
-		}
-		g.handoffKick = make(chan struct{}, 1)
 		g.watcherWG.Add(1)
-		go g.handoffDrainer()
+		go g.repairer()
 	}
 	return g, nil
 }
 
 // Close stops the background machinery: the per-peer watchers (aborting
-// their in-flight long-polls), the background refresher, and the
-// hinted-handoff drainer. The owner must call it when done with the
-// gateway. Idempotent. In-flight HTTP requests served by the gateway are
+// their in-flight long-polls), the background refresher, and the read
+// repairer. The owner must call it when done with the gateway.
+// Idempotent. In-flight HTTP requests served by the gateway are
 // unaffected, except that parked GET /watch long-polls answer at once.
-// Hints still queued when Close returns are dropped with the gateway.
+// Repair marks still set when Close returns are dropped with the gateway.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		close(g.stop)
@@ -487,21 +444,9 @@ type StatsResponse struct {
 	// owners, beyond the one primary copy per point (0 when Replicas
 	// is 1).
 	ReplicaFanout int64 `json:"replica_fanout"`
-	// HandoffDepth is the number of sub-batch bodies currently queued for
-	// hinted handoff, across all peers.
-	HandoffDepth int64 `json:"handoff_depth"`
-	// HandoffEnqueued counts sub-batches ever queued for hinted handoff
-	// because a replica was down or a forward to it failed.
-	HandoffEnqueued int64 `json:"handoff_enqueued"`
-	// HandoffDrains counts queued sub-batches successfully replayed to
-	// their recovered replica.
-	HandoffDrains int64 `json:"handoff_drains"`
-	// HandoffDrops counts sub-batches lost from the handoff queues:
-	// overflow past HandoffMax, or a replay the peer answered but
-	// rejected.
-	HandoffDrops int64 `json:"handoff_drops"`
-	// ReadRepairs counts rejoined replicas repaired by shipping them the
-	// merged slice of the cell space they own (POST /sketch).
+	// ReadRepairs counts replicas repaired by shipping them the merged
+	// slice of the cell space they own (POST /sketch): replicas that missed
+	// a forward, and replicas whose breaker opened.
 	ReadRepairs int64 `json:"read_repairs"`
 	// PartialPolicy is the configured partial-failure policy.
 	PartialPolicy Policy `json:"partial_policy"`
@@ -958,11 +903,11 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 // forwarded in parallel in the packed-binary format. Without replication
 // any peer failure fails the whole request with 502; with replication the
 // request succeeds as long as every point reached at least one live owner
-// (fewer than Replicas distinct peers failed), and the sub-batches a
-// failed replica missed are queued for hinted handoff instead. Either
-// way, sub-batches already delivered stay delivered, and retrying the
-// full batch is safe: re-ingested points are near-duplicates of
-// themselves and collapse in the sketches.
+// (fewer than Replicas distinct peers failed), and a failed replica is
+// marked for read repair instead. Either way, sub-batches already
+// delivered stay delivered, and retrying the full batch is safe:
+// re-ingested points are near-duplicates of themselves and collapse in
+// the sketches.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	span, ctx := g.beginTrace(w, r)
@@ -1003,12 +948,19 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		stampHdr = http.Header{server.StampHeader: []string{v}}
 	}
 
-	hinted := g.handoff != nil
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
 		failed []string // one entry per failed peer: each stops at its first failure
+		missed []*peer  // the failed peers, marked for read repair after wg.Wait
 	)
+	// Under mu: the forward goroutines report their failures concurrently.
+	fail := func(p *peer, msg string) {
+		mu.Lock()
+		failed = append(failed, msg)
+		missed = append(missed, p)
+		mu.Unlock()
+	}
 	tf := time.Now()
 	now := tf
 	for i, bucket := range buckets {
@@ -1017,18 +969,11 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		p := g.peers[i]
 		if !p.admit(now, g.cfg.DownCooldown) {
-			// Under mu: goroutines spawned for earlier buckets may already
-			// be appending their failures concurrently.
-			mu.Lock()
-			failed = append(failed, fmt.Sprintf("%s: down (circuit open)", p.url))
-			mu.Unlock()
-			if hinted {
-				g.hintBucket(i, bucket, stampHdr)
-			}
+			fail(p, p.url+": down (circuit open)")
 			continue
 		}
 		wg.Add(1)
-		go func(i int, p *peer, bucket []geom.Point) {
+		go func(p *peer, bucket []geom.Point) {
 			defer wg.Done()
 			// Forward in bounded chunks: a terse text body near the
 			// gateway's cap can expand several-fold when re-encoded as
@@ -1047,38 +992,34 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 					// The buffer is NOT recycled on failure: a timed-out
 					// attempt's transport goroutine may still be reading it,
 					// and recycling would hand those bytes to another request
-					// mid-write. Dropped buffers are reclaimed by GC — which
-					// also makes the failed body safe to park in the hint
-					// queue as is.
-					mu.Lock()
-					failed = append(failed, err.Error())
-					mu.Unlock()
-					if hinted {
-						g.enqueueHint(i, body, stampHdr, n)
-						g.hintBucket(i, bucket, stampHdr)
-					}
+					// mid-write. Dropped buffers are reclaimed by GC.
+					fail(p, err.Error())
 					return
 				}
 				putForwardBuf(body)
 				var ir server.IngestResponse
 				if err := json.Unmarshal(blob, &ir); err != nil || ir.Ingested != n {
-					mu.Lock()
-					failed = append(failed, fmt.Sprintf("%s: peer accepted %d of %d points (%v)",
+					fail(p, fmt.Sprintf("%s: peer accepted %d of %d points (%v)",
 						p.url, ir.Ingested, n, err))
-					mu.Unlock()
 					return
 				}
 				g.pointsRouted.Add(int64(n))
 			}
-		}(i, p, bucket)
+		}(p, bucket)
 	}
 	wg.Wait()
 	telemetry.Observe(g.tel.forward, span, "forward", time.Since(tf))
+	// Marked only now that every other owner has answered, so a repair
+	// that starts after the mark folds their copies of what was missed.
+	for _, p := range missed {
+		p.stale.Store(true)
+	}
 	// Every point went to Replicas distinct owners: as long as fewer than
 	// Replicas peers failed, each point reached at least one live owner —
-	// the ingest is durable, the missed copies sit in the handoff queues,
-	// and the request succeeds. At Replicas = 1 any failure loses that
-	// peer's slice of the batch, so the whole request fails.
+	// the ingest is durable, read repair brings the missed copies to the
+	// failed replicas, and the request succeeds. At Replicas = 1 any
+	// failure loses that peer's slice of the batch, so the whole request
+	// fails.
 	if len(failed) >= g.cfg.Replicas {
 		server.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("cluster: ingest failed on %d peer(s) — retrying the whole batch is safe (duplicates collapse): %s",
@@ -1157,8 +1098,7 @@ func (g *Gateway) quorumOK() bool {
 // observed, so peers that have never been talked to are presumed up (an
 // idle gateway with unreachable peers reports ok until requests prove
 // otherwise) — probe the peers' own /healthz for active cold-start
-// detection. A non-empty hinted-handoff backlog is surfaced on its own
-// line in every state.
+// detection.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	up := g.peersUp()
 	down := len(g.peers) - up
@@ -1175,9 +1115,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			down, len(g.peers), g.cfg.Replicas)
 	default:
 		fmt.Fprintf(w, "degraded (%d/%d peers up)\n", up, len(g.peers))
-	}
-	if d := g.handoffDepth.Load(); d > 0 {
-		fmt.Fprintf(w, "handoff backlog: %d sub-batches queued\n", d)
 	}
 	fmt.Fprintf(w, "build %s (%s)\n", version, commit)
 }

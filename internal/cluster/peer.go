@@ -33,6 +33,7 @@ type peer struct {
 	downUntil atomic.Int64 // unix nanos until which the breaker is open; 0 = closed
 	lastErr   atomic.Value // string: most recent failure, for /stats
 	watchOK   atomic.Bool  // the peer's watcher is healthy
+	stale     atomic.Bool  // marked for read repair: the peer may lack writes it owns
 }
 
 // up reports whether the peer's circuit breaker is closed — the
@@ -74,12 +75,15 @@ func (p *peer) recordSuccess() {
 }
 
 // recordFailure counts a failed request and opens the breaker for
-// cooldown once downAfter consecutive requests have failed.
+// cooldown once downAfter consecutive requests have failed. Opening it
+// marks the peer for read repair: while it is down it misses the writes
+// it owns, and it may come back from a restart without its state.
 func (p *peer) recordFailure(err error, downAfter int, cooldown time.Duration) {
 	p.failures.Add(1)
 	p.lastErr.Store(err.Error())
 	if p.consec.Add(1) >= int64(downAfter) {
 		p.downUntil.Store(time.Now().Add(cooldown).UnixNano())
+		p.stale.Store(true)
 	}
 }
 
@@ -115,6 +119,10 @@ func decodePeerError(resp *http.Response) error {
 	return &errPeerStatus{code: resp.StatusCode, msg: body.Error}
 }
 
+// retryBackoff is the base delay between attempts of one peer request
+// (linear: attempt n waits n×retryBackoff).
+const retryBackoff = 50 * time.Millisecond
+
 // do issues one request to the peer with per-attempt timeouts and bounded
 // retries (network errors and 502–504 responses retry with linear
 // backoff; other statuses are deterministic and do not). On a 2xx answer
@@ -133,7 +141,7 @@ loop:
 			case <-ctx.Done():
 				lastErr = ctx.Err()
 				break loop
-			case <-time.After(g.cfg.RetryBackoff * time.Duration(attempt)):
+			case <-time.After(retryBackoff * time.Duration(attempt)):
 			}
 		}
 		blob, hdr, retriable, err := g.attempt(ctx, p, method, path, contentType, body, extra)
@@ -152,12 +160,18 @@ loop:
 	// application-level status (4xx, 500, 501) proves the peer is alive
 	// and answering deterministically — misconfiguration must surface as
 	// the error it is, not masquerade as a peer outage in /stats.
-	var ps *errPeerStatus
-	alive := errors.As(lastErr, &ps) && !transientStatus(ps.code)
-	if ctx.Err() == nil && !alive {
+	if ctx.Err() == nil && !deterministic(lastErr) {
 		p.recordFailure(err, g.cfg.DownAfter, g.cfg.DownCooldown)
 	}
 	return nil, nil, err
+}
+
+// deterministic reports whether err carries a peer's decoded answer
+// with a status outside 502–504: the peer is alive and would answer the
+// same again.
+func deterministic(err error) bool {
+	var ps *errPeerStatus
+	return errors.As(err, &ps) && !transientStatus(ps.code)
 }
 
 // transientStatus reports whether an HTTP status from a peer indicates a

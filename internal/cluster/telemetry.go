@@ -53,12 +53,7 @@ func (g *Gateway) initTelemetry() {
 		func() float64 { return float64(g.cfg.Replicas) })
 	st.Flag("quorum_ok", "1 while every routing cell has at least one live owner.", g.quorumOK)
 	g.replicaFanout = st.Counter("replica_fanout", "Extra point copies routed to replica owners.")
-	st.Gauge("handoff_depth", "Sub-batches currently queued for hinted handoff.",
-		func() float64 { return float64(g.handoffDepth.Load()) })
-	g.handoffEnqueued = st.Counter("handoff_enqueued", "Sub-batches ever queued for hinted handoff.")
-	g.handoffDrained = st.Counter("handoff_drains", "Queued sub-batches successfully replayed.")
-	g.handoffDropped = st.Counter("handoff_drops", "Sub-batches lost to queue overflow or rejected replays.")
-	g.readRepairs = st.Counter("read_repairs", "Rejoined replicas repaired with their merged slice.")
+	g.readRepairs = st.Counter("read_repairs", "Replicas repaired with the merged slice of the cells they own.")
 	st.MetricGauge("start_time_seconds", "Unix time the gateway was built.",
 		func() float64 { return float64(g.start.UnixNano()) / 1e9 })
 	st.Gauge("uptime_seconds", "Seconds since the gateway was built.",

@@ -1,8 +1,8 @@
 package engine
 
 // Absorb: fold a foreign sketch into a live engine. This is the receiving
-// half of the cluster tier's read repair — a gateway ships a rejoining
-// replica the merged slice of cell space it missed while down, serialized
+// half of the cluster tier's read repair — a gateway ships a replica that
+// missed writes the merged slice of the cell space it owns, serialized
 // through the ordinary /sketch envelope, and the daemon folds it into its
 // running shards exactly as restoreResharded folds a checkpoint: the
 // incoming state is partitioned once through the engine's router so every

@@ -76,9 +76,6 @@ func New(dim int, side float64, seed uint64) *Grid {
 	return &Grid{side: side, dim: dim, shift: shift}
 }
 
-// Side returns the cell side length.
-func (g *Grid) Side() float64 { return g.side }
-
 // Dim returns the grid dimension.
 func (g *Grid) Dim() int { return g.dim }
 

@@ -76,9 +76,6 @@ func NewAngular(dim, bits int, maxAngle float64, seed uint64) (*Angular, error) 
 	}, nil
 }
 
-// Bits returns the signature width.
-func (a *Angular) Bits() int { return len(a.planes) }
-
 // ExpectedProbeRecall returns the probability that a worst-case
 // near-duplicate pair (at exactly MaxAngle) lands within the Hamming-≤1
 // probe: P[Binomial(bits, MaxAngle/π) ≤ 1].

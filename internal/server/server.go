@@ -257,7 +257,7 @@ type StatsResponse struct {
 	WatchTimeouts int64 `json:"watch_timeouts"`
 	// SketchAbsorbs counts POST /sketch envelopes folded into the engine
 	// — read-repair deliveries from a cluster gateway after this daemon
-	// rejoined the fleet.
+	// missed writes it owns.
 	SketchAbsorbs int64 `json:"sketch_absorbs"`
 }
 

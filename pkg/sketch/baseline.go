@@ -186,9 +186,6 @@ func NewReservoir(k int, seed uint64) *Reservoir {
 	return &Reservoir{r: baseline.NewReservoir(k, seed)}
 }
 
-// Items exposes the full reservoir contents.
-func (r *Reservoir) Items() []geom.Point { return r.r.Sample() }
-
 // Process feeds the next item.
 func (r *Reservoir) Process(p geom.Point) { r.r.Process(p) }
 

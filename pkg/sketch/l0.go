@@ -26,10 +26,6 @@ func NewL0(opts core.Options) (*L0, error) {
 	return &L0{s: s}, nil
 }
 
-// WrapSampler adapts an existing core.Sampler. The sampler must not be
-// used directly while the wrapper is in use.
-func WrapSampler(s *core.Sampler) *L0 { return &L0{s: s} }
-
 // Sampler exposes the underlying core.Sampler for callers needing the
 // full Algorithm 1 surface (QueryK, diagnostics).
 func (l *L0) Sampler() *core.Sampler { return l.s }

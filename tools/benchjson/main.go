@@ -31,7 +31,9 @@
 // and go test suffixes every name with -N when GOMAXPROCS > 1;
 // BENCH_engine.json was measured at GOMAXPROCS=1, so compare against it
 // under GOMAXPROCS=1. A run that matches no baseline row fails instead
-// of comparing nothing:
+// of comparing nothing. The baseline is read before the report is
+// written, so -out may name it: the fresh report is compared with the
+// file's old contents, then replaces them:
 //
 //	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -max-regress 20 -out /tmp/new.json
 //	GOMAXPROCS=1 go run ./tools/benchjson -benchtime 25x -compare BENCH_engine.json -fail-on-alloc-regress -out /tmp/new.json
@@ -140,41 +142,53 @@ func main() {
 		fatal(fmt.Errorf("expected benchmarks missing from the run: %s (renamed or deleted? update -require and the baseline)",
 			strings.Join(missing, ", ")))
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
+	nsRegr, allocRegr, err := writeAndCompare(report, *out, *compare, *maxRegress, *maxAllocs)
 	if err != nil {
 		fatal(err)
 	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		fatal(err)
+	if nsRegr > 0 && *failRegr {
+		fatal(fmt.Errorf("%d benchmark(s) regressed more than %g%% ns/op vs %s", nsRegr, *maxRegress, *compare))
 	}
-	fmt.Printf("benchjson: %d benchmarks → %s\n", len(results), *out)
-	if *compare != "" {
-		nsRegr, allocRegr, err := compareReports(*compare, results, *maxRegress, *maxAllocs)
-		if err != nil {
-			fatal(err)
-		}
-		if nsRegr > 0 && *failRegr {
-			fatal(fmt.Errorf("%d benchmark(s) regressed more than %g%% ns/op vs %s", nsRegr, *maxRegress, *compare))
-		}
-		if allocRegr > 0 && *failAllocRg {
-			fatal(fmt.Errorf("%d benchmark(s) regressed more than %g%% allocs/op vs %s", allocRegr, *maxAllocs, *compare))
-		}
+	if allocRegr > 0 && *failAllocRg {
+		fatal(fmt.Errorf("%d benchmark(s) regressed more than %g%% allocs/op vs %s", allocRegr, *maxAllocs, *compare))
 	}
 }
 
-// compareReports diffs the fresh results against a previous report and
-// prints one line per benchmark and tracked metric present in both,
-// flagging ns/op slowdowns beyond maxRegress percent and allocs/op
-// growth beyond maxAllocs percent with WARNING. It returns the flagged
-// counts per metric. Benchmarks present in only one of the two runs are
-// skipped (renames are caught by -require), but a run that matches no
-// baseline row at all compared nothing and is an error.
-func compareReports(path string, results []Result, maxRegress, maxAllocs float64) (nsRegressed, allocRegressed int, err error) {
-	old, err := loadReport(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("comparison baseline: %w", err)
+// writeAndCompare writes report to out and, when compare is set, diffs
+// it against the report at compare. The baseline is read before the
+// write, so out may name it: the fresh report is compared with the
+// file's old contents, then replaces them.
+func writeAndCompare(report Report, out, compare string, maxRegress, maxAllocs float64) (nsRegressed, allocRegressed int, err error) {
+	var old *Report
+	if compare != "" {
+		if old, err = loadReport(compare); err != nil {
+			return 0, 0, fmt.Errorf("comparison baseline: %w", err)
+		}
 	}
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return 0, 0, err
+	}
+	blob = append(blob, '\n')
+	if err := os.WriteFile(out, blob, 0o644); err != nil {
+		return 0, 0, err
+	}
+	fmt.Printf("benchjson: %d benchmarks → %s\n", len(report.Benchmarks), out)
+	if old == nil {
+		return 0, 0, nil
+	}
+	return compareReports(old, compare, report.Benchmarks, maxRegress, maxAllocs)
+}
+
+// compareReports diffs the fresh results against old, the report read
+// from path, and prints one line per benchmark and tracked metric
+// present in both, flagging ns/op slowdowns beyond maxRegress percent
+// and allocs/op growth beyond maxAllocs percent with WARNING. It
+// returns the flagged counts per metric. Benchmarks present in only one
+// of the two runs are skipped (renames are caught by -require), but a
+// run that matches no baseline row at all compared nothing and is an
+// error.
+func compareReports(old *Report, path string, results []Result, maxRegress, maxAllocs float64) (nsRegressed, allocRegressed int, err error) {
 	oldBy := make(map[string]Result, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
 		oldBy[r.Name] = r

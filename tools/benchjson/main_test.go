@@ -75,6 +75,16 @@ func TestMissingRequired(t *testing.T) {
 	}
 }
 
+// mustLoad reads a report written by writeReport.
+func mustLoad(t *testing.T, path string) *Report {
+	t.Helper()
+	r, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // writeReport writes a baseline report with the given benchmarks into
 // dir and returns its path.
 func writeReport(t *testing.T, dir string, benchmarks []Result) string {
@@ -101,7 +111,7 @@ func TestCompareReportsNsRegression(t *testing.T) {
 		{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": 110}}, // +10% ≤ 20%
 		{Name: "BenchmarkOnlyInFresh", Metrics: map[string]float64{"ns/op": 999}},
 	}
-	ns, allocs, err := compareReports(base, fresh, 20, 10)
+	ns, allocs, err := compareReports(mustLoad(t, base), base, fresh, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +135,7 @@ func TestCompareReportsAllocRegression(t *testing.T) {
 		{Name: "BenchmarkZeroBroken", Metrics: map[string]float64{"allocs/op": 1}}, // 0 → any is a regression
 		{Name: "BenchmarkNoAllocMetric", Metrics: map[string]float64{"ns/op": 5}},
 	}
-	ns, allocs, err := compareReports(base, fresh, 20, 10)
+	ns, allocs, err := compareReports(mustLoad(t, base), base, fresh, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +144,45 @@ func TestCompareReportsAllocRegression(t *testing.T) {
 	}
 }
 
+// TestCompareReportsErrors pins that a missing or malformed baseline
+// fails the comparison before the fresh report is written.
 func TestCompareReportsErrors(t *testing.T) {
-	if _, _, err := compareReports(filepath.Join(t.TempDir(), "nope.json"), nil, 20, 10); err == nil {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.json")
+	if _, _, err := writeAndCompare(Report{}, out, filepath.Join(dir, "nope.json"), 20, 10); err == nil {
 		t.Fatal("missing baseline file accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
+	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := compareReports(bad, nil, 20, 10); err == nil {
+	if _, _, err := writeAndCompare(Report{}, out, bad, 20, 10); err == nil {
 		t.Fatal("malformed baseline JSON accepted")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("report written despite a refused baseline (stat: %v)", err)
+	}
+}
+
+// TestWriteAndCompareSameFile pins that -out naming the -compare file
+// compares the fresh run with the file's old contents, not with itself,
+// and then replaces them.
+func TestWriteAndCompareSameFile(t *testing.T) {
+	path := writeReport(t, t.TempDir(), []Result{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"allocs/op": 10}},
+	})
+	fresh := Report{Benchmarks: []Result{
+		{Name: "BenchmarkA", Metrics: map[string]float64{"allocs/op": 20}},
+	}}
+	_, allocs, err := writeAndCompare(fresh, path, path, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 1 {
+		t.Fatalf("allocs regressed = %d, want 1: the run was compared with itself", allocs)
+	}
+	if got := mustLoad(t, path).Benchmarks[0].Metrics["allocs/op"]; got != 20 {
+		t.Fatalf("file holds allocs/op %g after the run, want the fresh 20", got)
 	}
 }
 
@@ -159,7 +198,7 @@ func TestCompareReportsNoMatch(t *testing.T) {
 		{Name: "BenchmarkA-2", Metrics: map[string]float64{"allocs/op": 9}},
 		{Name: "BenchmarkB/k=1-2", Metrics: map[string]float64{"allocs/op": 9}},
 	}
-	_, _, err := compareReports(base, fresh, 20, 10)
+	_, _, err := compareReports(mustLoad(t, base), base, fresh, 20, 10)
 	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
 		t.Fatalf("err = %v, want a no-match error naming GOMAXPROCS", err)
 	}
